@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -99,10 +100,6 @@ def _strip_namespace(feature: str) -> str:
     return feature.split(":", 1)[1] if ":" in feature else feature
 
 
-def _topn_set(ranking: RankedFeatures, n: int) -> set[str]:
-    return {_strip_namespace(f) for f, _ in ranking.entries[:n]}
-
-
 def topn_overlap_curve(
     ranked_a: RankedFeatures,
     ranked_b: RankedFeatures,
@@ -114,23 +111,34 @@ def topn_overlap_curve(
     Feature namespaces are stripped first, so rankings from different
     families compare raw account/domain strings. With three rankings the
     value is the mean of the three pairwise similarities.
+
+    The top-N sets grow by one entry per ranking per step and each pair
+    keeps its intersection count, so the cost is O(n_max) per ranking.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     rankings = [ranked_a, ranked_b] + ([ranked_c] if ranked_c else [])
     if any(not r.entries for r in rankings):
         raise ValueError("empty ranking")
+    names = [[_strip_namespace(f) for f, _ in r.entries] for r in rankings]
+    tops: list[set[str]] = [set() for _ in rankings]
+    pairs = list(combinations(range(len(rankings)), 2))
+    inter = [0] * len(pairs)
     curve: list[tuple[int, float]] = []
     for n in range(1, n_max + 1):
-        tops = [_topn_set(r, n) for r in rankings]
-        if len(tops) == 2:
-            value = jaccard(tops[0], tops[1])
-        else:
-            value = (
-                jaccard(tops[0], tops[1])
-                + jaccard(tops[0], tops[2])
-                + jaccard(tops[1], tops[2])
-            ) / 3.0
+        for i, ranked_names in enumerate(names):
+            if n > len(ranked_names) or ranked_names[n - 1] in tops[i]:
+                continue
+            name = ranked_names[n - 1]
+            tops[i].add(name)
+            for p, (a, b) in enumerate(pairs):
+                if (a == i and name in tops[b]) or (b == i and name in tops[a]):
+                    inter[p] += 1
+        sims = [
+            inter[p] / (len(tops[a]) + len(tops[b]) - inter[p])
+            for p, (a, b) in enumerate(pairs)
+        ]
+        value = sims[0] if len(sims) == 1 else (sims[0] + sims[1] + sims[2]) / 3.0
         curve.append((n, value))
     return curve
 

@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import re
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
@@ -33,6 +31,7 @@ from .corpus import (
     CorpusError,
     Dataset,
     StanceLabel,
+    UserNetworkProfile,
     join,
     load_network_profiles,
     load_semeval_tsv,
@@ -54,7 +53,7 @@ from .scoring import (
     write_predictions,
     write_report_csv,
 )
-from .synth import SynthConfig, write_corpus
+from .synth import SynthConfig, topic_slug, write_corpus
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -76,15 +75,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _slugify(name: str) -> str:
-    return re.sub(r"[^a-z0-9]+", "", name.lower()) or "topic"
-
-
 def _unique_slugs(topics: Sequence[str]) -> dict[str, str]:
     slugs: dict[str, str] = {}
     used: set[str] = set()
     for topic in topics:
-        slug = _slugify(topic)
+        slug = topic_slug(topic)
         candidate, i = slug, 2
         while candidate in used:
             candidate = f"{slug}{i}"
@@ -339,6 +334,59 @@ def _run_experiment_cell(
     return result
 
 
+# (train, test, config, min_df) of the running experiment, set once in each
+# worker process by _init_cell_worker.
+_WORKER_CONTEXT: tuple[Dataset, Dataset, TrainConfig, int] | None = None
+
+
+def _init_cell_worker(
+    train: Dataset, test: Dataset, config: TrainConfig, min_df: int
+) -> None:
+    global _WORKER_CONTEXT
+    _WORKER_CONTEXT = (train, test, config, min_df)
+
+
+def _run_worker_cell(cell: tuple[FeatureSetSelector, str]) -> _CellResult:
+    train, test, config, min_df = _WORKER_CONTEXT
+    selector, mode = cell
+    return _run_experiment_cell(train, test, selector, mode, config, min_df)
+
+
+def _run_cells(
+    train: Dataset,
+    test: Dataset,
+    cells: Sequence[tuple[FeatureSetSelector, str]],
+    config: TrainConfig,
+    min_df: int,
+    jobs: int,
+) -> list[_CellResult]:
+    """Runs the cells in this process, or in `jobs` worker processes."""
+    if jobs <= 1:
+        return [
+            _run_experiment_cell(train, test, sel, mode, config, min_df)
+            for sel, mode in cells
+        ]
+    # Imported here so that the other commands do not pay for it at start-up.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(
+        max_workers=min(jobs, len(cells)),
+        mp_context=multiprocessing.get_context("spawn"),
+        initializer=_init_cell_worker,
+        initargs=(train, test, config, min_df),
+    ) as pool:
+        return list(pool.map(_run_worker_cell, cells))
+
+
+def _write_overlap_csvs(
+    profiles: dict[str, UserNetworkProfile], out_dir: Path
+) -> None:
+    for field_a, field_b in OVERLAP_PAIRS:
+        dist = network_overlap(profiles, (field_a, field_b))
+        write_overlap_csv(dist, out_dir / f"overlap__{field_a}__{field_b}.csv")
+
+
 def _write_master_csv(
     path: Path, results: Sequence[_CellResult], topics: Sequence[str]
 ) -> None:
@@ -420,20 +468,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cells = [(sel, mode) for sel in selectors for mode in modes]
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [
-                pool.submit(
-                    _run_experiment_cell, train, test, sel, mode, config, args.min_df
-                )
-                for sel, mode in cells
-            ]
-            results = [f.result() for f in futures]
-    else:
-        results = [
-            _run_experiment_cell(train, test, sel, mode, config, args.min_df)
-            for sel, mode in cells
-        ]
+    results = _run_cells(train, test, cells, config, args.min_df, args.jobs)
     results.sort(key=lambda r: (str(r.selector), r.mode))
     by_key = {(str(r.selector), r.mode): r for r in results}
 
@@ -471,11 +506,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     analysis_dir.mkdir(parents=True, exist_ok=True)
     all_profiles = {**train.profiles, **test.profiles}
     if any(p for p in all_profiles.values()):
-        for field_a, field_b in OVERLAP_PAIRS:
-            dist = network_overlap(all_profiles, (field_a, field_b))
-            write_overlap_csv(
-                dist, analysis_dir / f"overlap__{field_a}__{field_b}.csv"
-            )
+        _write_overlap_csvs(all_profiles, analysis_dir)
     if consistency:
         write_consistency_csv(consistency, analysis_dir / "user_consistency.csv")
     for mode in modes:
@@ -502,9 +533,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         profiles, _ = load_network_profiles(args.profiles)
         if not profiles:
             raise CorpusError(f"{args.profiles}: no profiles")
-        for field_a, field_b in OVERLAP_PAIRS:
-            dist = network_overlap(profiles, (field_a, field_b))
-            write_overlap_csv(dist, out / f"overlap__{field_a}__{field_b}.csv")
+        _write_overlap_csvs(profiles, out)
         did_anything = True
     if args.bundles:
         models = _load_models(args.bundles)
@@ -610,7 +639,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modes", default="ternary,binary")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes for experiment cells; "
+                   "output is identical to --jobs 1")
     p.add_argument("--top-n", type=int, default=20)
     p.add_argument("--curve-max", type=int, default=200)
     p.add_argument("--require-profile", action="store_true")

@@ -15,6 +15,7 @@ Two file formats are owned by this module:
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -24,6 +25,11 @@ from urllib.parse import urlsplit
 
 class CorpusError(ValueError):
     """Raised for malformed corpus files or inconsistent records."""
+
+
+# Unicode category Cc. Feature strings are written one per line into
+# tab-separated bundle files, so a set member holding one cannot be read back.
+_CONTROL_CHAR = re.compile("[\x00-\x1f\x7f-\x9f]")
 
 
 class StanceLabel(Enum):
@@ -226,13 +232,26 @@ def load_semeval_tsv(path: str | Path) -> list[LabeledInstance]:
     return instances
 
 
+def _reject_control_chars(
+    profile: UserNetworkProfile, file_name: str, lineno: int
+) -> None:
+    for name in NETWORK_FIELDS:
+        bad = [v for v in profile.set_for(name) if _CONTROL_CHAR.search(v)]
+        if bad:
+            raise CorpusError(
+                f"{file_name}: field {name!r} at line {lineno} holds "
+                f"a control character in {min(bad)!r}"
+            )
+
+
 def load_network_profiles(
     path: str | Path,
 ) -> tuple[dict[str, UserNetworkProfile], int]:
     """Read a profiles JSONL file.
 
     Returns the user_id -> profile mapping plus the number of duplicate
-    user_id records encountered (last record wins).
+    user_id records encountered (last record wins). A set member that holds
+    a control character after normalization is rejected.
     """
     path = Path(path)
     profiles: dict[str, UserNetworkProfile] = {}
@@ -268,9 +287,15 @@ def load_network_profiles(
                         "is not an array of strings"
                     )
                 sets[name] = values
+            profile = UserNetworkProfile.from_raw(user_id, **sets)
+            # json.loads refuses raw U+0000..U+001F in strings, so a control
+            # character arrives escaped, as a raw DEL or as raw non-ASCII;
+            # a line with none of these needs no scan of its members.
+            if "\\" in line or "\x7f" in line or not line.isascii():
+                _reject_control_chars(profile, path.name, lineno)
             if user_id in profiles:
                 duplicates += 1
-            profiles[user_id] = UserNetworkProfile.from_raw(user_id, **sets)
+            profiles[user_id] = profile
     return profiles, duplicates
 
 

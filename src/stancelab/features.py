@@ -153,13 +153,6 @@ class FeatureSpace:
     def size(self) -> int:
         return len(self.index_of)
 
-    def feature_at(self) -> list[str]:
-        """Inverse map as a list indexed by column."""
-        names = [""] * self.size
-        for name, idx in self.index_of.items():
-            names[idx] = name
-        return names
-
 
 def build_feature_space(
     train_feature_sets: Sequence[set[str]],

@@ -42,7 +42,8 @@ DOMAIN_FIELDS = ("in_domains", "pn_domains")
 Prior = tuple[float, float, float]
 
 
-def _slug(topic: str) -> str:
+def topic_slug(topic: str) -> str:
+    """Lowercase alphanumeric form of a topic name, for file names."""
     return re.sub(r"[^a-z0-9]+", "", topic.lower()) or "topic"
 
 
@@ -134,7 +135,7 @@ def generate(config: SynthConfig) -> tuple[Dataset, Dataset]:
     test_profiles: dict[str, UserNetworkProfile] = {}
     topics_seen: list[str] = []
     for topic in config.topics:
-        slug = _slug(topic)
+        slug = topic_slug(topic)
         topics_seen.append(topic)
         prior = config.prior_for(topic)
         account_pools = {

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from stancelab.analysis import (
@@ -172,6 +172,36 @@ def ranked(topic, *features):
     )
 
 
+def bruteforce_topn_curve(ranked_a, ranked_b, ranked_c=None, n_max=1000):
+    """Oracle: rebuild every top-N set anew for each N."""
+    rankings = [ranked_a, ranked_b] + ([ranked_c] if ranked_c else [])
+    curve = []
+    for n in range(1, n_max + 1):
+        tops = [
+            {f.split(":", 1)[1] if ":" in f else f for f, _ in r.entries[:n]}
+            for r in rankings
+        ]
+        if len(tops) == 2:
+            value = jaccard(tops[0], tops[1])
+        else:
+            value = (
+                jaccard(tops[0], tops[1])
+                + jaccard(tops[0], tops[2])
+                + jaccard(tops[1], tops[2])
+            ) / 3.0
+        curve.append((n, value))
+    return curve
+
+
+# Distinct namespaced features; one stripped name may appear under several
+# namespaces of one ranking, as in a multi-family model.
+RANKING_FEATURES = st.lists(
+    st.tuples(st.sampled_from(["inat:", "pnat:", "cnfr:", ""]),
+              st.sampled_from(["a", "b", "c", "d", "e", "f", "x:y"])),
+    min_size=1, max_size=12, unique=True,
+).map(lambda pairs: [ns + name for ns, name in pairs])
+
+
 class TestTopnOverlapCurve:
     def test_identical_rankings_constant_one(self):
         a = ranked("t", "inat:x", "inat:y", "inat:z")
@@ -212,6 +242,19 @@ class TestTopnOverlapCurve:
         b = ranked("t", *[f"pnat:b{i}" for i in range(0, 2 * n_b, 2)])
         for _, value in topn_overlap_curve(a, b, n_max=n_max):
             assert 0.0 <= value <= 1.0
+
+    @given(
+        features=st.lists(RANKING_FEATURES, min_size=2, max_size=3),
+        n_max=st.integers(1, 16),
+    )
+    @example(features=[["inat:x", "pnat:x", "inat:y"], ["cnfr:y", "cnfr:x"]],
+             n_max=5)
+    @example(features=[["inat:x", "pnat:x"], ["pnat:y", "inat:x"], ["cnfr:x"]],
+             n_max=4)
+    def test_matches_bruteforce_oracle(self, features, n_max):
+        rankings = [ranked("t", *names) for names in features]
+        expected = bruteforce_topn_curve(*rankings, n_max=n_max)
+        assert topn_overlap_curve(*rankings, n_max=n_max) == expected
 
 
 class TestUserConsistency:

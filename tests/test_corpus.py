@@ -1,3 +1,8 @@
+import json
+import tempfile
+import unicodedata
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -203,6 +208,62 @@ class TestLoadProfiles:
         )
         with pytest.raises(CorpusError, match="in_mentions"):
             load_network_profiles(path)
+
+    @pytest.mark.parametrize(
+        "member",
+        ["a\\nb", "a\\tb", "@x\\u0085y", "a\\u007fb", "a\x7fb", "@x\x85y"],
+    )
+    def test_control_character_rejected_with_file_line_field(
+        self, tmp_path, member
+    ):
+        path = write(
+            tmp_path, "p.jsonl",
+            '{"user_id": "u1"}\n'
+            f'{{"user_id": "u2", "cn_friends": ["ok", "{member}"]}}\n',
+        )
+        with pytest.raises(
+            CorpusError, match=r"p\.jsonl: field 'cn_friends' at line 2"
+        ):
+            load_network_profiles(path)
+
+    @given(
+        members=st.lists(
+            st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+            max_size=4,
+        ),
+        ascii_only=st.booleans(),
+    )
+    def test_rejected_iff_a_normalized_member_holds_a_control_character(
+        self, members, ascii_only
+    ):
+        record = {"user_id": "u1", "in_mentions": members}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "p.jsonl"
+            path.write_text(
+                json.dumps(record, ensure_ascii=ascii_only) + "\n", encoding="utf-8"
+            )
+            if any(
+                unicodedata.category(ch) == "Cc"
+                for member in members
+                for ch in normalize_account(member)
+            ):
+                with pytest.raises(CorpusError, match="'in_mentions' at line 1"):
+                    load_network_profiles(path)
+            else:
+                profiles, _ = load_network_profiles(path)
+                assert profiles["u1"].in_mentions == {
+                    normalize_account(m) for m in members
+                } - {""}
+
+    def test_control_characters_stripped_by_normalization_accepted(self, tmp_path):
+        path = write(
+            tmp_path, "p.jsonl",
+            '{"user_id": "u1", "in_mentions": ["\\n@A\\t"], '
+            '"in_domains": ["https://x.example/a\\nb"]}\n',
+        )
+        profiles, _ = load_network_profiles(path)
+        assert profiles["u1"].in_mentions == {"a"}
+        assert profiles["u1"].in_domains == {"x.example"}
 
     def test_round_trip(self, tmp_path):
         profiles = {
