@@ -22,6 +22,10 @@ def jaccard(a: Iterable, b: Iterable) -> float:
     return len(sa & sb) / union
 
 
+# Width, in percentage points, of the overlap histogram's bins.
+OVERLAP_BIN_WIDTH = 5.0
+
+
 @dataclass(frozen=True)
 class OverlapDistribution:
     """Per-user Jaccard scores between two profile sets."""
@@ -29,28 +33,23 @@ class OverlapDistribution:
     pair_name: str
     values: tuple[float, ...]
     excluded: int  # users with both sets empty
-    bin_width: float = 5.0
 
     def histogram(self) -> list[tuple[float, float, int]]:
         """(bin_low, bin_high, count) over percentage bins of [0, 100]."""
-        edges: list[float] = []
-        low = 0.0
-        while low < 100.0 - 1e-9:
-            edges.append(low)
-            low += self.bin_width
-        bins = [(lo, min(lo + self.bin_width, 100.0), 0) for lo in edges]
-        counts = [0] * len(bins)
+        n_bins = round(100.0 / OVERLAP_BIN_WIDTH)
+        counts = [0] * n_bins
         for value in self.values:
             pct = value * 100.0
-            slot = min(int(pct // self.bin_width), len(bins) - 1)
-            counts[slot] += 1
-        return [(lo, hi, c) for (lo, hi, _), c in zip(bins, counts)]
+            counts[min(int(pct // OVERLAP_BIN_WIDTH), n_bins - 1)] += 1
+        return [
+            (i * OVERLAP_BIN_WIDTH, (i + 1) * OVERLAP_BIN_WIDTH, count)
+            for i, count in enumerate(counts)
+        ]
 
 
 def network_overlap(
     profiles: Mapping[str, UserNetworkProfile],
     pair: tuple[str, str],
-    bin_width: float = 5.0,
 ) -> OverlapDistribution:
     """Per-user Jaccard similarity between two named profile sets.
 
@@ -74,7 +73,6 @@ def network_overlap(
         pair_name=f"{field_a} vs {field_b}",
         values=tuple(values),
         excluded=excluded,
-        bin_width=bin_width,
     )
 
 

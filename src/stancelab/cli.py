@@ -2,7 +2,9 @@
 analyze.
 
 Every command is reproducible from its flags plus --seed. Exit codes:
-0 success, 1 usage error, 2 data error, 3 experiment-cell failure.
+0 success; 1 usage error, before any output is written; 2 data error, an
+unreadable or malformed input reported in one line; 3 experiment-cell
+failure. Any other exception is a program bug and prints its traceback.
 """
 
 from __future__ import annotations
@@ -10,14 +12,13 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .analysis import (
-    ConsistencyReport,
+    RankedFeatures,
     top_features,
     topn_overlap_curve,
     network_overlap,
@@ -154,6 +155,39 @@ def _load_models(bundles_dir: str) -> dict[str, LinearModel]:
     return models
 
 
+def _predict_bundles(
+    args: argparse.Namespace, bundles_dir: str, require_profile: bool
+) -> tuple[Dataset, list[StanceLabel]]:
+    """Predicts every tweet of --tweets with the bundles under bundles_dir."""
+    models = _load_models(bundles_dir)
+    needs_profiles = any(m.space.selector.uses_profiles for m in models.values())
+    if needs_profiles and not args.profiles:
+        args.parser.error("these bundles use network features; pass --profiles")
+    dataset = _load_dataset(args.tweets, args.profiles, require_profile)
+    return dataset, predict_dataset(models, dataset)
+
+
+def _rankings(
+    models: Iterable[tuple[str, LinearModel]], n: int
+) -> list[RankedFeatures]:
+    """The top n features of every class of every (topic, model)."""
+    return [
+        top_features(model, cls, topic, n)
+        for topic, model in models
+        for cls in model.classes
+    ]
+
+
+def _write_report_dir(report: EvalReport, out: Path, title: str = "") -> str:
+    """Writes report.txt, report.csv and confusion.csv; returns the text."""
+    text = render_report(report, title=title)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "report.txt").write_text(text, encoding="utf-8")
+    write_report_csv(report, out / "report.csv")
+    write_confusion_csv(report.confusion, out / "confusion.csv")
+    return text
+
+
 # ---------------------------------------------------------------------------
 # Subcommands.
 
@@ -196,12 +230,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    models = _load_models(args.bundles)
-    needs_profiles = any(m.selector.uses_profiles for m in models.values())
-    if needs_profiles and not args.profiles:
-        args.parser.error("these bundles use network features; pass --profiles")
-    dataset = _load_dataset(args.tweets, args.profiles, args.require_profile)
-    predictions = predict_dataset(models, dataset)
+    dataset, predictions = _predict_bundles(args, args.bundles, args.require_profile)
     write_predictions(args.out, dataset.instances, predictions)
     print(f"predictions: {args.out}")
     return EXIT_OK
@@ -216,12 +245,7 @@ def _predictions_from_source(
     if path.is_dir():
         if not args.tweets:
             args.parser.error("scoring a bundles directory requires --tweets")
-        models = _load_models(source)
-        needs_profiles = any(m.selector.uses_profiles for m in models.values())
-        if needs_profiles and not args.profiles:
-            args.parser.error("these bundles use network features; pass --profiles")
-        dataset = _load_dataset(args.tweets, args.profiles, False)
-        predictions = predict_dataset(models, dataset)
+        dataset, predictions = _predict_bundles(args, source, False)
         ids = [inst.tweet_id for inst in dataset.instances]
         topics = [inst.topic for inst in dataset.instances]
         gold = [inst.label for inst in dataset.instances]
@@ -268,11 +292,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         )
     report = score_semeval(gold, pred, topics)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "report.txt").write_text(render_report(report), encoding="utf-8")
-    write_report_csv(report, out / "report.csv")
-    write_confusion_csv(report.confusion, out / "confusion.csv")
-    print(render_report(report), end="")
+    print(_write_report_dir(report, out), end="")
     if args.compare:
         cmp_ids, cmp_topics, cmp_gold, cmp_pred = _predictions_from_source(
             args, args.compare
@@ -309,63 +329,59 @@ class _CellResult:
     mode: str
     report: EvalReport | None = None
     predictions: list[StanceLabel] | None = None
-    models: dict[str, LinearModel] | None = None
+    # (topic, class) -> RankedFeatures of max(--top-n, --curve-max) entries.
+    rankings: dict = field(default_factory=dict)
     error: str = ""
 
 
-def _run_experiment_cell(
-    train: Dataset,
-    test: Dataset,
-    selector: FeatureSetSelector,
-    mode: str,
-    config: TrainConfig,
-    min_df: int,
-) -> _CellResult:
+# (train, test, config, min_df, out, top_n, curve_max) of the running
+# experiment, set once in each process that runs cells by _init_cells.
+_CELL_CONTEXT: tuple[Dataset, Dataset, TrainConfig, int, Path, int, int] | None = None
+
+
+def _init_cells(context: tuple) -> None:
+    global _CELL_CONTEXT
+    _CELL_CONTEXT = context
+
+
+def _run_experiment_cell(cell: tuple[FeatureSetSelector, str]) -> _CellResult:
+    """Trains and scores one cell, then writes its cell directory, bundles
+    and top-features CSV under the experiment's output directory."""
+    train, test, config, min_df, out, top_n, curve_max = _CELL_CONTEXT
+    selector, mode = cell
     result = _CellResult(selector=selector, mode=mode)
     try:
-        models, report, predictions = run_cell(
+        models, result.report, result.predictions = run_cell(
             train, test, selector, mode, config, min_df=min_df
         )
-        result.models = models
-        result.report = report
-        result.predictions = predictions
     except Exception as exc:  # cell failures are recorded, not fatal
         result.error = f"{type(exc).__name__}: {exc}"
+        return result
+    name = f"{selector}__{mode}"
+    cell_dir = out / "cells" / name
+    _write_report_dir(result.report, cell_dir, title=name)
+    write_predictions(cell_dir / "predictions.tsv", test.instances, result.predictions)
+    slugs = _unique_slugs(train.topics)
+    for topic, model in models.items():
+        save_bundle(model, out / "bundles" / name / slugs[topic], topic=topic)
+    # A ranking is a sorted prefix, so the one computed for the curves also
+    # gives the --top-n CSV.
+    rankings = _rankings(models.items(), max(top_n, curve_max))
+    write_rankings_csv(
+        [replace(r, entries=r.entries[:top_n]) for r in rankings],
+        out / "analysis" / f"top_features__{name}.csv",
+    )
+    result.rankings = {(r.topic, r.label): r for r in rankings}
     return result
 
 
-# (train, test, config, min_df) of the running experiment, set once in each
-# worker process by _init_cell_worker.
-_WORKER_CONTEXT: tuple[Dataset, Dataset, TrainConfig, int] | None = None
-
-
-def _init_cell_worker(
-    train: Dataset, test: Dataset, config: TrainConfig, min_df: int
-) -> None:
-    global _WORKER_CONTEXT
-    _WORKER_CONTEXT = (train, test, config, min_df)
-
-
-def _run_worker_cell(cell: tuple[FeatureSetSelector, str]) -> _CellResult:
-    train, test, config, min_df = _WORKER_CONTEXT
-    selector, mode = cell
-    return _run_experiment_cell(train, test, selector, mode, config, min_df)
-
-
 def _run_cells(
-    train: Dataset,
-    test: Dataset,
-    cells: Sequence[tuple[FeatureSetSelector, str]],
-    config: TrainConfig,
-    min_df: int,
-    jobs: int,
+    cells: Sequence[tuple[FeatureSetSelector, str]], jobs: int, context: tuple
 ) -> list[_CellResult]:
     """Runs the cells in this process, or in `jobs` worker processes."""
     if jobs <= 1:
-        return [
-            _run_experiment_cell(train, test, sel, mode, config, min_df)
-            for sel, mode in cells
-        ]
+        _init_cells(context)
+        return list(map(_run_experiment_cell, cells))
     # Imported here so that the other commands do not pay for it at start-up.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -373,10 +389,10 @@ def _run_cells(
     with ProcessPoolExecutor(
         max_workers=min(jobs, len(cells)),
         mp_context=multiprocessing.get_context("spawn"),
-        initializer=_init_cell_worker,
-        initargs=(train, test, config, min_df),
+        initializer=_init_cells,
+        initargs=(context,),
     ) as pool:
-        return list(pool.map(_run_worker_cell, cells))
+        return list(pool.map(_run_experiment_cell, cells))
 
 
 def _write_overlap_csvs(
@@ -428,12 +444,7 @@ def _experiment_curves(
 
     def ranking(flag: str, topic: str, cls: StanceLabel):
         result = results.get((flag, mode))
-        if result is None or result.models is None:
-            return None
-        model = result.models.get(topic)
-        if model is None or cls not in model.classes:
-            return None
-        return top_features(model, cls, topic, n_max)
+        return None if result is None else result.rankings.get((topic, cls))
 
     for topic in topics:
         for cls in (StanceLabel.FAVOR, StanceLabel.AGAINST):
@@ -466,44 +477,19 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     test = _load_dataset(args.test, args.profiles, args.require_profile)
     config = _train_config(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    analysis_dir = out / "analysis"
+    analysis_dir.mkdir(parents=True, exist_ok=True)
     cells = [(sel, mode) for sel in selectors for mode in modes]
-    results = _run_cells(train, test, cells, config, args.min_df, args.jobs)
+    context = (train, test, config, args.min_df, out, args.top_n, args.curve_max)
+    results = _run_cells(cells, args.jobs, context)
     results.sort(key=lambda r: (str(r.selector), r.mode))
     by_key = {(str(r.selector), r.mode): r for r in results}
 
-    slugs = _unique_slugs(train.topics)
-    consistency: dict[str, ConsistencyReport] = {}
-    for result in results:
-        name = f"{result.selector}__{result.mode}"
-        cell_dir = out / "cells" / name
-        if result.report is None:
-            continue
-        cell_dir.mkdir(parents=True, exist_ok=True)
-        (cell_dir / "report.txt").write_text(
-            render_report(result.report, title=name), encoding="utf-8"
-        )
-        write_report_csv(result.report, cell_dir / "report.csv")
-        write_confusion_csv(result.report.confusion, cell_dir / "confusion.csv")
-        write_predictions(
-            cell_dir / "predictions.tsv", test.instances, result.predictions
-        )
-        for topic, model in result.models.items():
-            save_bundle(
-                model, out / "bundles" / name / slugs[topic], topic=topic
-            )
-        rankings = [
-            top_features(model, cls, topic, args.top_n)
-            for topic, model in result.models.items()
-            for cls in model.classes
-        ]
-        analysis_dir = out / "analysis"
-        analysis_dir.mkdir(parents=True, exist_ok=True)
-        write_rankings_csv(rankings, analysis_dir / f"top_features__{name}.csv")
-        consistency[name] = user_consistency(test, result.predictions)
-
-    analysis_dir = out / "analysis"
-    analysis_dir.mkdir(parents=True, exist_ok=True)
+    consistency = {
+        f"{r.selector}__{r.mode}": user_consistency(test, r.predictions)
+        for r in results
+        if r.report is not None
+    }
     all_profiles = {**train.profiles, **test.profiles}
     if any(p for p in all_profiles.values()):
         _write_overlap_csvs(all_profiles, analysis_dir)
@@ -537,11 +523,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         did_anything = True
     if args.bundles:
         models = _load_models(args.bundles)
-        rankings = [
-            top_features(model, cls, topic, args.top_n)
-            for topic, model in sorted(models.items())
-            for cls in model.classes
-        ]
+        rankings = _rankings(sorted(models.items()), args.top_n)
         write_rankings_csv(rankings, out / "top_features.csv")
         did_anything = True
     if args.predictions:
@@ -562,6 +544,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 # Parser wiring.
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
@@ -642,8 +631,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for experiment cells; "
                    "output is identical to --jobs 1")
-    p.add_argument("--top-n", type=int, default=20)
-    p.add_argument("--curve-max", type=int, default=200)
+    p.add_argument("--top-n", type=_positive_int, default=20)
+    p.add_argument("--curve-max", type=_positive_int, default=200)
     p.add_argument("--require-profile", action="store_true")
     _add_train_flags(p)
     p.set_defaults(func=_cmd_experiment)
@@ -654,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predictions")
     p.add_argument("--tweets")
     p.add_argument("--out", required=True)
-    p.add_argument("--top-n", type=int, default=20)
+    p.add_argument("--top-n", type=_positive_int, default=20)
     p.set_defaults(func=_cmd_analyze)
     return parser
 
@@ -665,11 +654,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args.parser = parser
     try:
         return args.func(args)
-    except (CorpusError, FileNotFoundError, NotADirectoryError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"stancelab: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except Exception:
-        traceback.print_exc()
         return EXIT_DATA
 
 

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import CANONICAL_LABELS, StanceLabel
+from .corpus import CANONICAL_LABELS, CorpusError, StanceLabel
 from .features import FeatureSetSelector, FeatureSpace, SparseBooleanVector
 from .features import read_feature_space, write_feature_space
 
@@ -138,7 +138,6 @@ class LinearModel:
     biases: np.ndarray  # shape (len(classes),)
     mode: str  # "ternary" | "binary"
     space: FeatureSpace
-    selector: FeatureSetSelector
     config: TrainConfig
 
 
@@ -193,7 +192,6 @@ def train_ovr(
         biases=biases,
         mode=mode,
         space=space,
-        selector=space.selector,
         config=config,
     )
 
@@ -239,7 +237,7 @@ def save_bundle(model: LinearModel, path: str | Path, topic: str = "") -> None:
     path.mkdir(parents=True, exist_ok=True)
     meta = {
         "mode": model.mode,
-        "selector": str(model.selector),
+        "selector": str(model.space.selector),
         "topic": topic,
         "classes": [cls.value for cls in model.classes],
         "config": {
@@ -264,39 +262,61 @@ def save_bundle(model: LinearModel, path: str | Path, topic: str = "") -> None:
 
 
 def load_bundle(path: str | Path) -> tuple[LinearModel, dict]:
-    """Load a bundle directory; returns the model and its metadata."""
+    """Load a bundle directory; returns the model and its metadata.
+
+    Metadata with a missing key or an unknown config field, and a weight
+    line other than an index in 0..dimension-1 (or "bias"), a tab and a
+    number, raise CorpusError naming the file and, for weights, the line.
+    """
     path = Path(path)
-    meta = json.loads((path / _METADATA).read_text(encoding="utf-8"))
-    selector = FeatureSetSelector.parse(meta["selector"])
+    meta_path = path / _METADATA
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    try:
+        selector = FeatureSetSelector.parse(meta["selector"])
+        classes = tuple(StanceLabel(value) for value in meta["classes"])
+        config = TrainConfig(**meta["config"])
+        dimension, mode = meta["dimension"], meta["mode"]
+    except (KeyError, TypeError) as exc:
+        raise CorpusError(
+            f"{meta_path}: bad metadata ({type(exc).__name__}: {exc})"
+        ) from None
     space = read_feature_space(path / _SPACE, selector)
-    if space.size != meta["dimension"]:
+    dim = space.size
+    if dim != dimension:
         raise ValueError(
-            f"bundle {path.name}: space has {space.size} features, "
-            f"metadata says {meta['dimension']}"
+            f"bundle {path.name}: space has {dim} features, "
+            f"metadata says {dimension}"
         )
-    classes = tuple(StanceLabel(value) for value in meta["classes"])
-    config = TrainConfig(**meta["config"])
-    weights = np.zeros((len(classes), space.size), dtype=np.float64)
+    weights = np.zeros((len(classes), dim), dtype=np.float64)
     biases = np.zeros(len(classes), dtype=np.float64)
     for ci, cls in enumerate(classes):
-        with (path / _weights_file(cls)).open(encoding="utf-8") as fh:
-            for line in fh:
+        weights_path = path / _weights_file(cls)
+        with weights_path.open(encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
                 key, _, value = line.partition("\t")
-                if key == "bias":
-                    biases[ci] = float(value)
-                else:
-                    weights[ci, int(key)] = float(value)
-    mode = meta["mode"]
+                try:
+                    number = float(value)
+                    if key == "bias":
+                        biases[ci] = number
+                        continue
+                    idx = int(key)
+                except ValueError:
+                    idx = -1
+                if not 0 <= idx < dim:
+                    raise CorpusError(
+                        f"{weights_path}: line {line_no}: expected an index "
+                        f"in 0..{dim - 1} or 'bias', a tab and a weight"
+                    )
+                weights[ci, idx] = number
     model = LinearModel(
         classes=classes,
         weights=weights,
         biases=biases,
         mode=mode,
         space=space,
-        selector=selector,
         config=config,
     )
     return model, meta

@@ -50,19 +50,10 @@ def predict_dataset(
         if model is None:
             raise ValueError(f"no model for topic {inst.topic!r}")
         features = extract_features(
-            inst, dataset.profile_for(inst.author_id), model.selector
+            inst, dataset.profile_for(inst.author_id), model.space.selector
         )
         predictions.append(predict(model, vectorize(features, model.space)))
     return predictions
-
-
-def evaluate_models(
-    models: Mapping[str, LinearModel], test: Dataset
-) -> tuple[EvalReport, list[StanceLabel]]:
-    predictions = predict_dataset(models, test)
-    gold = [inst.label for inst in test.instances]
-    topics = [inst.topic for inst in test.instances]
-    return score_semeval(gold, predictions, topics), predictions
 
 
 def run_cell(
@@ -75,5 +66,7 @@ def run_cell(
 ) -> tuple[dict[str, LinearModel], EvalReport, list[StanceLabel]]:
     """Train one (selector, mode) cell and evaluate it on the test split."""
     models = train_topic_models(train, selector, mode, config, min_df=min_df)
-    report, predictions = evaluate_models(models, test)
-    return models, report, predictions
+    predictions = predict_dataset(models, test)
+    gold = [inst.label for inst in test.instances]
+    topics = [inst.topic for inst in test.instances]
+    return models, score_semeval(gold, predictions, topics), predictions

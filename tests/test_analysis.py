@@ -41,7 +41,7 @@ def model_from_weights(named_weights, mode="ternary"):
         biases = np.zeros(3)
     return LinearModel(
         classes=classes, weights=weights, biases=biases, mode=mode,
-        space=space, selector=space.selector, config=TrainConfig(),
+        space=space, config=TrainConfig(),
     )
 
 

@@ -10,7 +10,14 @@ from pathlib import Path
 import pytest
 
 import stancelab
-from stancelab.cli import EXIT_CELL, EXIT_DATA, EXIT_OK, main
+from stancelab import cli
+from stancelab.analysis import top_features, topn_overlap_curve, write_rankings_csv
+from stancelab.cli import EXIT_CELL, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from stancelab.corpus import StanceLabel, join, load_network_profiles, load_semeval_tsv
+from stancelab.features import FeatureSetSelector
+from stancelab.linsvm import TrainConfig, load_bundle
+from stancelab.pipeline import run_cell
+from stancelab.scoring import write_predictions, write_report_csv
 
 SELECTORS = "TXT,IN_AT,IN_DM,PN_AT,PN_DM,CN_FR,CN_FL,TXT+IN_AT+IN_DM"
 
@@ -22,13 +29,18 @@ def synth(out, *extra):
     return out
 
 
-def experiment(corpus, out, jobs):
+def experiment(corpus, out, jobs, *extra, selectors=SELECTORS):
     return main([
         "experiment", "--tweets", str(corpus / "train.tsv"),
         "--test", str(corpus / "test.tsv"),
         "--profiles", str(corpus / "profiles.jsonl"),
-        "--selectors", SELECTORS, "--out", str(out), "--jobs", str(jobs),
+        "--selectors", selectors, "--out", str(out), "--jobs", str(jobs), *extra,
     ])
+
+
+def load_split(corpus, name):
+    profiles, _ = load_network_profiles(corpus / "profiles.jsonl")
+    return join(load_semeval_tsv(corpus / name), profiles)[0]
 
 
 def tree(root):
@@ -65,6 +77,155 @@ class TestExperiment:
         for row in rows:
             assert row["status"].startswith("failed:"), row
         assert "cell failed:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("top_n, curve_max", [(30, 10), (5, 500)])
+    def test_top_features_csv_ranks_the_saved_bundles(self, corpus, tmp_path,
+                                                      top_n, curve_max):
+        # The cells rank once at max(--top-n, --curve-max): the CSV must hold
+        # the top --top-n entries per class, the curves the top --curve-max.
+        out = tmp_path / "out"
+        assert experiment(corpus, out, 1, "--top-n", str(top_n),
+                          "--curve-max", str(curve_max),
+                          selectors="TXT,IN_AT,PN_AT,CN_FR") == EXIT_OK
+        topics = load_split(corpus, "train.tsv").topics
+        cells = sorted((out / "bundles").iterdir())
+        assert len(cells) == 8
+        models = {}
+        for cell in cells:
+            for bundle in cell.iterdir():
+                model, meta = load_bundle(bundle)
+                models[cell.name, meta["topic"]] = model
+            write_rankings_csv(
+                [top_features(models[cell.name, topic], cls, topic, top_n)
+                 for topic in topics for cls in models[cell.name, topic].classes],
+                tmp_path / "expected.csv",
+            )
+            written = out / "analysis" / f"top_features__{cell.name}.csv"
+            assert written.read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+        expected = {}
+        for topic in topics:
+            for cls in (StanceLabel.FAVOR, StanceLabel.AGAINST):
+                left, right = (
+                    top_features(models[f"{flag}__ternary", topic], cls, topic,
+                                 curve_max)
+                    for flag in ("IN_AT", "PN_AT")
+                )
+                pair = f"IN_AT vs PN_AT | {cls.value} | {topic}"
+                expected[pair] = [
+                    [str(n), pair, f"{value:.6f}"]
+                    for n, value in topn_overlap_curve(left, right, n_max=curve_max)
+                ]
+        with (out / "analysis" / "topn_curves__ternary.csv").open(newline="") as fh:
+            rows = [row for row in csv.reader(fh) if row[1] in expected]
+        assert rows == [row for pair in sorted(expected) for row in expected[pair]]
+
+
+@pytest.mark.parametrize("selector, mode", [("TXT+IN_AT+IN_DM", "ternary"),
+                                            ("IN_AT", "binary")])
+def test_train_predict_evaluate_equal_run_cell(corpus, tmp_path, selector, mode,
+                                               capsys):
+    profiles = str(corpus / "profiles.jsonl")
+    assert main(["train", "--tweets", str(corpus / "train.tsv"),
+                 "--profiles", profiles, "--selector", selector, "--mode", mode,
+                 "--seed", "5", "--out", str(tmp_path / "bundles")]) == EXIT_OK
+    assert main(["predict", "--bundles", str(tmp_path / "bundles"),
+                 "--tweets", str(corpus / "test.tsv"), "--profiles", profiles,
+                 "--out", str(tmp_path / "predictions.tsv")]) == EXIT_OK
+    assert main(["evaluate", "--predictions", str(tmp_path / "predictions.tsv"),
+                 "--out", str(tmp_path / "evaluation")]) == EXIT_OK
+
+    test = load_split(corpus, "test.tsv")
+    _, report, predictions = run_cell(
+        load_split(corpus, "train.tsv"), test, FeatureSetSelector.parse(selector),
+        mode, TrainConfig(seed=5),
+    )
+    write_predictions(tmp_path / "expected.tsv", test.instances, predictions)
+    write_report_csv(report, tmp_path / "expected.csv")
+    assert ((tmp_path / "predictions.tsv").read_bytes()
+            == (tmp_path / "expected.tsv").read_bytes())
+    assert ((tmp_path / "evaluation" / "report.csv").read_bytes()
+            == (tmp_path / "expected.csv").read_bytes())
+
+
+class TestUsageErrors:
+    # Each exits 1 before anything is written.
+    @pytest.mark.parametrize("extra", [
+        ["--modes", "ternary,unary"],
+        ["--top-n", "0"],
+        ["--curve-max", "0"],
+    ])
+    def test_bad_experiment_flag(self, corpus, tmp_path, extra, capsys):
+        with pytest.raises(SystemExit) as exc:
+            experiment(corpus, tmp_path / "out", 1, *extra)
+        assert exc.value.code == EXIT_USAGE
+        assert not (tmp_path / "out").exists()
+
+    def test_network_selector_without_profiles(self, corpus, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--tweets", str(corpus / "train.tsv"),
+                  "--test", str(corpus / "test.tsv"), "--selectors", "TXT,IN_AT",
+                  "--out", str(tmp_path / "out")])
+        assert exc.value.code == EXIT_USAGE
+        assert "network selectors require --profiles" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+class TestDataErrors:
+    """A malformed input exits 2 with one line naming it; a bug in the
+    program is not reported as a data error."""
+
+    @pytest.fixture()
+    def bundle(self, corpus, tmp_path):
+        assert main(["train", "--tweets", str(corpus / "train.tsv"),
+                     "--selector", "TXT", "--mode", "binary",
+                     "--out", str(tmp_path / "bundles")]) == EXIT_OK
+        return sorted((tmp_path / "bundles").iterdir())[0]
+
+    def predict_error(self, bundle, tweets, capsys):
+        capsys.readouterr()
+        code = main(["predict", "--bundles", str(bundle), "--tweets", str(tweets),
+                     "--out", str(bundle.parent / "predictions.tsv")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("stancelab: ") and err.count("\n") == 1, err
+        return err
+
+    def test_unknown_config_field(self, bundle, corpus, capsys):
+        meta = json.loads((bundle / "metadata.json").read_text())
+        meta["config"]["gamma"] = 1
+        (bundle / "metadata.json").write_text(json.dumps(meta))
+        err = self.predict_error(bundle, corpus / "test.tsv", capsys)
+        assert "metadata.json" in err and "gamma" in err
+
+    @pytest.mark.parametrize("index", ["-1", "dimension"])
+    def test_weight_index_out_of_range(self, bundle, corpus, index, capsys):
+        if index == "dimension":
+            index = str(json.loads((bundle / "metadata.json").read_text())["dimension"])
+        weights = bundle / "weights_FAVOR.tsv"
+        lines = weights.read_text().count("\n")
+        with weights.open("a") as fh:
+            fh.write(f"{index}\t9.5\n")
+        err = self.predict_error(bundle, corpus / "test.tsv", capsys)
+        assert f"weights_FAVOR.tsv: line {lines + 1}:" in err
+
+    def test_missing_metadata_key(self, bundle, corpus, capsys):
+        meta = json.loads((bundle / "metadata.json").read_text())
+        del meta["classes"]
+        (bundle / "metadata.json").write_text(json.dumps(meta))
+        err = self.predict_error(bundle, corpus / "test.tsv", capsys)
+        assert "metadata.json" in err
+
+    def test_tweets_path_is_a_directory(self, bundle, corpus, capsys):
+        self.predict_error(bundle, corpus, capsys)
+
+    def test_program_bug_is_not_a_data_error(self, tmp_path, monkeypatch):
+        def broken(config, out):
+            raise KeyError("bug")
+
+        monkeypatch.setattr(cli, "write_corpus", broken)
+        with pytest.raises(KeyError):
+            main(["synth", "--out", str(tmp_path / "corpus")])
 
 
 def test_importing_the_cli_loads_no_executor():

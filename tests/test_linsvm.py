@@ -40,7 +40,6 @@ def make_model(weights, biases, mode, classes):
         biases=np.asarray(biases, dtype=np.float64),
         mode=mode,
         space=toy_space(weights.shape[1]),
-        selector=FeatureSetSelector.of("TXT"),
         config=TrainConfig(),
     )
 
@@ -264,7 +263,6 @@ class TestClassWeights:
             biases=np.zeros(1),
             mode="ternary",
             space=space,
-            selector=space.selector,
             config=TrainConfig(),
         )
         assert class_weights(model, StanceLabel.AGAINST) == {
