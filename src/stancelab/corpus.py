@@ -3,9 +3,10 @@
 Two file formats are owned by this module:
 
 * Tweets file: UTF-8 TSV with a header line and columns
-  ``ID, Target, Tweet, Stance[, AuthorID]``.  Tabs inside the tweet text are
-  not supported (they terminate the field).  When the optional AuthorID
-  column is absent each tweet is treated as its own author.
+  ``ID, Target, Tweet, Stance[, AuthorID]``.  Tabs and line breaks inside a
+  field are not supported (they end the field or the line), and the writer
+  refuses them.  When the optional AuthorID column is absent each tweet is
+  treated as its own author.
 * Profiles file: UTF-8, one JSON object per line with a ``user_id`` key and
   up to six array-of-string keys (``in_mentions``, ``in_domains``,
   ``pn_mentions``, ``pn_domains``, ``cn_friends``, ``cn_followers``).
@@ -327,15 +328,53 @@ def join(
     return Dataset(tuple(kept), joined, tuple(topics)), dropped
 
 
+def _unreadable(inst: LabeledInstance, line: str, seen_ids: set[str]) -> str:
+    """Why load_semeval_tsv would not read ``line`` back as ``inst``, or ""."""
+    tweet_id, topic, author_id = inst.tweet_id, inst.topic, inst.author_id
+    if line.count("\t") != 4 or "\n" in line or "\r" in line:
+        return "a tab or line break in a field"
+    if (tweet_id != tweet_id.strip() or topic != topic.strip()
+            or author_id != author_id.strip()):
+        return "surrounding whitespace in the ID, Target or AuthorID"
+    if not topic:
+        return "an empty Target"
+    if not author_id and tweet_id:
+        return "an empty AuthorID"
+    if tweet_id in seen_ids:
+        return "a repeated ID"
+    if not line.isascii():
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            return "a character UTF-8 cannot encode"
+    return ""
+
+
 def write_semeval_tsv(path: str | Path, instances: Iterable[LabeledInstance]) -> None:
-    """Write instances in the tweets TSV format (with the AuthorID column)."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write("ID\tTarget\tTweet\tStance\tAuthorID\n")
-        for inst in instances:
-            fh.write(
-                f"{inst.tweet_id}\t{inst.topic}\t{inst.text}\t"
-                f"{inst.label.value}\t{inst.author_id}\n"
+    """Write instances in the tweets TSV format (with the AuthorID column).
+
+    Refuses, with a CorpusError naming the tweet id and before the file is
+    opened, any instance that load_semeval_tsv would not read back equal:
+    a tab, "\\n" or "\\r" in a field; surrounding whitespace in the ID,
+    Target or AuthorID; an empty Target; an empty AuthorID with a
+    non-empty ID (it would read back as the ID); a repeated ID; or a
+    character UTF-8 cannot encode.
+    """
+    lines = ["ID\tTarget\tTweet\tStance\tAuthorID\n"]
+    seen_ids: set[str] = set()
+    for inst in instances:
+        line = (f"{inst.tweet_id}\t{inst.topic}\t{inst.text}\t"
+                f"{inst.label.value}\t{inst.author_id}")
+        problem = _unreadable(inst, line, seen_ids)
+        if problem:
+            raise CorpusError(
+                f"tweet {inst.tweet_id!r}: cannot write {problem}; "
+                f"the tweets TSV could not read it back"
             )
+        seen_ids.add(inst.tweet_id)
+        lines.append(line + "\n")
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.writelines(lines)
 
 
 def write_network_profiles(

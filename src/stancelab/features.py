@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import LabeledInstance, UserNetworkProfile
+from .corpus import CorpusError, LabeledInstance, UserNetworkProfile
 
 # Flag name -> (namespace prefix, profile field); TXT is handled separately.
 NETWORK_FLAG_SOURCES: dict[str, tuple[str, str]] = {
@@ -216,15 +216,32 @@ def write_feature_space(path: str | Path, space: FeatureSpace) -> None:
 
 
 def read_feature_space(path: str | Path, selector: FeatureSetSelector) -> FeatureSpace:
+    """Read a space written by write_feature_space.
+
+    Non-blank lines hold the indices 0, 1, 2, ... in order. A line other
+    than a feature name, a tab and an integer index, a duplicate name, and
+    an index other than the next one (a duplicate, a gap or a reordering)
+    raise CorpusError naming the file and the line.
+    """
     index_of: dict[str, int] = {}
     with Path(path).open(encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            name, _, idx = line.rpartition("\t")
-            index_of[name] = int(idx)
-    size = len(index_of)
-    if sorted(index_of.values()) != list(range(size)):
-        raise ValueError("feature space file does not index 0..size-1")
+            name, _, field = line.rpartition("\t")
+            try:
+                idx = int(field) if name else None
+            except ValueError:
+                idx = None
+            if idx is None:
+                problem = "expected a feature, a tab and an index"
+            elif name in index_of:
+                problem = f"duplicate feature {name!r}"
+            elif idx != len(index_of):
+                problem = f"index {idx} where {len(index_of)} was expected"
+            else:
+                index_of[name] = idx
+                continue
+            raise CorpusError(f"{path}: line {line_no}: {problem}")
     return FeatureSpace(index_of=index_of, selector=selector)

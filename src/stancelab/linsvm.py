@@ -15,6 +15,7 @@ whose margin sign picks the class.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -69,46 +70,81 @@ def dual_coordinate_descent(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Core solver. Returns (augmented weights, dual coefficients, epochs).
 
-    The augmented weight vector has length dim+1; its last slot is the bias.
+    ``rows[i]`` holds the active column indices of example i, each in
+    0..dim-1, and ``y[i]`` its +1/-1 label. The augmented weight vector is
+    a float64 array of length dim+1 whose last slot is the bias; the dual
+    coefficients are a float64 array of length n; epochs is an int.
     Terminates when the largest projected-gradient violation in an epoch
     falls below config.tol, or after config.max_iter epochs. Deterministic
     for a given config.seed (the per-epoch permutation stream).
+
+    Bitwise contract: the weights, the dual coefficients and the epoch
+    count equal, bit for bit, those of the reference loop in
+    ``tests/dcd_reference.py``, so bundles, predictions and master.csv do
+    not depend on how this loop is written. Per-coordinate state lives in
+    Python floats, which round exactly as float64 numpy scalars do, so
+    only the floating-point operations and their order matter. The margin
+    must stay one 1-D ``np.add.reduce`` over the row's weights (numpy's
+    pairwise sum) plus the bias: ``np.dot``, ``math.fsum``, a Python
+    ``sum`` and a 2-D ``W[:, idx].sum(axis=1)`` each round differently.
     """
     n = len(rows)
     if config.loss == "hinge":
-        upper, diag = config.C, 0.0
+        upper, diag = float(config.C), 0.0
     else:
-        upper, diag = np.inf, 1.0 / (2.0 * config.C)
+        upper, diag = math.inf, 1.0 / (2.0 * config.C)
     # ||x_i||^2 is the active count plus 1 for the bias feature.
-    qii = np.array([len(r) + 1 + diag for r in rows], dtype=np.float64)
+    qii = [len(r) + 1 + diag for r in rows]
+    labels = np.asarray(y, dtype=np.float64).tolist()
     w = np.zeros(dim + 1, dtype=np.float64)
-    alpha = np.zeros(n, dtype=np.float64)
+    alpha = [0.0] * n
+    bias = 0.0
+    reduce = np.add.reduce
     rng = np.random.default_rng(config.seed)
     epochs = 0
     for _ in range(config.max_iter):
         epochs += 1
         violation = 0.0
-        for i in rng.permutation(n):
+        for i in rng.permutation(n).tolist():
             idx = rows[i]
-            yi = y[i]
-            g = yi * (w[idx].sum() + w[dim]) - 1.0 + diag * alpha[i]
-            if alpha[i] <= 0.0:
-                pg = min(g, 0.0)
-            elif alpha[i] >= upper:
-                pg = max(g, 0.0)
-            else:
+            yi = labels[i]
+            ai = alpha[i]
+            wi = w[idx]
+            g = yi * (float(reduce(wi)) + bias) - 1.0 + diag * ai
+            # The projected gradient pg is min(g, 0) at the lower bound,
+            # max(g, 0) at the upper bound and g between; a zero pg skips
+            # the step. These comparisons, and the clip of new_alpha to
+            # [0, upper], give exactly what the min/max builtins would,
+            # -0.0 and NaN included, without their call overhead.
+            if ai <= 0.0:
+                if g >= 0.0:
+                    continue
+                pg = -g
+            elif ai >= upper:
+                if g <= 0.0:
+                    continue
                 pg = g
-            if pg != 0.0:
-                violation = max(violation, abs(pg))
-                new_alpha = min(max(alpha[i] - g / qii[i], 0.0), upper)
-                delta = (new_alpha - alpha[i]) * yi
-                if delta != 0.0:
-                    w[idx] += delta
-                    w[dim] += delta
-                alpha[i] = new_alpha
+            elif g == 0.0:
+                continue
+            else:
+                pg = abs(g)
+            if pg > violation:
+                violation = pg
+            new_alpha = ai - g / qii[i]
+            if new_alpha < 0.0:
+                new_alpha = 0.0
+            elif new_alpha > upper:
+                new_alpha = upper
+            delta = (new_alpha - ai) * yi
+            if delta != 0.0:
+                wi += delta  # w[idx] += delta, reusing the gathered copy
+                w[idx] = wi
+                bias += delta
+            alpha[i] = new_alpha
         if violation < config.tol:
             break
-    return w, alpha, epochs
+    w[dim] = bias
+    return w, np.array(alpha, dtype=np.float64), epochs
 
 
 def train_binary(
@@ -264,19 +300,23 @@ def save_bundle(model: LinearModel, path: str | Path, topic: str = "") -> None:
 def load_bundle(path: str | Path) -> tuple[LinearModel, dict]:
     """Load a bundle directory; returns the model and its metadata.
 
-    Metadata with a missing key or an unknown config field, and a weight
-    line other than an index in 0..dimension-1 (or "bias"), a tab and a
-    number, raise CorpusError naming the file and, for weights, the line.
+    Metadata that is not JSON, lacks a key or holds a bad value (such as a
+    selector that is not a flag string, or an unknown config field), and a
+    weight line other than an index in 0..dimension-1 (or "bias"), a tab
+    and a number, raise CorpusError naming the file and, for weights, the
+    line.
     """
     path = Path(path)
     meta_path = path / _METADATA
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
     try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        if not isinstance(meta["selector"], str):
+            raise TypeError("selector is not a string")
         selector = FeatureSetSelector.parse(meta["selector"])
         classes = tuple(StanceLabel(value) for value in meta["classes"])
         config = TrainConfig(**meta["config"])
         dimension, mode = meta["dimension"], meta["mode"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CorpusError(
             f"{meta_path}: bad metadata ({type(exc).__name__}: {exc})"
         ) from None

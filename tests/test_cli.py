@@ -216,6 +216,21 @@ class TestDataErrors:
         err = self.predict_error(bundle, corpus / "test.tsv", capsys)
         assert "metadata.json" in err
 
+    def test_selector_not_a_string(self, bundle, corpus, capsys):
+        meta = json.loads((bundle / "metadata.json").read_text())
+        meta["selector"] = 1
+        (bundle / "metadata.json").write_text(json.dumps(meta))
+        err = self.predict_error(bundle, corpus / "test.tsv", capsys)
+        assert "metadata.json" in err and "selector" in err
+
+    def test_malformed_feature_space_line(self, bundle, corpus, capsys):
+        space = bundle / "space.tsv"
+        lines = space.read_text().count("\n")
+        with space.open("a") as fh:
+            fh.write("no tab line\n")
+        err = self.predict_error(bundle, corpus / "test.tsv", capsys)
+        assert f"space.tsv: line {lines + 1}:" in err and bundle.name in err
+
     def test_tweets_path_is_a_directory(self, bundle, corpus, capsys):
         self.predict_error(bundle, corpus, capsys)
 

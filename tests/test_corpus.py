@@ -119,6 +119,80 @@ class TestLoadTweets:
         assert load_semeval_tsv(path) == instances
 
 
+FIELD_TEXT = st.text(
+    alphabet=st.sampled_from("ab1 \t\n\r\x0b\x1c\x85\u2028") | st.characters(),
+    max_size=5,
+)
+INSTANCES = st.lists(
+    st.builds(
+        LabeledInstance,
+        tweet_id=FIELD_TEXT,
+        author_id=FIELD_TEXT,
+        topic=FIELD_TEXT,
+        text=FIELD_TEXT,
+        label=st.sampled_from(list(StanceLabel)),
+    ),
+    max_size=4,
+)
+
+
+def reads_back(instances):
+    """Do the instances, written with no checks, load back equal?"""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "raw.tsv"
+        try:
+            with path.open("w", encoding="utf-8") as fh:
+                fh.write("ID\tTarget\tTweet\tStance\tAuthorID\n")
+                for inst in instances:
+                    fh.write(f"{inst.tweet_id}\t{inst.topic}\t{inst.text}\t"
+                             f"{inst.label.value}\t{inst.author_id}\n")
+            return load_semeval_tsv(path) == instances
+        except (UnicodeEncodeError, CorpusError):
+            return False
+
+
+class TestWriteTweets:
+    @given(instances=INSTANCES)
+    @example(instances=[LabeledInstance("1", "u", "A", "x\ry", StanceLabel.FAVOR)])
+    @example(instances=[LabeledInstance("", "", "A", "", StanceLabel.NONE)])
+    @example(instances=[LabeledInstance("1", "", "A", "", StanceLabel.NONE)])
+    @example(instances=[LabeledInstance("1", "u", "A", "\ud800", StanceLabel.NONE)])
+    def test_round_trips_or_refuses(self, instances):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.tsv"
+            try:
+                write_semeval_tsv(path, instances)
+            except CorpusError:
+                assert not path.exists()
+                assert not reads_back(instances)
+                return
+            assert load_semeval_tsv(path) == instances
+
+    @pytest.mark.parametrize(
+        "tweet_id,author,topic,text",
+        [
+            ("7", "u", "A", "a\tb"),
+            ("7", "u", "A", "a\nb"),
+            ("7", "u", "A\r", "x"),
+            ("7", " u", "A", "x"),
+            ("7 ", "u", "A", "x"),
+            ("7", "u", " A", "x"),
+            ("7", "u", "", "x"),
+            ("7", "", "A", "x"),
+        ],
+    )
+    def test_refusal_names_the_tweet(self, tmp_path, tweet_id, author, topic, text):
+        inst = LabeledInstance(tweet_id, author, topic, text, StanceLabel.FAVOR)
+        ok = LabeledInstance("1", "u", "A", "fine", StanceLabel.NONE)
+        with pytest.raises(CorpusError, match=f"tweet {tweet_id!r}"):
+            write_semeval_tsv(tmp_path / "t.tsv", [ok, inst])
+
+    def test_repeated_id_refused(self, tmp_path):
+        inst = LabeledInstance("1", "u", "A", "x", StanceLabel.NONE)
+        with pytest.raises(CorpusError, match="tweet '1'.*repeated"):
+            write_semeval_tsv(tmp_path / "t.tsv", [inst, inst])
+
+
 class TestNormalization:
     @pytest.mark.parametrize(
         "raw,expected",

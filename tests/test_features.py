@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stancelab.corpus import LabeledInstance, StanceLabel, UserNetworkProfile
+from stancelab.corpus import CorpusError, LabeledInstance, StanceLabel, UserNetworkProfile
 from stancelab.features import (
     FeatureSetSelector,
     build_feature_space,
@@ -216,6 +216,31 @@ class TestFeatureSpace:
         write_feature_space(tmp_path / "space.tsv", space)
         loaded = read_feature_space(tmp_path / "space.tsv", sel)
         assert loaded.index_of == space.index_of
+
+
+class TestReadFeatureSpace:
+    """A damaged space.tsv names the file and the line at fault."""
+
+    @pytest.mark.parametrize(
+        "text,line,message",
+        [
+            ("txtw:a\t0\nno tab line\n", 2, "expected a feature"),
+            ("txtw:a\t0\ntxtw:b\tone\n", 2, "expected a feature"),
+            ("txtw:a\t0\n\t1\n", 2, "expected a feature"),
+            ("txtw:a\t0\ntxtw:b\t1\ntxtw:a\t2\n", 3, "duplicate feature 'txtw:a'"),
+            ("txtw:a\t0\ntxtw:b\t0\n", 2, "index 0 where 1 was expected"),
+            ("txtw:a\t0\ntxtw:b\t2\n", 2, "index 2 where 1 was expected"),
+            ("txtw:a\t-1\ntxtw:b\t0\n", 1, "index -1 where 0 was expected"),
+            ("txtw:a\t1\ntxtw:b\t0\n", 1, "index 1 where 0 was expected"),
+        ],
+    )
+    def test_error_names_file_and_line(self, tmp_path, text, line, message):
+        path = tmp_path / "space.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(CorpusError) as info:
+            read_feature_space(path, FeatureSetSelector.of("TXT"))
+        assert str(info.value).startswith(f"{path}: line {line}: ")
+        assert message in str(info.value)
 
 
 class TestVectorize:

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -18,6 +20,7 @@ from stancelab.linsvm import (
     train_ovr,
 )
 
+from dcd_reference import reference_dcd
 from qp_oracle import dual_objective, gram_matrix, random_problem, solve_svm_dual
 
 TIGHT = TrainConfig(C=1.0, tol=1e-10, max_iter=20000)
@@ -126,6 +129,79 @@ class TestTrainBinary:
             TrainConfig(max_iter=0)
         with pytest.raises(ValueError):
             TrainConfig(loss="logistic")
+
+
+@st.composite
+def solver_problems(draw):
+    """Boolean rows (some empty, some repeated, some longer than numpy's
+    8-wide and 128-wide pairwise-sum blocks), labels and a config."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.sampled_from([1, 3, 12, 300]))
+    n = draw(st.integers(1, 30))
+    density = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    repeat = draw(st.sampled_from([0.0, 0.3, 0.8]))
+    rows = []
+    for _ in range(n):
+        if rows and rng.random() < repeat:
+            rows.append(rows[int(rng.integers(len(rows)))].copy())
+        else:
+            rows.append(np.flatnonzero(rng.random(dim) < density).astype(np.int64))
+    y = rng.choice([-1.0, 1.0], size=n)
+    config = TrainConfig(
+        C=draw(st.sampled_from([0.01, 0.5, 1.0, 3.0, 1000.0])),
+        tol=draw(st.sampled_from([1e-12, 1e-4, 0.5])),
+        max_iter=draw(st.sampled_from([1, 2, 7, 1000])),
+        seed=draw(st.integers(0, 3)),
+        loss=draw(st.sampled_from(["hinge", "squared_hinge"])),
+    )
+    return rows, y, dim, config
+
+
+class TestSolverIterates:
+    """The trainer reproduces the reference loop's iterates bitwise, so a
+    faster loop cannot change bundles, predictions or master.csv."""
+
+    @staticmethod
+    def assert_same_iterates(rows, y, dim, config):
+        w, alpha, epochs = dual_coordinate_descent(rows, y, dim, config)
+        ref_w, ref_alpha, ref_epochs = reference_dcd(rows, y, dim, config)
+        assert np.array_equal(w, ref_w)
+        assert w.tobytes() == ref_w.tobytes()  # also tells 0.0 from -0.0
+        assert np.array_equal(alpha, ref_alpha)
+        assert alpha.tobytes() == ref_alpha.tobytes()
+        assert epochs == ref_epochs
+        return epochs
+
+    @settings(max_examples=150, deadline=None)
+    @given(problem=solver_problems())
+    def test_matches_reference_loop(self, problem):
+        self.assert_same_iterates(*problem)
+
+    @pytest.mark.parametrize("loss", ["hinge", "squared_hinge"])
+    def test_matches_reference_loop_when_the_epoch_cap_is_hit(self, loss):
+        rng = np.random.default_rng(17)
+        dim = 200
+        rows = [np.flatnonzero(rng.random(dim) < 0.3) for _ in range(40)]
+        rows += [rows[0].copy(), rows[1].copy(), np.array([], dtype=np.int64)]
+        y = rng.choice([-1.0, 1.0], size=len(rows))
+        config = TrainConfig(C=2.0, tol=1e-12, max_iter=5, loss=loss)
+        assert self.assert_same_iterates(rows, y, dim, config) == config.max_iter
+
+    def test_contract_read_by_the_bench_tracer(self):
+        # bench/traced.py observes the solver by these parameter names and
+        # derives coord_steps, at_bound_ratio and dup_row_ratio from its
+        # arguments and the returned alpha and epoch count.
+        params = inspect.signature(dual_coordinate_descent).parameters
+        assert tuple(params) == ("rows", "y", "dim", "config")
+        rows = [np.array([0, 2]), np.array([1]), np.array([], dtype=np.int64)]
+        w, alpha, epochs = dual_coordinate_descent(
+            rows=rows, y=np.array([1.0, -1.0, 1.0]), dim=3, config=TrainConfig()
+        )
+        assert isinstance(w, np.ndarray) and w.dtype == np.float64
+        assert w.shape == (4,)
+        assert isinstance(alpha, np.ndarray) and alpha.dtype == np.float64
+        assert alpha.shape == (3,)
+        assert type(epochs) is int and 1 <= epochs <= TrainConfig().max_iter
 
 
 class TestTrainOvr:
