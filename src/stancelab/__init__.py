@@ -18,8 +18,8 @@ from .features import (
     build_feature_space,
     char_ngrams,
     extract_features,
+    index_rows,
     tokenize,
-    vectorize,
     word_ngrams,
 )
 from .linsvm import (

@@ -28,6 +28,12 @@ from .features import read_feature_space, write_feature_space
 
 LOSSES = ("hinge", "squared_hinge")
 
+# Each mode and the classes its models hold, in order.
+MODE_CLASSES: dict[str, tuple[StanceLabel, ...]] = {
+    "ternary": CANONICAL_LABELS,
+    "binary": (StanceLabel.AGAINST, StanceLabel.FAVOR),
+}
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -190,7 +196,7 @@ def train_ovr(
     Binary mode removes None-labeled training instances before fitting and
     never predicts None.
     """
-    if mode not in ("ternary", "binary"):
+    if mode not in MODE_CLASSES:
         raise ValueError(f"unknown mode {mode!r}")
     if len(vectors) != len(labels):
         raise ValueError("labels and vectors differ in length")
@@ -201,7 +207,7 @@ def train_ovr(
             for v, lab in zip(vectors, labels)
             if lab is not StanceLabel.NONE
         ]
-        classes = (StanceLabel.AGAINST, StanceLabel.FAVOR)
+        classes = MODE_CLASSES["binary"]
         for cls in classes:
             if not any(lab is cls for _, lab in pairs):
                 raise ValueError(f"no {cls.value} examples{where}")
@@ -210,7 +216,7 @@ def train_ovr(
         weights = np.vstack([-w, w])
         biases = np.array([-b, b], dtype=np.float64)
     else:
-        classes = CANONICAL_LABELS
+        classes = MODE_CLASSES["ternary"]
         rows_w = []
         rows_b = []
         for cls in classes:
@@ -232,6 +238,12 @@ def train_ovr(
     )
 
 
+def _scores(model: LinearModel, indices: np.ndarray) -> np.ndarray:
+    # One 2-D gather and row sum per example: np.add.reduceat or a batched
+    # matrix product would round differently and could flip a near-tie.
+    return model.weights[:, indices].sum(axis=1) + model.biases
+
+
 def decision_values(model: LinearModel, x: SparseBooleanVector) -> np.ndarray:
     """Per-class scores <w_c, x> + b_c, aligned with model.classes."""
     if x.dimension != model.space.size:
@@ -239,13 +251,20 @@ def decision_values(model: LinearModel, x: SparseBooleanVector) -> np.ndarray:
             f"dimension mismatch: vector has {x.dimension}, "
             f"space has {model.space.size}"
         )
-    return model.weights[:, x.indices].sum(axis=1) + model.biases
+    return _scores(model, x.indices)
 
 
 def predict(model: LinearModel, x: SparseBooleanVector) -> StanceLabel:
     """Argmax class; exact ties resolve to the earliest canonical class."""
     scores = decision_values(model, x)
     return model.classes[int(np.argmax(scores))]
+
+
+def predict_rows(model: LinearModel, rows: Sequence[np.ndarray]) -> list[StanceLabel]:
+    """``predict`` for each row of column indices from ``index_rows`` on
+    ``model.space``; those rows are valid by construction, so unchecked."""
+    classes = model.classes
+    return [classes[int(np.argmax(_scores(model, idx)))] for idx in rows]
 
 
 def class_weights(model: LinearModel, cls: StanceLabel) -> dict[str, float]:
@@ -268,9 +287,14 @@ def _weights_file(cls: StanceLabel) -> str:
 
 
 def save_bundle(model: LinearModel, path: str | Path, topic: str = "") -> None:
-    """Write metadata, feature space, and per-class weight files."""
+    """Write metadata, feature space, and per-class weight files.
+
+    A feature name the space file cannot hold raises CorpusError before
+    any file is written (see write_feature_space).
+    """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
+    write_feature_space(path / _SPACE, model.space)  # first: it may refuse
     meta = {
         "mode": model.mode,
         "selector": str(model.space.selector),
@@ -288,7 +312,6 @@ def save_bundle(model: LinearModel, path: str | Path, topic: str = "") -> None:
     (path / _METADATA).write_text(
         json.dumps(meta, indent=2) + "\n", encoding="utf-8"
     )
-    write_feature_space(path / _SPACE, model.space)
     for ci, cls in enumerate(model.classes):
         with (path / _weights_file(cls)).open("w", encoding="utf-8") as fh:
             row = model.weights[ci]
@@ -301,7 +324,9 @@ def load_bundle(path: str | Path) -> tuple[LinearModel, dict]:
     """Load a bundle directory; returns the model and its metadata.
 
     Metadata that is not JSON, lacks a key or holds a bad value (such as a
-    selector that is not a flag string, or an unknown config field), and a
+    selector that is not a flag string, an unknown config field, a
+    dimension that is not an integer, or a mode other than those of
+    MODE_CLASSES or classes other than that mode's), and a
     weight line other than an index in 0..dimension-1 (or "bias"), a tab
     and a number, raise CorpusError naming the file and, for weights, the
     line.
@@ -316,6 +341,12 @@ def load_bundle(path: str | Path) -> tuple[LinearModel, dict]:
         classes = tuple(StanceLabel(value) for value in meta["classes"])
         config = TrainConfig(**meta["config"])
         dimension, mode = meta["dimension"], meta["mode"]
+        if type(dimension) is not int:
+            raise TypeError(f"dimension {dimension!r} is not an integer")
+        if MODE_CLASSES.get(mode) != classes:
+            raise ValueError(
+                f"classes {[c.value for c in classes]} do not fit mode {mode!r}"
+            )
     except (KeyError, TypeError, ValueError) as exc:
         raise CorpusError(
             f"{meta_path}: bad metadata ({type(exc).__name__}: {exc})"

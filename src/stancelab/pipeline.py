@@ -1,18 +1,40 @@
-"""End-to-end plumbing: per-topic training, prediction, evaluation."""
+"""End-to-end plumbing: per-topic training, prediction, evaluation.
+
+Training and prediction build rows with the same batch vectorizer,
+``features.index_rows``, BATCH_SIZE instances at a time. Training still
+extracts feature strings once per instance to find the vocabulary;
+prediction never builds them. It groups instances by topic, and for each
+batch maps them to column indices and scores every row with the per-row
+sum that ``linsvm.decision_values`` uses, so predictions equal those of
+``linsvm.predict`` on the set-based vectors of
+``tests/vectorize_reference.py``, instance for instance. The batch size
+bounds the character kernel's arrays, which grow with the batch's total
+text length.
+"""
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence, TypeVar
 
 from .corpus import Dataset, StanceLabel
 from .features import (
     FeatureSetSelector,
+    SparseBooleanVector,
     build_feature_space,
     extract_features,
-    vectorize,
+    index_rows,
 )
-from .linsvm import LinearModel, TrainConfig, predict, train_ovr
+from .linsvm import LinearModel, TrainConfig, predict_rows, train_ovr
 from .scoring import EvalReport, score_semeval
+
+BATCH_SIZE = 128
+
+T = TypeVar("T")
+
+
+def _batches(items: Sequence[T]) -> Iterator[Sequence[T]]:
+    for start in range(0, len(items), BATCH_SIZE):
+        yield items[start : start + BATCH_SIZE]
 
 
 def train_topic_models(
@@ -32,7 +54,12 @@ def train_topic_models(
             for inst in instances
         ]
         space = build_feature_space(feature_sets, selector, min_df=min_df)
-        vectors = [vectorize(fs, space) for fs in feature_sets]
+        del feature_sets
+        vectors = [
+            SparseBooleanVector(indices, space.size)
+            for batch in _batches(instances)
+            for indices in index_rows(space, batch, train)
+        ]
         labels = [inst.label for inst in instances]
         models[topic] = train_ovr(
             vectors, labels, mode, config, space, topic=topic
@@ -44,15 +71,20 @@ def predict_dataset(
     models: Mapping[str, LinearModel], dataset: Dataset
 ) -> list[StanceLabel]:
     """Predict every instance with its topic's model."""
-    predictions: list[StanceLabel] = []
-    for inst in dataset.instances:
-        model = models.get(inst.topic)
-        if model is None:
-            raise ValueError(f"no model for topic {inst.topic!r}")
-        features = extract_features(
-            inst, dataset.profile_for(inst.author_id), model.space.selector
-        )
-        predictions.append(predict(model, vectorize(features, model.space)))
+    by_topic: dict[str, list[int]] = {}
+    for pos, inst in enumerate(dataset.instances):
+        by_topic.setdefault(inst.topic, []).append(pos)
+    for topic in by_topic:
+        if topic not in models:
+            raise ValueError(f"no model for topic {topic!r}")
+    predictions: list[StanceLabel] = [StanceLabel.NONE] * len(dataset.instances)
+    for topic, positions in by_topic.items():
+        model = models[topic]
+        for batch in _batches(positions):
+            instances = [dataset.instances[pos] for pos in batch]
+            rows = index_rows(model.space, instances, dataset)
+            for pos, label in zip(batch, predict_rows(model, rows)):
+                predictions[pos] = label
     return predictions
 
 

@@ -223,6 +223,27 @@ class TestDataErrors:
         err = self.predict_error(bundle, corpus / "test.tsv", capsys)
         assert "metadata.json" in err and "selector" in err
 
+    @pytest.mark.parametrize("mode,classes", [
+        ("foo", ["AGAINST", "FAVOR"]),
+        ("ternary", ["AGAINST", "FAVOR"]),
+        ("binary", ["FAVOR", "AGAINST"]),
+        (["binary"], ["AGAINST", "FAVOR"]),
+    ])
+    def test_mode_and_classes_must_agree(self, bundle, corpus, mode, classes, capsys):
+        meta = json.loads((bundle / "metadata.json").read_text())
+        meta["mode"], meta["classes"] = mode, classes
+        (bundle / "metadata.json").write_text(json.dumps(meta))
+        err = self.predict_error(bundle, corpus / "test.tsv", capsys)
+        assert "metadata.json" in err and "mode" in err
+
+    @pytest.mark.parametrize("kind", [str, float, bool])
+    def test_dimension_not_an_integer(self, bundle, corpus, kind, capsys):
+        meta = json.loads((bundle / "metadata.json").read_text())
+        meta["dimension"] = kind(meta["dimension"])
+        (bundle / "metadata.json").write_text(json.dumps(meta))
+        err = self.predict_error(bundle, corpus / "test.tsv", capsys)
+        assert "metadata.json" in err and "dimension" in err
+
     def test_malformed_feature_space_line(self, bundle, corpus, capsys):
         space = bundle / "space.tsv"
         lines = space.read_text().count("\n")

@@ -11,10 +11,10 @@ from stancelab.features import (
     extract_features,
     read_feature_space,
     tokenize,
-    vectorize,
     word_ngrams,
     write_feature_space,
 )
+from vectorize_reference import vectorize
 
 TOKENS = st.lists(st.sampled_from(["a", "bb", "ccc", "@x", "#y"]), max_size=8)
 

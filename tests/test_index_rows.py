@@ -1,0 +1,207 @@
+"""The batch vectorizer against the set-based oracle, row for row."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stancelab import pipeline
+from stancelab.corpus import Dataset, LabeledInstance, StanceLabel, UserNetworkProfile
+from stancelab.features import (
+    ALL_FLAGS,
+    NETWORK_FLAG_SOURCES,
+    FeatureSetSelector,
+    FeatureSpace,
+    build_feature_space,
+    extract_features,
+    index_rows,
+    tokenize,
+)
+from stancelab.linsvm import LinearModel, TrainConfig, predict
+
+from vectorize_reference import reference_tokenize, vectorize
+
+# A few characters that collide often, plus the awkward ones: NUL, a
+# character whose lowercase form has two characters, a final sigma,
+# whitespace that is not a space, and punctuation tokenize strips.
+DENSE = "ab İΣσς\0\t\x85.,#@"
+TEXTS = st.one_of(
+    st.text(alphabet=DENSE, max_size=40),
+    st.text(max_size=30),
+    st.sampled_from(["", "\0", "İİ", "see https://t.co/x now", "ab ab ab"]),
+)
+AUTHORS = st.sampled_from(["u1", "u2", "u3", "nobody"])
+ITEMS = st.lists(st.sampled_from(["a", "b", "ab", "x.example"]), max_size=3)
+SELECTORS = st.sets(st.sampled_from(ALL_FLAGS), min_size=1).map(
+    lambda flags: FeatureSetSelector(frozenset(flags))
+)
+
+
+@st.composite
+def datasets(draw, max_size=12):
+    profiles = {
+        user: UserNetworkProfile.from_raw(
+            user, **{field: draw(ITEMS) for _, field in NETWORK_FLAG_SOURCES.values()}
+        )
+        for user in ("u1", "u2", "u3")
+    }
+    instances = tuple(
+        LabeledInstance(str(i), draw(AUTHORS), "A", draw(TEXTS), StanceLabel.NONE)
+        for i in range(draw(st.integers(1, max_size)))
+    )
+    return Dataset(instances, profiles, ("A",))
+
+
+def features_of(dataset, selector):
+    return [
+        extract_features(inst, dataset.profile_for(inst.author_id), selector)
+        for inst in dataset.instances
+    ]
+
+
+@st.composite
+def built_spaces(draw, dataset):
+    """A space as training builds it, on part of the data."""
+    selector = draw(SELECTORS)
+    sets = features_of(dataset, selector)
+    sets = sets[: draw(st.integers(1, len(sets)))]
+    try:
+        space = build_feature_space(sets, selector, min_df=draw(st.integers(1, 3)))
+    except ValueError:  # every feature fell below min_df
+        space = FeatureSpace({}, selector)
+    return space
+
+
+NAME_PREFIXES = ["txtw:", "txtc:", "inat:", "indm:", "pnat:", "pndm:", "cnfr:",
+                 "cnfl:", "zzzz:", "txtc", "txt", ""]
+
+
+@st.composite
+def hand_spaces(draw, dataset):
+    """A hand-edited space: arbitrary names, not prefix-closed, columns in
+    any order, under a selector that may disagree with its names."""
+    emitted = sorted(set().union(*features_of(dataset, FeatureSetSelector(frozenset(ALL_FLAGS)))))
+    names = set(draw(st.lists(st.sampled_from(emitted), max_size=40))) if emitted else set()
+    names |= {
+        prefix + suffix
+        for prefix, suffix in draw(st.lists(st.tuples(
+            st.sampled_from(NAME_PREFIXES), st.text(alphabet=DENSE, max_size=7)
+        ), max_size=15))
+    }
+    # Drop every prefix of some txtc: names, so the space is not prefix-closed.
+    if draw(st.booleans()):
+        names = {n for n in names if not any(
+            m != n and m.startswith(n) and n.startswith("txtc:") for m in names)}
+    order = draw(st.permutations(sorted(names)))
+    return FeatureSpace({name: i for i, name in enumerate(order)}, draw(SELECTORS))
+
+
+def assert_rows_match(space, dataset, instances):
+    rows = index_rows(space, instances, dataset)
+    assert len(rows) == len(instances)
+    for inst, row in zip(instances, rows):
+        features = extract_features(inst, dataset.profile_for(inst.author_id), space.selector)
+        expected = vectorize(features, space).indices
+        assert row.dtype == expected.dtype == np.int64
+        assert np.array_equal(row, expected), inst.text
+
+
+class TestIndexRows:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_oracle_on_built_spaces(self, data):
+        dataset = data.draw(datasets())
+        space = data.draw(built_spaces(dataset))
+        assert_rows_match(space, dataset, dataset.instances)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_oracle_on_hand_built_spaces(self, data):
+        dataset = data.draw(datasets())
+        space = data.draw(hand_spaces(dataset))
+        assert_rows_match(space, dataset, dataset.instances)
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_a_row_does_not_depend_on_its_batch(self, data):
+        dataset = data.draw(datasets())
+        space = data.draw(built_spaces(dataset))
+        whole = index_rows(space, dataset.instances, dataset)
+        for i, inst in enumerate(dataset.instances):
+            (alone,) = index_rows(space, [inst], dataset)
+            assert np.array_equal(alone, whole[i])
+
+    def test_windows_do_not_cross_tweet_ends(self):
+        # "ab" and "ba" are in the space; only the join of the two tweets
+        # would hold "ba".
+        space = FeatureSpace({"txtc:ab": 0, "txtc:ba": 1}, FeatureSetSelector.of("TXT"))
+        dataset = Dataset(
+            (LabeledInstance("1", "u", "A", "ab", StanceLabel.NONE),
+             LabeledInstance("2", "u", "A", "ab", StanceLabel.NONE)), {}, ("A",))
+        rows = index_rows(space, dataset.instances, dataset)
+        assert [r.tolist() for r in rows] == [[0], [0]]
+
+    def test_space_that_is_not_prefix_closed(self):
+        space = FeatureSpace({"txtc:abcde": 0, "txtc:x": 1, "txtc:abcdef": 2},
+                             FeatureSetSelector.of("TXT"))
+        dataset = Dataset(
+            (LabeledInstance("1", "u", "A", "xABCDEF", StanceLabel.NONE),), {}, ("A",))
+        assert [r.tolist() for r in index_rows(space, dataset.instances, dataset)] == [[0]]
+
+    def test_empty_batch_and_empty_space(self):
+        space = FeatureSpace({}, FeatureSetSelector.of("TXT"))
+        inst = LabeledInstance("1", "u", "A", "text", StanceLabel.NONE)
+        dataset = Dataset((inst,), {}, ("A",))
+        assert index_rows(space, [], dataset) == []
+        (row,) = index_rows(space, [inst], dataset)
+        assert row.dtype == np.int64 and row.size == 0
+
+    def test_blocks_are_built_once_per_space(self):
+        space = FeatureSpace({"txtc:ab": 0}, FeatureSetSelector.of("TXT"))
+        assert space.blocks is space.blocks
+
+
+@settings(max_examples=300)
+@given(st.one_of(TEXTS, st.text(alphabet=st.characters(max_codepoint=127), max_size=40)))
+def test_tokenize_matches_the_character_loop(text):
+    assert tokenize(text) == reference_tokenize(text)
+
+
+class TestPredictDataset:
+    @pytest.mark.parametrize("batch_size", [1, 3, 256])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_matches_predict_on_oracle_vectors(self, batch_size, data):
+        dataset = data.draw(datasets(max_size=20))
+        topics = ("A", "B")
+        instances = tuple(
+            LabeledInstance(inst.tweet_id, inst.author_id, data.draw(st.sampled_from(topics)),
+                            inst.text, inst.label)
+            for inst in dataset.instances
+        )
+        dataset = Dataset(instances, dataset.profiles, topics)
+        models = {}
+        for topic in topics:
+            space = data.draw(built_spaces(dataset))
+            # Small integer weights, so exact ties between classes are common.
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            weights = rng.integers(-3, 4, size=(3, space.size)).astype(np.float64)
+            models[topic] = LinearModel(
+                classes=(StanceLabel.AGAINST, StanceLabel.FAVOR, StanceLabel.NONE),
+                weights=weights, biases=np.zeros(3), mode="ternary",
+                space=space, config=TrainConfig(),
+            )
+        expected = [
+            predict(models[inst.topic], vectorize(extract_features(
+                inst, dataset.profile_for(inst.author_id), models[inst.topic].space.selector,
+            ), models[inst.topic].space))
+            for inst in dataset.instances
+        ]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pipeline, "BATCH_SIZE", batch_size)
+            assert pipeline.predict_dataset(models, dataset) == expected
+
+    def test_missing_topic_is_named(self):
+        inst = LabeledInstance("1", "u", "B", "text", StanceLabel.NONE)
+        with pytest.raises(ValueError, match="'B'"):
+            pipeline.predict_dataset({}, Dataset((inst,), {}, ("B",)))

@@ -1,20 +1,39 @@
 import inspect
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from stancelab.corpus import StanceLabel
-from stancelab.features import FeatureSetSelector, FeatureSpace, SparseBooleanVector
+from stancelab.corpus import (
+    CorpusError,
+    Dataset,
+    LabeledInstance,
+    StanceLabel,
+    UserNetworkProfile,
+)
+from stancelab.features import (
+    ALL_FLAGS,
+    NETWORK_FLAG_SOURCES,
+    FeatureSetSelector,
+    FeatureSpace,
+    SparseBooleanVector,
+    build_feature_space,
+    extract_features,
+    index_rows,
+)
 from stancelab.linsvm import (
     LinearModel,
+    MODE_CLASSES,
     TrainConfig,
     class_weights,
     decision_values,
     dual_coordinate_descent,
     load_bundle,
     predict,
+    predict_rows,
     save_bundle,
     train_binary,
     train_ovr,
@@ -402,3 +421,84 @@ class TestBundle:
         save_bundle(model, tmp_path / "b")
         loaded, _ = load_bundle(tmp_path / "b")
         assert loaded.config == model.config
+
+
+# Text and set members as they reach the extractor from memory: any
+# character, or any with line breaks, tabs and lone surrogates mixed in.
+TEXTS = {
+    "readable": st.text(st.characters(exclude_characters="\n\r"), max_size=12),
+    "awkward": st.text(
+        st.one_of(st.characters(), st.sampled_from("\n\r\t \ud800İ")), max_size=12
+    ),
+}
+
+
+@st.composite
+def extracted_bundles(draw):
+    """A model over every feature name the extractor emits for some data."""
+    text = TEXTS[draw(st.sampled_from(sorted(TEXTS)))]
+    profiles = {
+        user: UserNetworkProfile.from_raw(user, **{
+            field: draw(st.lists(text, max_size=3))
+            for _, field in NETWORK_FLAG_SOURCES.values()
+        })
+        for user in ("u1", "u2")
+    }
+    instances = tuple(
+        LabeledInstance(str(i), draw(st.sampled_from(["u1", "u2"])), "A",
+                        draw(text), StanceLabel.NONE)
+        for i in range(draw(st.integers(1, 4)))
+    )
+    dataset = Dataset(instances, profiles, ("A",))
+    selector = FeatureSetSelector(frozenset(ALL_FLAGS))
+    sets = [extract_features(inst, dataset.profile_for(inst.author_id), selector)
+            for inst in instances]
+    sets.append({"txtw:x"})  # never empty
+    space = build_feature_space(sets, selector)
+    mode = draw(st.sampled_from(sorted(MODE_CLASSES)))
+    classes = MODE_CLASSES[mode]
+    # Weights of every magnitude, from a drawn seed (drawing each one
+    # would make large spaces slow to generate).
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (len(classes), space.size)
+    weights = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    weights[rng.random(shape) < 0.3] = 0.0
+    biases = rng.normal(size=len(classes))
+    model = LinearModel(classes, weights, biases, mode, space, TrainConfig())
+    return model, dataset
+
+
+def _round_trips(name: str) -> bool:
+    if "\n" in name or "\r" in name:
+        return False
+    try:
+        name.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+class TestBundleRoundTrip:
+    @settings(max_examples=100, deadline=None)
+    @given(extracted_bundles())
+    def test_extracted_names_read_back_or_are_refused(self, bundle):
+        model, dataset = bundle
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "bundle"
+            readable = all(map(_round_trips, model.space.index_of))
+            event("written" if readable else "refused")
+            if not readable:
+                with pytest.raises(CorpusError, match="could not read it back"):
+                    save_bundle(model, path)
+                assert list(path.iterdir()) == []
+                return
+            save_bundle(model, path, topic="A")
+            loaded, _ = load_bundle(path)
+        assert loaded.space.index_of == model.space.index_of
+        assert loaded.classes == model.classes and loaded.mode == model.mode
+        assert np.array_equal(loaded.weights, model.weights)
+        assert np.array_equal(loaded.biases, model.biases)
+        rows = index_rows(model.space, dataset.instances, dataset)
+        loaded_rows = index_rows(loaded.space, dataset.instances, dataset)
+        assert all(np.array_equal(a, b) for a, b in zip(rows, loaded_rows))
+        assert predict_rows(loaded, loaded_rows) == predict_rows(model, rows)
