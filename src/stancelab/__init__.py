@@ -14,7 +14,6 @@ from .corpus import (
 from .features import (
     FeatureSetSelector,
     FeatureSpace,
-    SparseBooleanVector,
     build_feature_space,
     char_ngrams,
     extract_features,
@@ -30,7 +29,6 @@ from .linsvm import (
     load_bundle,
     predict,
     save_bundle,
-    train_binary,
     train_ovr,
 )
 from .scoring import (

@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .analysis import (
     RankedFeatures,
@@ -546,11 +546,17 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 # Parser wiring.
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an integer of at least low."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
 
 
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
@@ -558,7 +564,7 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=float, default=1e-4, help="dual stopping tolerance")
     parser.add_argument("--max-iter", type=int, default=1000, help="epoch cap")
     parser.add_argument("--loss", choices=("hinge", "squared_hinge"), default="hinge")
-    parser.add_argument("--min-df", type=int, default=1,
+    parser.add_argument("--min-df", type=_int_at_least(1), default=1,
                         help="minimum training document frequency per feature")
 
 
@@ -616,7 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compare",
                    help="second predictions TSV or bundles dir for significance tests")
     p.add_argument("--pair-unit", choices=("topic", "fold"), default="topic")
-    p.add_argument("--folds", type=int, default=5)
+    p.add_argument("--folds", type=_int_at_least(2), default=5)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_evaluate)
 
@@ -631,8 +637,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for experiment cells; "
                    "output is identical to --jobs 1")
-    p.add_argument("--top-n", type=_positive_int, default=20)
-    p.add_argument("--curve-max", type=_positive_int, default=200)
+    p.add_argument("--top-n", type=_int_at_least(1), default=20)
+    p.add_argument("--curve-max", type=_int_at_least(1), default=200)
     p.add_argument("--require-profile", action="store_true")
     _add_train_flags(p)
     p.set_defaults(func=_cmd_experiment)
@@ -643,7 +649,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predictions")
     p.add_argument("--tweets")
     p.add_argument("--out", required=True)
-    p.add_argument("--top-n", type=_positive_int, default=20)
+    p.add_argument("--top-n", type=_int_at_least(1), default=20)
     p.set_defaults(func=_cmd_analyze)
     return parser
 

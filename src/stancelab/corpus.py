@@ -30,7 +30,7 @@ class CorpusError(ValueError):
 
 # Unicode category Cc. Feature strings are written one per line into
 # tab-separated bundle files, so a set member holding one cannot be read back.
-_CONTROL_CHAR = re.compile("[\x00-\x1f\x7f-\x9f]")
+_UNWRITABLE_CHAR = re.compile("[\x00-\x1f\x7f-\x9f\ud800-\udfff]")
 
 
 class StanceLabel(Enum):
@@ -233,15 +233,15 @@ def load_semeval_tsv(path: str | Path) -> list[LabeledInstance]:
     return instances
 
 
-def _reject_control_chars(
+def _reject_unwritable_chars(
     profile: UserNetworkProfile, file_name: str, lineno: int
 ) -> None:
     for name in NETWORK_FIELDS:
-        bad = [v for v in profile.set_for(name) if _CONTROL_CHAR.search(v)]
+        bad = [v for v in profile.set_for(name) if _UNWRITABLE_CHAR.search(v)]
         if bad:
             raise CorpusError(
                 f"{file_name}: field {name!r} at line {lineno} holds "
-                f"a control character in {min(bad)!r}"
+                f"a control character or lone surrogate in {min(bad)!r}"
             )
 
 
@@ -252,7 +252,8 @@ def load_network_profiles(
 
     Returns the user_id -> profile mapping plus the number of duplicate
     user_id records encountered (last record wins). A set member that holds
-    a control character after normalization is rejected.
+    a control character or a lone surrogate (neither can be written to a
+    bundle's feature space) after normalization is rejected.
     """
     path = Path(path)
     profiles: dict[str, UserNetworkProfile] = {}
@@ -290,10 +291,11 @@ def load_network_profiles(
                 sets[name] = values
             profile = UserNetworkProfile.from_raw(user_id, **sets)
             # json.loads refuses raw U+0000..U+001F in strings, so a control
-            # character arrives escaped, as a raw DEL or as raw non-ASCII;
-            # a line with none of these needs no scan of its members.
+            # character arrives escaped, as a raw DEL or as raw non-ASCII,
+            # and a lone surrogate (UTF-8 cannot hold one) only escaped; a
+            # line with none of these needs no scan of its members.
             if "\\" in line or "\x7f" in line or not line.isascii():
-                _reject_control_chars(profile, path.name, lineno)
+                _reject_unwritable_chars(profile, path.name, lineno)
             if user_id in profiles:
                 duplicates += 1
             profiles[user_id] = profile

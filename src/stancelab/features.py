@@ -3,8 +3,9 @@
 Features are namespaced strings: tweet text contributes word n-grams
 ("txtw:") and character n-grams ("txtc:"), and each network family
 contributes its profile set under its own prefix. A FeatureSpace maps the
-namespaced strings seen in training data to dense column indices; vectors
-are sorted index arrays with presence/absence semantics only.
+namespaced strings seen in training data to dense column indices; a row
+is a sorted int64 array of column indices with presence/absence semantics
+only, the one row type from here through ``linsvm`` training and scoring.
 
 ``extract_features`` builds the string set of one instance; training uses
 it to find the vocabulary. ``index_rows`` maps a batch of instances straight
@@ -356,22 +357,6 @@ def build_feature_space(
         raise ValueError("empty feature space")
     index_of = {name: idx for idx, name in enumerate(sorted(vocabulary))}
     return FeatureSpace(index_of=index_of, selector=selector)
-
-
-@dataclass(frozen=True, eq=False)
-class SparseBooleanVector:
-    """Strictly increasing active column indices in a space of given size."""
-
-    indices: np.ndarray
-    dimension: int
-
-    def __post_init__(self) -> None:
-        idx = self.indices
-        if idx.size:
-            if idx[0] < 0 or idx[-1] >= self.dimension:
-                raise ValueError("vector index out of range")
-            if np.any(np.diff(idx) <= 0):
-                raise ValueError("vector indices must be strictly increasing")
 
 
 def index_rows(

@@ -1,15 +1,20 @@
 """Linear SVM training by dual coordinate descent, with inspectable weights.
 
-The trainer solves the L2-regularized SVM dual for boolean sparse vectors,
-one coordinate at a time, over a bias-augmented representation (a constant
-feature appended to every vector, so the bias is regularized like any other
-weight). Hinge (L1) and squared-hinge (L2) losses are supported; with U the
-upper box bound and D the diagonal shift, hinge uses U=C, D=0 and squared
-hinge uses U=inf, D=1/(2C).
+A row is what ``features.index_rows`` returns: the sorted int64 column
+indices of one example's active boolean features. The trainer solves the
+L2-regularized SVM dual over such rows, one coordinate at a time, over a
+bias-augmented representation (a constant feature appended to every row,
+so the bias is regularized like any other weight). Hinge (L1) and
+squared-hinge (L2) losses are supported; with U the upper box bound and D
+the diagonal shift, hinge uses U=C, D=0 and squared hinge uses U=inf,
+D=1/(2C).
 
-Multiclass is one-vs-rest over the canonical class order. Binary mode drops
-the None class from training and learns a single Against-vs-Favor separator
-whose margin sign picks the class.
+``train_ovr`` is the one fit entry point: one-vs-rest over the canonical
+class order, or in binary mode a single Against-vs-Favor separator, fit
+without the None class, whose margin sign picks the class.
+``decision_values`` and ``predict`` score a batch of rows. Each of the
+three checks its batch once: every row strictly increasing, inside the
+space.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import CANONICAL_LABELS, CorpusError, StanceLabel
-from .features import FeatureSetSelector, FeatureSpace, SparseBooleanVector
+from .features import FeatureSetSelector, FeatureSpace
 from .features import read_feature_space, write_feature_space
 
 LOSSES = ("hinge", "squared_hinge")
@@ -54,18 +59,25 @@ class TrainConfig:
             raise ValueError(f"loss must be one of {LOSSES}")
 
 
-def _as_rows(vectors: Sequence[SparseBooleanVector]) -> tuple[list[np.ndarray], int]:
-    if not vectors:
-        raise ValueError("no training vectors")
-    dim = vectors[0].dimension
-    rows = []
-    for vec in vectors:
-        if vec.dimension != dim:
-            raise ValueError(
-                f"dimension mismatch: {vec.dimension} != {dim}"
-            )
-        rows.append(vec.indices)
-    return rows, dim
+def _check_rows(rows: Sequence[np.ndarray], dim: int) -> None:
+    """Raise ValueError unless every row is strictly increasing in 0..dim-1.
+
+    One pass over the whole batch: a step between neighbours of the
+    concatenated rows must rise unless it lands on a row start. Empty rows
+    may sit anywhere.
+    """
+    if not rows:
+        return
+    flat = np.concatenate(rows)
+    if not flat.size:
+        return
+    if flat.min() < 0 or flat.max() >= dim:
+        raise ValueError(f"row index out of range: the space has {dim} columns")
+    row_start = np.zeros(flat.size, dtype=bool)
+    starts = np.cumsum(np.fromiter(map(len, rows[:-1]), np.int64, len(rows) - 1))
+    row_start[starts[starts < flat.size]] = True
+    if not np.all((np.diff(flat) > 0) | row_start[1:]):
+        raise ValueError("row indices must be strictly increasing")
 
 
 def dual_coordinate_descent(
@@ -153,24 +165,6 @@ def dual_coordinate_descent(
     return w, np.array(alpha, dtype=np.float64), epochs
 
 
-def train_binary(
-    vectors: Sequence[SparseBooleanVector],
-    labels: Sequence[int],
-    config: TrainConfig,
-) -> tuple[np.ndarray, float]:
-    """Fit one +1/-1 separator; returns (weight vector, bias)."""
-    rows, dim = _as_rows(vectors)
-    y = np.asarray(labels, dtype=np.float64)
-    if y.shape[0] != len(rows):
-        raise ValueError("labels and vectors differ in length")
-    if not set(np.unique(y)) <= {-1.0, 1.0}:
-        raise ValueError("binary labels must be -1 or +1")
-    if len(np.unique(y)) < 2:
-        raise ValueError("degenerate training set: a single class present")
-    w, _, _ = dual_coordinate_descent(rows, y, dim, config)
-    return w[:dim].copy(), float(w[dim])
-
-
 @dataclass(frozen=True)
 class LinearModel:
     """Per-class weights over a frozen feature space."""
@@ -184,7 +178,7 @@ class LinearModel:
 
 
 def train_ovr(
-    vectors: Sequence[SparseBooleanVector],
+    rows: Sequence[np.ndarray],
     labels: Sequence[StanceLabel],
     mode: str,
     config: TrainConfig,
@@ -193,41 +187,36 @@ def train_ovr(
 ) -> LinearModel:
     """One-vs-rest ternary model, or a single polarized binary separator.
 
-    Binary mode removes None-labeled training instances before fitting and
-    never predicts None.
+    ``rows[i]`` holds the active columns of example i in ``space``, as
+    ``features.index_rows`` returns them. Binary mode removes None-labeled
+    training instances before fitting and never predicts None.
     """
     if mode not in MODE_CLASSES:
         raise ValueError(f"unknown mode {mode!r}")
-    if len(vectors) != len(labels):
-        raise ValueError("labels and vectors differ in length")
-    where = f" for topic {topic!r}" if topic else ""
+    if len(rows) != len(labels):
+        raise ValueError("labels and rows differ in length")
+    dim = space.size
+    _check_rows(rows, dim)
+    classes = MODE_CLASSES[mode]
+    fitted = classes
     if mode == "binary":
-        pairs = [
-            (v, lab)
-            for v, lab in zip(vectors, labels)
-            if lab is not StanceLabel.NONE
-        ]
-        classes = MODE_CLASSES["binary"]
-        for cls in classes:
-            if not any(lab is cls for _, lab in pairs):
-                raise ValueError(f"no {cls.value} examples{where}")
-        y = [1 if lab is StanceLabel.FAVOR else -1 for _, lab in pairs]
-        w, b = train_binary([v for v, _ in pairs], y, config)
-        weights = np.vstack([-w, w])
-        biases = np.array([-b, b], dtype=np.float64)
-    else:
-        classes = MODE_CLASSES["ternary"]
-        rows_w = []
-        rows_b = []
-        for cls in classes:
-            if not any(lab is cls for lab in labels):
-                raise ValueError(f"no {cls.value} examples{where}")
-            y = [1 if lab is cls else -1 for lab in labels]
-            w, b = train_binary(vectors, y, config)
-            rows_w.append(w)
-            rows_b.append(b)
-        weights = np.vstack(rows_w)
-        biases = np.array(rows_b, dtype=np.float64)
+        kept = [i for i, lab in enumerate(labels) if lab is not StanceLabel.NONE]
+        rows, labels = [rows[i] for i in kept], [labels[i] for i in kept]
+        fitted = (StanceLabel.FAVOR,)
+    where = f" for topic {topic!r}" if topic else ""
+    for cls in classes:
+        if not any(lab is cls for lab in labels):
+            raise ValueError(f"no {cls.value} examples{where}")
+    weights = np.empty((len(fitted), dim), dtype=np.float64)
+    biases = np.empty(len(fitted), dtype=np.float64)
+    for ci, cls in enumerate(fitted):
+        y = np.array([1.0 if lab is cls else -1.0 for lab in labels])
+        w, _, _ = dual_coordinate_descent(rows, y, dim, config)
+        weights[ci] = w[:dim]
+        biases[ci] = w[dim]
+    if mode == "binary":
+        weights = np.vstack([-weights, weights])
+        biases = np.concatenate([-biases, biases])
     return LinearModel(
         classes=classes,
         weights=weights,
@@ -238,33 +227,25 @@ def train_ovr(
     )
 
 
-def _scores(model: LinearModel, indices: np.ndarray) -> np.ndarray:
-    # One 2-D gather and row sum per example: np.add.reduceat or a batched
-    # matrix product would round differently and could flip a near-tie.
-    return model.weights[:, indices].sum(axis=1) + model.biases
+def decision_values(model: LinearModel, rows: Sequence[np.ndarray]) -> np.ndarray:
+    """Per-class scores <w_c, x> + b_c of each row in model.space, shape
+    (len(rows), len(model.classes)), columns aligned with model.classes."""
+    weights, biases = model.weights, model.biases
+    _check_rows(rows, model.space.size)
+    scores = np.empty((len(rows), len(model.classes)), dtype=np.float64)
+    for i, idx in enumerate(rows):
+        # One 2-D gather and row sum per row: np.add.reduceat or a batched
+        # matrix product would round differently and could flip a near-tie.
+        scores[i] = weights[:, idx].sum(axis=1) + biases
+    return scores
 
 
-def decision_values(model: LinearModel, x: SparseBooleanVector) -> np.ndarray:
-    """Per-class scores <w_c, x> + b_c, aligned with model.classes."""
-    if x.dimension != model.space.size:
-        raise ValueError(
-            f"dimension mismatch: vector has {x.dimension}, "
-            f"space has {model.space.size}"
-        )
-    return _scores(model, x.indices)
-
-
-def predict(model: LinearModel, x: SparseBooleanVector) -> StanceLabel:
-    """Argmax class; exact ties resolve to the earliest canonical class."""
-    scores = decision_values(model, x)
-    return model.classes[int(np.argmax(scores))]
-
-
-def predict_rows(model: LinearModel, rows: Sequence[np.ndarray]) -> list[StanceLabel]:
-    """``predict`` for each row of column indices from ``index_rows`` on
-    ``model.space``; those rows are valid by construction, so unchecked."""
+def predict(model: LinearModel, rows: Sequence[np.ndarray]) -> list[StanceLabel]:
+    """Argmax class of each row; exact ties resolve to the earliest
+    canonical class."""
     classes = model.classes
-    return [classes[int(np.argmax(_scores(model, idx)))] for idx in rows]
+    best = np.argmax(decision_values(model, rows), axis=1)
+    return [classes[ci] for ci in best.tolist()]
 
 
 def class_weights(model: LinearModel, cls: StanceLabel) -> dict[str, float]:
@@ -324,12 +305,12 @@ def load_bundle(path: str | Path) -> tuple[LinearModel, dict]:
     """Load a bundle directory; returns the model and its metadata.
 
     Metadata that is not JSON, lacks a key or holds a bad value (such as a
-    selector that is not a flag string, an unknown config field, a
-    dimension that is not an integer, or a mode other than those of
-    MODE_CLASSES or classes other than that mode's), and a
-    weight line other than an index in 0..dimension-1 (or "bias"), a tab
-    and a number, raise CorpusError naming the file and, for weights, the
-    line.
+    selector that is not a flag string, a topic that is not a string, an
+    unknown config field, a dimension that is not an integer, or a mode
+    other than those of MODE_CLASSES or classes other than that mode's),
+    and a weight line other than an index in 0..dimension-1 (or "bias"), a
+    tab and a number, raise CorpusError naming the file and, for weights,
+    the line.
     """
     path = Path(path)
     meta_path = path / _METADATA
@@ -337,6 +318,8 @@ def load_bundle(path: str | Path) -> tuple[LinearModel, dict]:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
         if not isinstance(meta["selector"], str):
             raise TypeError("selector is not a string")
+        if not isinstance(meta.get("topic", ""), str):
+            raise TypeError("topic is not a string")
         selector = FeatureSetSelector.parse(meta["selector"])
         classes = tuple(StanceLabel(value) for value in meta["classes"])
         config = TrainConfig(**meta["config"])

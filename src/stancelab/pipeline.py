@@ -1,15 +1,14 @@
 """End-to-end plumbing: per-topic training, prediction, evaluation.
 
-Training and prediction build rows with the same batch vectorizer,
-``features.index_rows``, BATCH_SIZE instances at a time. Training still
+Training and prediction build index rows with the same batch vectorizer,
+``features.index_rows``, BATCH_SIZE instances at a time, and pass them
+straight to ``linsvm.train_ovr`` and ``linsvm.predict``. Training still
 extracts feature strings once per instance to find the vocabulary;
-prediction never builds them. It groups instances by topic, and for each
-batch maps them to column indices and scores every row with the per-row
-sum that ``linsvm.decision_values`` uses, so predictions equal those of
-``linsvm.predict`` on the set-based vectors of
-``tests/vectorize_reference.py``, instance for instance. The batch size
-bounds the character kernel's arrays, which grow with the batch's total
-text length.
+prediction never builds them. Prediction groups instances by topic and
+predicts each batch with one call, so predictions equal those of
+``predict`` on the set-based rows of ``tests/vectorize_reference.py``,
+instance for instance. The batch size bounds the character kernel's
+arrays, which grow with the batch's total text length.
 """
 
 from __future__ import annotations
@@ -19,12 +18,11 @@ from typing import Iterator, Mapping, Sequence, TypeVar
 from .corpus import Dataset, StanceLabel
 from .features import (
     FeatureSetSelector,
-    SparseBooleanVector,
     build_feature_space,
     extract_features,
     index_rows,
 )
-from .linsvm import LinearModel, TrainConfig, predict_rows, train_ovr
+from .linsvm import LinearModel, TrainConfig, predict, train_ovr
 from .scoring import EvalReport, score_semeval
 
 BATCH_SIZE = 128
@@ -55,15 +53,11 @@ def train_topic_models(
         ]
         space = build_feature_space(feature_sets, selector, min_df=min_df)
         del feature_sets
-        vectors = [
-            SparseBooleanVector(indices, space.size)
-            for batch in _batches(instances)
-            for indices in index_rows(space, batch, train)
+        rows = [
+            row for batch in _batches(instances) for row in index_rows(space, batch, train)
         ]
         labels = [inst.label for inst in instances]
-        models[topic] = train_ovr(
-            vectors, labels, mode, config, space, topic=topic
-        )
+        models[topic] = train_ovr(rows, labels, mode, config, space, topic=topic)
     return models
 
 
@@ -83,7 +77,7 @@ def predict_dataset(
         for batch in _batches(positions):
             instances = [dataset.instances[pos] for pos in batch]
             rows = index_rows(model.space, instances, dataset)
-            for pos, label in zip(batch, predict_rows(model, rows)):
+            for pos, label in zip(batch, predict(model, rows)):
                 predictions[pos] = label
     return predictions
 

@@ -154,11 +154,25 @@ class TestUsageErrors:
         ["--modes", "ternary,unary"],
         ["--top-n", "0"],
         ["--curve-max", "0"],
+        ["--min-df", "0"],
     ])
     def test_bad_experiment_flag(self, corpus, tmp_path, extra, capsys):
         with pytest.raises(SystemExit) as exc:
             experiment(corpus, tmp_path / "out", 1, *extra)
         assert exc.value.code == EXIT_USAGE
+        assert not (tmp_path / "out").exists()
+
+    def test_fold_pairing_needs_two_folds(self, corpus, tmp_path, capsys):
+        test = load_split(corpus, "test.tsv")
+        predictions = tmp_path / "predictions.tsv"
+        write_predictions(predictions, test.instances,
+                          [inst.label for inst in test.instances])
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--predictions", str(predictions),
+                  "--compare", str(predictions), "--pair-unit", "fold",
+                  "--folds", "1", "--out", str(tmp_path / "out")])
+        assert exc.value.code == EXIT_USAGE
+        assert "--folds" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_network_selector_without_profiles(self, corpus, tmp_path, capsys):
@@ -222,6 +236,13 @@ class TestDataErrors:
         (bundle / "metadata.json").write_text(json.dumps(meta))
         err = self.predict_error(bundle, corpus / "test.tsv", capsys)
         assert "metadata.json" in err and "selector" in err
+
+    def test_topic_not_a_string(self, bundle, corpus, capsys):
+        meta = json.loads((bundle / "metadata.json").read_text())
+        meta["topic"] = [1]
+        (bundle / "metadata.json").write_text(json.dumps(meta))
+        err = self.predict_error(bundle, corpus / "test.tsv", capsys)
+        assert "metadata.json" in err and "topic" in err
 
     @pytest.mark.parametrize("mode,classes", [
         ("foo", ["AGAINST", "FAVOR"]),

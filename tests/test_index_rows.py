@@ -101,7 +101,7 @@ def assert_rows_match(space, dataset, instances):
     assert len(rows) == len(instances)
     for inst, row in zip(instances, rows):
         features = extract_features(inst, dataset.profile_for(inst.author_id), space.selector)
-        expected = vectorize(features, space).indices
+        expected = vectorize(features, space)
         assert row.dtype == expected.dtype == np.int64
         assert np.array_equal(row, expected), inst.text
 
@@ -192,9 +192,9 @@ class TestPredictDataset:
                 space=space, config=TrainConfig(),
             )
         expected = [
-            predict(models[inst.topic], vectorize(extract_features(
+            predict(models[inst.topic], [vectorize(extract_features(
                 inst, dataset.profile_for(inst.author_id), models[inst.topic].space.selector,
-            ), models[inst.topic].space))
+            ), models[inst.topic].space)])[0]
             for inst in dataset.instances
         ]
         with pytest.MonkeyPatch.context() as patch:

@@ -19,7 +19,6 @@ from stancelab.features import (
     NETWORK_FLAG_SOURCES,
     FeatureSetSelector,
     FeatureSpace,
-    SparseBooleanVector,
     build_feature_space,
     extract_features,
     index_rows,
@@ -28,14 +27,13 @@ from stancelab.linsvm import (
     LinearModel,
     MODE_CLASSES,
     TrainConfig,
+    _check_rows,
     class_weights,
     decision_values,
     dual_coordinate_descent,
     load_bundle,
     predict,
-    predict_rows,
     save_bundle,
-    train_binary,
     train_ovr,
 )
 
@@ -45,13 +43,21 @@ from qp_oracle import dual_objective, gram_matrix, random_problem, solve_svm_dua
 TIGHT = TrainConfig(C=1.0, tol=1e-10, max_iter=20000)
 
 
-def vec(indices, dim):
-    return SparseBooleanVector(np.asarray(indices, dtype=np.int64), dim)
+def row(indices):
+    return np.asarray(indices, dtype=np.int64)
 
 
 def toy_space(size, selector=None):
     selector = selector or FeatureSetSelector.of("TXT")
     return FeatureSpace({f"txtw:f{i:03d}": i for i in range(size)}, selector)
+
+
+def fit_binary(rows, y, dim, config):
+    """The binary-mode separator of train_ovr, +1 meaning Favor: its Favor
+    weights and bias."""
+    labels = [StanceLabel.FAVOR if v > 0 else StanceLabel.AGAINST for v in y]
+    model = train_ovr(rows, labels, "binary", config, toy_space(dim))
+    return model.weights[1], float(model.biases[1])
 
 
 def make_model(weights, biases, mode, classes):
@@ -68,15 +74,13 @@ def make_model(weights, biases, mode, classes):
 
 class TestTrainBinary:
     def test_separable_pair_signs(self):
-        vectors = [vec([0], 2), vec([1], 2)]
-        w, b = train_binary(vectors, [1, -1], TIGHT)
+        w, b = fit_binary([row([0]), row([1])], [1, -1], 2, TIGHT)
         assert w[0] + b > 0
         assert w[1] + b < 0
 
     def test_separable_pair_matches_hand_solution(self):
         # Dual optimum is alpha=(1,1): w=(1,-1), b=0, margins exactly +-1.
-        vectors = [vec([0], 2), vec([1], 2)]
-        w, b = train_binary(vectors, [1, -1], TIGHT)
+        w, b = fit_binary([row([0]), row([1])], [1, -1], 2, TIGHT)
         assert np.allclose(w, [1.0, -1.0], atol=1e-8)
         assert abs(b) < 1e-8
 
@@ -96,11 +100,11 @@ class TestTrainBinary:
         rng = np.random.default_rng(11)
         for _ in range(20):
             rows, y, dim = random_problem(rng, max_points=3, max_dim=3)
-            vectors = [vec(r, dim) for r in rows]
-            w1, b1 = train_binary(vectors, y.tolist(), TIGHT)
-            w2, b2 = train_binary(
-                vectors + vectors,
+            w1, b1 = fit_binary(rows, y.tolist(), dim, TIGHT)
+            w2, b2 = fit_binary(
+                rows + rows,
                 y.tolist() + y.tolist(),
+                dim,
                 TrainConfig(C=0.5, tol=1e-10, max_iter=20000),
             )
             assert np.allclose(w1, w2, atol=1e-6)
@@ -124,20 +128,19 @@ class TestTrainBinary:
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(5)
         rows, y, dim = random_problem(rng)
-        vectors = [vec(r, dim) for r in rows]
         config = TrainConfig(seed=42)
-        w1, b1 = train_binary(vectors, y.tolist(), config)
-        w2, b2 = train_binary(vectors, y.tolist(), config)
+        w1, b1 = fit_binary(rows, y.tolist(), dim, config)
+        w2, b2 = fit_binary(rows, y.tolist(), dim, config)
         assert np.array_equal(w1, w2)
         assert b1 == b2
 
     def test_single_class_is_degenerate(self):
-        with pytest.raises(ValueError, match="degenerate"):
-            train_binary([vec([0], 2), vec([1], 2)], [1, 1], TrainConfig())
+        with pytest.raises(ValueError, match="no AGAINST examples"):
+            fit_binary([row([0]), row([1])], [1, 1], 2, TrainConfig())
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="dimension"):
-            train_binary([vec([0], 2), vec([1], 3)], [1, -1], TrainConfig())
+        with pytest.raises(ValueError, match="out of range"):
+            fit_binary([row([0]), row([2])], [1, -1], 2, TrainConfig())
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -224,17 +227,14 @@ class TestSolverIterates:
 
 
 class TestTrainOvr:
-    def _vectors(self, labels, dim=4):
+    def _rows(self, labels, dim=4):
         rng = np.random.default_rng(17)
-        return [
-            vec(np.flatnonzero(rng.random(dim) < 0.6), dim) for _ in labels
-        ]
+        return [np.flatnonzero(rng.random(dim) < 0.6) for _ in labels]
 
     def test_ternary_shape_and_class_order(self):
         labels = [StanceLabel.AGAINST, StanceLabel.FAVOR, StanceLabel.NONE] * 2
-        vectors = self._vectors(labels)
         space = toy_space(4)
-        model = train_ovr(vectors, labels, "ternary", TrainConfig(), space)
+        model = train_ovr(self._rows(labels), labels, "ternary", TrainConfig(), space)
         assert model.classes == (
             StanceLabel.AGAINST,
             StanceLabel.FAVOR,
@@ -250,27 +250,27 @@ class TestTrainOvr:
             StanceLabel.NONE,
             StanceLabel.FAVOR,
         ]
-        vectors = self._vectors(labels)
-        model = train_ovr(vectors, labels, "binary", TrainConfig(), toy_space(4))
+        model = train_ovr(
+            self._rows(labels), labels, "binary", TrainConfig(), toy_space(4)
+        )
         assert model.mode == "binary"
         assert model.classes == (StanceLabel.AGAINST, StanceLabel.FAVOR)
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            x = vec(np.flatnonzero(rng.random(4) < 0.5), 4)
-            assert predict(model, x) is not StanceLabel.NONE
+        rows = [np.flatnonzero(rng.random(4) < 0.5) for _ in range(50)]
+        assert StanceLabel.NONE not in predict(model, rows)
 
     def test_binary_all_one_class_errors(self):
         labels = [StanceLabel.FAVOR, StanceLabel.FAVOR]
         with pytest.raises(ValueError, match="AGAINST"):
             train_ovr(
-                self._vectors(labels), labels, "binary", TrainConfig(), toy_space(4)
+                self._rows(labels), labels, "binary", TrainConfig(), toy_space(4)
             )
 
     def test_missing_class_error_names_topic(self):
         labels = [StanceLabel.AGAINST, StanceLabel.FAVOR]
         with pytest.raises(ValueError, match="NONE.*alpha"):
             train_ovr(
-                self._vectors(labels),
+                self._rows(labels),
                 labels,
                 "ternary",
                 TrainConfig(),
@@ -285,14 +285,14 @@ class TestDecisionAndPredict:
             np.zeros((3, 2)), np.zeros(3), "ternary",
             (StanceLabel.AGAINST, StanceLabel.FAVOR, StanceLabel.NONE),
         )
-        scores = decision_values(model, vec([], 2))
-        assert np.array_equal(scores, np.zeros(3))
+        scores = decision_values(model, [row([])])
+        assert np.array_equal(scores, np.zeros((1, 3)))
 
     def test_dot_product(self):
         model = make_model(
             [[2.0, 0.0]], [0.0], "ternary", (StanceLabel.AGAINST,)
         )
-        assert decision_values(model, vec([0], 2))[0] == 2.0
+        assert decision_values(model, [row([0])])[0, 0] == 2.0
 
     def test_binary_sign_convention(self):
         # Single margin s: Favor score +s, Against score -s.
@@ -301,32 +301,32 @@ class TestDecisionAndPredict:
             np.vstack([-w, w]), [1.5, -1.5], "binary",
             (StanceLabel.AGAINST, StanceLabel.FAVOR),
         )
-        scores = decision_values(model, vec([1], 2))
+        [scores] = decision_values(model, [row([1])])
         assert scores[0] == pytest.approx(3.5)  # Against = -s
         assert scores[1] == pytest.approx(-3.5)
-        assert predict(model, vec([1], 2)) is StanceLabel.AGAINST
+        assert predict(model, [row([1])]) == [StanceLabel.AGAINST]
 
     def test_tie_breaks_to_against(self):
         model = make_model(
             np.zeros((3, 2)), np.zeros(3), "ternary",
             (StanceLabel.AGAINST, StanceLabel.FAVOR, StanceLabel.NONE),
         )
-        assert predict(model, vec([0, 1], 2)) is StanceLabel.AGAINST
+        assert predict(model, [row([0, 1])]) == [StanceLabel.AGAINST]
 
     def test_argmax(self):
         model = make_model(
             np.zeros((3, 2)), [0.2, 0.9, 0.1], "ternary",
             (StanceLabel.AGAINST, StanceLabel.FAVOR, StanceLabel.NONE),
         )
-        assert predict(model, vec([], 2)) is StanceLabel.FAVOR
+        assert predict(model, [row([])]) == [StanceLabel.FAVOR]
 
     def test_dimension_mismatch(self):
         model = make_model(
             np.zeros((3, 2)), np.zeros(3), "ternary",
             (StanceLabel.AGAINST, StanceLabel.FAVOR, StanceLabel.NONE),
         )
-        with pytest.raises(ValueError, match="dimension"):
-            decision_values(model, vec([0], 5))
+        with pytest.raises(ValueError, match="out of range"):
+            decision_values(model, [row([0]), row([4])])
 
     @given(
         scores=st.lists(
@@ -343,8 +343,79 @@ class TestDecisionAndPredict:
         assume(len(set(scaled)) == len(set(scores)))
         model_a = make_model(np.zeros((3, 2)), scores, "ternary", classes)
         model_b = make_model(np.zeros((3, 2)), scaled, "ternary", classes)
-        x = vec([], 2)
-        assert predict(model_a, x) is predict(model_b, x)
+        x = [row([])]
+        assert predict(model_a, x) == predict(model_b, x)
+
+
+
+def vector_rule(idx, dim):
+    """The rule for one row, checked on its own: in range at both ends and
+    strictly increasing."""
+    if idx.size:
+        if idx[0] < 0 or idx[-1] >= dim:
+            return False
+        if np.any(np.diff(idx) <= 0):
+            return False
+    return True
+
+
+@st.composite
+def row_batches(draw):
+    """Rows over dim columns: sorted sets (valid), empty rows, and free
+    lists that may repeat, fall out of order or leave the space."""
+    dim = draw(st.integers(0, 5))
+    rows = draw(st.lists(
+        st.one_of(
+            st.sets(st.integers(0, max(dim - 1, 0))).map(sorted),
+            st.just([]),
+            st.lists(st.integers(-1, dim), max_size=4),
+        ).map(row),
+        max_size=6,
+    ))
+    return rows, dim
+
+
+class TestRowCheck:
+    @settings(max_examples=300, deadline=None)
+    @given(batch=row_batches())
+    @example(batch=([], 3))
+    @example(batch=([row([]), row([0, 2])], 3))
+    @example(batch=([row([]), row([2, 0])], 3))
+    @example(batch=([row([1]), row([]), row([0])], 3))
+    @example(batch=([row([0, 1]), row([]), row([1, 1])], 3))
+    @example(batch=([row([0]), row([]), row([3])], 3))
+    def test_accepts_exactly_what_the_vector_rule_accepts(self, batch):
+        rows, dim = batch
+        accepted = all(vector_rule(r, dim) for r in rows)
+        event("accepted" if accepted else "rejected")
+        if accepted:
+            _check_rows(rows, dim)
+        else:
+            with pytest.raises(ValueError):
+                _check_rows(rows, dim)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 6),
+           mode=st.sampled_from(sorted(MODE_CLASSES)))
+    def test_predict_is_the_per_row_argmax(self, data, dim, mode):
+        classes = MODE_CLASSES[mode]
+        rows = data.draw(st.lists(
+            st.sets(st.integers(0, dim - 1)).map(sorted).map(row), max_size=8
+        ))
+        # Small integer weights, so exact ties between classes are common.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        model = make_model(
+            rng.integers(-2, 3, size=(len(classes), dim)),
+            rng.integers(-1, 2, size=len(classes)), mode, classes,
+        )
+        scores = decision_values(model, rows)
+        assert scores.shape == (len(rows), len(classes))
+        expected = [
+            classes[int(np.argmax(model.weights[:, r].sum(axis=1) + model.biases))]
+            for r in rows
+        ]
+        assert predict(model, rows) == expected
+        assert predict(model, []) == []
 
 
 class TestClassWeights:
@@ -394,9 +465,9 @@ class TestBundle:
             StanceLabel.AGAINST, StanceLabel.FAVOR, StanceLabel.NONE,
         ]
         dim = 6
-        vectors = [vec(np.flatnonzero(rng.random(dim) < 0.5), dim) for _ in labels]
+        rows = [np.flatnonzero(rng.random(dim) < 0.5) for _ in labels]
         return train_ovr(
-            vectors, labels, mode, TrainConfig(seed=9), toy_space(dim)
+            rows, labels, mode, TrainConfig(seed=9), toy_space(dim)
         ), dim
 
     @pytest.mark.parametrize("mode", ["ternary", "binary"])
@@ -409,12 +480,11 @@ class TestBundle:
         assert np.array_equal(loaded.weights, model.weights)
         assert np.array_equal(loaded.biases, model.biases)
         rng = np.random.default_rng(1)
-        for _ in range(200):
-            x = vec(np.flatnonzero(rng.random(dim) < 0.5), dim)
-            before = decision_values(model, x)
-            after = decision_values(loaded, x)
-            assert np.array_equal(before, after)
-            assert predict(model, x) is predict(loaded, x)
+        rows = [np.flatnonzero(rng.random(dim) < 0.5) for _ in range(200)]
+        before = decision_values(model, rows)
+        after = decision_values(loaded, rows)
+        assert np.array_equal(before, after)
+        assert predict(model, rows) == predict(loaded, rows)
 
     def test_bundle_config_round_trips(self, tmp_path):
         model, _ = self._trained_model()
@@ -501,4 +571,4 @@ class TestBundleRoundTrip:
         rows = index_rows(model.space, dataset.instances, dataset)
         loaded_rows = index_rows(loaded.space, dataset.instances, dataset)
         assert all(np.array_equal(a, b) for a, b in zip(rows, loaded_rows))
-        assert predict_rows(loaded, loaded_rows) == predict_rows(model, rows)
+        assert predict(loaded, loaded_rows) == predict(model, rows)

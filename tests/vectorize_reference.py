@@ -1,8 +1,8 @@
 """The set-based vectorizer, kept as the oracle for features.index_rows.
 
 ``vectorize(extract_features(inst, profile, space.selector), space)`` is
-how every row was built before the batch vectorizer; its indices are the
-rows ``index_rows`` must return, array for array. ``reference_tokenize``
+how every row was built before the batch vectorizer; it returns the row
+``index_rows`` must return, array for array. ``reference_tokenize``
 is the tokenizer before its ASCII fast path, character by character.
 """
 
@@ -13,17 +13,15 @@ from typing import Iterable
 
 import numpy as np
 
-from stancelab.features import URL_SENTINEL, FeatureSpace, SparseBooleanVector
+from stancelab.features import URL_SENTINEL, FeatureSpace
 
 
-def vectorize(feature_set: Iterable[str], space: FeatureSpace) -> SparseBooleanVector:
-    """Map a feature set onto the space; unseen features are dropped."""
+def vectorize(feature_set: Iterable[str], space: FeatureSpace) -> np.ndarray:
+    """Sorted int64 columns of a feature set; unseen features are dropped."""
     index_of = space.index_of
     hits = [index_of[f] for f in feature_set if f in index_of]
     hits.sort()
-    return SparseBooleanVector(
-        indices=np.asarray(hits, dtype=np.int64), dimension=space.size
-    )
+    return np.asarray(hits, dtype=np.int64)
 
 
 def reference_tokenize(text: str) -> list[str]:
