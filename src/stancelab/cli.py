@@ -12,10 +12,11 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .analysis import (
     RankedFeatures,
@@ -38,7 +39,8 @@ from .corpus import (
     load_semeval_tsv,
 )
 from .features import FeatureSetSelector
-from .linsvm import LinearModel, TrainConfig, load_bundle, save_bundle
+from .linsvm import LOSSES, MODE_CLASSES, LinearModel, TrainConfig
+from .linsvm import load_bundle, save_bundle
 from .pipeline import predict_dataset, run_cell, train_topic_models
 from .scoring import (
     EvalReport,
@@ -74,6 +76,17 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+@contextmanager
+def _flag_values(parser: argparse.ArgumentParser) -> Iterator[None]:
+    """Reports a ValueError of the block as a usage error. The block builds
+    configs and selectors from flags, so it runs before any input is read
+    (a CorpusError is a ValueError too)."""
+    try:
+        yield
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _unique_slugs(topics: Sequence[str]) -> dict[str, str]:
@@ -193,21 +206,22 @@ def _write_report_dir(report: EvalReport, out: Path, title: str = "") -> str:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    config = SynthConfig(
-        topics=tuple(t.strip() for t in args.topics.split(",") if t.strip()),
-        users_per_topic=args.users_per_topic,
-        tweets_per_user=args.tweets_per_user,
-        stance_prior=_parse_prior(args.prior),
-        homophily=args.homophily,
-        text_signal=args.text_signal,
-        community_pool_size=args.community_pool,
-        shared_pool_size=args.shared_pool,
-        items_per_set=args.items_per_set,
-        silent_fraction=args.silent_fraction,
-        tokens_per_tweet=args.tokens_per_tweet,
-        generic_vocab_size=args.vocab,
-        seed=args.seed,
-    )
+    with _flag_values(args.parser):
+        config = SynthConfig(
+            topics=tuple(t.strip() for t in args.topics.split(",") if t.strip()),
+            users_per_topic=args.users_per_topic,
+            tweets_per_user=args.tweets_per_user,
+            stance_prior=_parse_prior(args.prior),
+            homophily=args.homophily,
+            text_signal=args.text_signal,
+            community_pool_size=args.community_pool,
+            shared_pool_size=args.shared_pool,
+            items_per_set=args.items_per_set,
+            silent_fraction=args.silent_fraction,
+            tokens_per_tweet=args.tokens_per_tweet,
+            generic_vocab_size=args.vocab,
+            seed=args.seed,
+        )
     paths = write_corpus(config, args.out)
     for name in ("train", "test", "profiles", "manifest"):
         print(f"{name}: {paths[name]}")
@@ -215,10 +229,11 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    selector = FeatureSetSelector.parse(args.selector)
+    with _flag_values(args.parser):
+        selector = FeatureSetSelector.parse(args.selector)
+        config = _train_config(args)
     _check_profiles_flag(args.parser, [selector], args.profiles)
     train = _load_dataset(args.tweets, args.profiles, args.require_profile)
-    config = _train_config(args)
     models = train_topic_models(train, selector, args.mode, config, args.min_df)
     slugs = _unique_slugs(train.topics)
     out = Path(args.out)
@@ -291,8 +306,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             "provide --predictions, or --gold with --pred-labels, or --bundles"
         )
     report = score_semeval(gold, pred, topics)
-    out = Path(args.out)
-    print(_write_report_dir(report, out), end="")
+    # Everything that can fail comes before the first file is written.
+    significance = ""
     if args.compare:
         cmp_ids, cmp_topics, cmp_gold, cmp_pred = _predictions_from_source(
             args, args.compare
@@ -317,9 +332,12 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             lines.append(f"t_test_p=n/a ({exc})")
         u = mann_whitney_u(a, b)
         lines.append(f"u_test_p={u.p_value:.6f} ({u.method})")
-        text = "\n".join(lines) + "\n"
-        (out / "significance.txt").write_text(text, encoding="utf-8")
-        print(text, end="")
+        significance = "\n".join(lines) + "\n"
+    out = Path(args.out)
+    print(_write_report_dir(report, out), end="")
+    if significance:
+        (out / "significance.txt").write_text(significance, encoding="utf-8")
+        print(significance, end="")
     return EXIT_OK
 
 
@@ -465,17 +483,18 @@ def _experiment_curves(
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    selectors = _parse_selectors(args.selectors)
+    with _flag_values(args.parser):
+        selectors = _parse_selectors(args.selectors)
+        config = _train_config(args)
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
     for mode in modes:
-        if mode not in ("ternary", "binary"):
+        if mode not in MODE_CLASSES:
             args.parser.error(f"unknown mode {mode!r}")
     if not modes:
         args.parser.error("no modes given")
     _check_profiles_flag(args.parser, selectors, args.profiles)
     train = _load_dataset(args.tweets, args.profiles, args.require_profile)
     test = _load_dataset(args.test, args.profiles, args.require_profile)
-    config = _train_config(args)
     out = Path(args.out)
     analysis_dir = out / "analysis"
     analysis_dir.mkdir(parents=True, exist_ok=True)
@@ -563,7 +582,7 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--C", type=float, default=1.0, help="SVM cost parameter")
     parser.add_argument("--tol", type=float, default=1e-4, help="dual stopping tolerance")
     parser.add_argument("--max-iter", type=int, default=1000, help="epoch cap")
-    parser.add_argument("--loss", choices=("hinge", "squared_hinge"), default="hinge")
+    parser.add_argument("--loss", choices=LOSSES, default="hinge")
     parser.add_argument("--min-df", type=_int_at_least(1), default=1,
                         help="minimum training document frequency per feature")
 
@@ -595,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profiles")
     p.add_argument("--selector", required=True,
                    help="e.g. TXT or IN_AT+IN_DM or TXT+IN_AT+IN_DM")
-    p.add_argument("--mode", choices=("ternary", "binary"), required=True)
+    p.add_argument("--mode", choices=MODE_CLASSES, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--require-profile", action="store_true",

@@ -8,8 +8,8 @@ Two file formats are owned by this module:
   refuses them.  When the optional AuthorID column is absent each tweet is
   treated as its own author.
 * Profiles file: UTF-8, one JSON object per line with a ``user_id`` key and
-  up to six array-of-string keys (``in_mentions``, ``in_domains``,
-  ``pn_mentions``, ``pn_domains``, ``cn_friends``, ``cn_followers``).
+  up to six array-of-string keys, one per network family. ``NETWORK_FIELDS``
+  is the one table of those families and of their kinds (account or domain).
   Absent keys mean empty sets.
 """
 
@@ -57,17 +57,6 @@ CANONICAL_LABELS: tuple[StanceLabel, ...] = (
     StanceLabel.FAVOR,
     StanceLabel.NONE,
 )
-
-# Profile set fields, in serialization order.
-NETWORK_FIELDS: tuple[str, ...] = (
-    "in_mentions",
-    "in_domains",
-    "pn_mentions",
-    "pn_domains",
-    "cn_friends",
-    "cn_followers",
-)
-
 
 @dataclass(frozen=True)
 class LabeledInstance:
@@ -120,6 +109,19 @@ def _normalized_set(values: Iterable[str], normalize) -> frozenset[str]:
     return frozenset(v for v in (normalize(x) for x in values) if v)
 
 
+# The one table of the six network families: each profile set field, in
+# serialization order, and the kind of string it holds.
+NETWORK_FIELDS: dict[str, str] = {
+    "in_mentions": "account",
+    "in_domains": "domain",
+    "pn_mentions": "account",
+    "pn_domains": "domain",
+    "cn_friends": "account",
+    "cn_followers": "account",
+}
+NORMALIZERS = {"account": normalize_account, "domain": normalize_domain}
+
+
 @dataclass(frozen=True)
 class UserNetworkProfile:
     """The six account/domain sets describing one user's networks.
@@ -138,27 +140,15 @@ class UserNetworkProfile:
     cn_followers: frozenset[str] = frozenset()
 
     @classmethod
-    def from_raw(
-        cls,
-        user_id: str,
-        *,
-        in_mentions: Iterable[str] = (),
-        in_domains: Iterable[str] = (),
-        pn_mentions: Iterable[str] = (),
-        pn_domains: Iterable[str] = (),
-        cn_friends: Iterable[str] = (),
-        cn_followers: Iterable[str] = (),
-    ) -> "UserNetworkProfile":
-        """Build a profile, normalizing every account and domain string."""
-        return cls(
-            user_id=user_id,
-            in_mentions=_normalized_set(in_mentions, normalize_account),
-            in_domains=_normalized_set(in_domains, normalize_domain),
-            pn_mentions=_normalized_set(pn_mentions, normalize_account),
-            pn_domains=_normalized_set(pn_domains, normalize_domain),
-            cn_friends=_normalized_set(cn_friends, normalize_account),
-            cn_followers=_normalized_set(cn_followers, normalize_account),
-        )
+    def from_raw(cls, user_id: str, **sets: Iterable[str]) -> "UserNetworkProfile":
+        """Build a profile, normalizing each member by its field's kind."""
+        unknown = sets.keys() - NETWORK_FIELDS.keys()
+        if unknown:
+            raise TypeError(f"unknown network fields: {sorted(unknown)}")
+        return cls(user_id, **{
+            name: _normalized_set(values, NORMALIZERS[NETWORK_FIELDS[name]])
+            for name, values in sets.items()
+        })
 
     @classmethod
     def empty(cls, user_id: str) -> "UserNetworkProfile":
@@ -330,6 +320,17 @@ def join(
     return Dataset(tuple(kept), joined, tuple(topics)), dropped
 
 
+def utf8_encodable(text: str) -> bool:
+    """Whether UTF-8 can encode text: false if it holds a lone surrogate."""
+    if text.isascii():
+        return True
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _unreadable(inst: LabeledInstance, line: str, seen_ids: set[str]) -> str:
     """Why load_semeval_tsv would not read ``line`` back as ``inst``, or ""."""
     tweet_id, topic, author_id = inst.tweet_id, inst.topic, inst.author_id
@@ -344,11 +345,8 @@ def _unreadable(inst: LabeledInstance, line: str, seen_ids: set[str]) -> str:
         return "an empty AuthorID"
     if tweet_id in seen_ids:
         return "a repeated ID"
-    if not line.isascii():
-        try:
-            line.encode("utf-8")
-        except UnicodeEncodeError:
-            return "a character UTF-8 cannot encode"
+    if not utf8_encodable(line):
+        return "a character UTF-8 cannot encode"
     return ""
 
 

@@ -45,6 +45,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import CorpusError, Dataset, LabeledInstance, UserNetworkProfile
+from .corpus import utf8_encodable
 
 # Flag name -> (namespace prefix, profile field); TXT is handled separately.
 NETWORK_FLAG_SOURCES: dict[str, tuple[str, str]] = {
@@ -427,7 +428,7 @@ def write_feature_space(path: str | Path, space: FeatureSpace) -> None:
     """
     lines = []
     for name, idx in sorted(space.index_of.items(), key=lambda kv: kv[1]):
-        if "\n" in name or "\r" in name or not _encodable(name):
+        if "\n" in name or "\r" in name or not utf8_encodable(name):
             raise CorpusError(
                 f"feature {name!r}: cannot write a line break or a character "
                 f"UTF-8 cannot encode; the space file could not read it back"
@@ -435,16 +436,6 @@ def write_feature_space(path: str | Path, space: FeatureSpace) -> None:
         lines.append(f"{name}\t{idx}\n")
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.writelines(lines)
-
-
-def _encodable(text: str) -> bool:
-    if text.isascii():
-        return True
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError:
-        return False
-    return True
 
 
 def read_feature_space(path: str | Path, selector: FeatureSetSelector) -> FeatureSpace:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -281,13 +281,7 @@ def save_bundle(model: LinearModel, path: str | Path, topic: str = "") -> None:
         "selector": str(model.space.selector),
         "topic": topic,
         "classes": [cls.value for cls in model.classes],
-        "config": {
-            "C": model.config.C,
-            "tol": model.config.tol,
-            "max_iter": model.config.max_iter,
-            "seed": model.config.seed,
-            "loss": model.config.loss,
-        },
+        "config": asdict(model.config),
         "dimension": model.space.size,
     }
     (path / _METADATA).write_text(

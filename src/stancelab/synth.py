@@ -1,9 +1,9 @@
 """Deterministic synthetic corpora with planted homophily.
 
 Each topic gets a population of users; each user draws a latent stance and
-six network profile sets. Profile items come from an account universe
-(shared by the four account families) and a domain universe (shared by the
-two domain families): with probability ``homophily`` an item is drawn from
+one profile set per network family of ``corpus.NETWORK_FIELDS``, the one
+table of the families. A family draws from the universe of its kind,
+accounts or domains: with probability ``homophily`` an item is drawn from
 the user's stance-community pool, otherwise from a pool common to everyone.
 None-stance users draw from the common pool only. Tweets are generic-token
 noise, optionally salted with a stance-indicative token with probability
@@ -25,6 +25,7 @@ import numpy as np
 
 from .corpus import (
     CANONICAL_LABELS,
+    NETWORK_FIELDS,
     Dataset,
     LabeledInstance,
     StanceLabel,
@@ -35,8 +36,17 @@ from .corpus import (
 
 TRAIN_FRACTION = 0.7
 
-ACCOUNT_FIELDS = ("in_mentions", "pn_mentions", "cn_friends", "cn_followers")
-DOMAIN_FIELDS = ("in_domains", "pn_domains")
+# The network fields in the order each user draws them: the account fields,
+# then the domain fields, each in table order (sorted is stable). The draws
+# consume the seeded stream in this order, so changing it changes every
+# synthetic corpus.
+_DRAW_ORDER = sorted(NETWORK_FIELDS, key=NETWORK_FIELDS.get)
+
+# Each kind of network string and the form of its pool items.
+_POOL_ITEM = {
+    "account": "{slug}_{tag}_acct{i:03d}",
+    "domain": "{slug}-{tag}-{i:03d}.example",
+}
 
 # Prior tuples follow the canonical label order: (against, favor, none).
 Prior = tuple[float, float, float]
@@ -78,6 +88,10 @@ class SynthConfig:
             raise ValueError("pool sizes must be >= 1")
         if self.items_per_set < 1:
             raise ValueError("items_per_set must be >= 1")
+        if self.generic_vocab_size < 1:
+            raise ValueError("generic_vocab_size must be >= 1")
+        if self.tokens_per_tweet < 0:
+            raise ValueError("tokens_per_tweet must be >= 0")
         for prior in [self.stance_prior] + list((self.topic_priors or {}).values()):
             if len(prior) != 3 or any(p < 0 for p in prior) or sum(prior) <= 0:
                 raise ValueError(f"invalid stance prior {prior!r}")
@@ -98,29 +112,22 @@ _COMMUNITY_TAG = {
 }
 
 
-def _account_pool(slug: str, tag: str, size: int) -> list[str]:
-    return [f"{slug}_{tag}_acct{i:03d}" for i in range(size)]
-
-
-def _domain_pool(slug: str, tag: str, size: int) -> list[str]:
-    return [f"{slug}-{tag}-{i:03d}.example" for i in range(size)]
-
-
 def _draw_set(
     rng: np.random.Generator,
-    community_pool: Sequence[str] | None,
-    shared_pool: Sequence[str],
+    pools: Mapping[str, Sequence[str]],
+    tag: str | None,
     count: int,
     homophily: float,
 ) -> frozenset[str]:
+    """Up to count items of one kind's pools: each from the community pool
+    ``tag`` with probability homophily, else from the shared pool; with no
+    tag, from the shared pool only."""
     items: set[str] = set()
     from_community = (
-        rng.random(count) < homophily
-        if community_pool is not None
-        else np.zeros(count, dtype=bool)
+        rng.random(count) < homophily if tag else np.zeros(count, dtype=bool)
     )
     for take_community in from_community:
-        pool = community_pool if take_community else shared_pool
+        pool = pools[tag] if take_community else pools["shared"]
         items.add(pool[int(rng.integers(len(pool)))])
     return frozenset(items)
 
@@ -138,21 +145,17 @@ def generate(config: SynthConfig) -> tuple[Dataset, Dataset]:
         slug = topic_slug(topic)
         topics_seen.append(topic)
         prior = config.prior_for(topic)
-        account_pools = {
-            tag: _account_pool(slug, tag, size)
-            for tag, size in (
-                ("fav", config.community_pool_size),
-                ("agn", config.community_pool_size),
-                ("shared", config.shared_pool_size),
-            )
+        pool_sizes = {
+            "fav": config.community_pool_size,
+            "agn": config.community_pool_size,
+            "shared": config.shared_pool_size,
         }
-        domain_pools = {
-            tag: _domain_pool(slug, tag, size)
-            for tag, size in (
-                ("fav", config.community_pool_size),
-                ("agn", config.community_pool_size),
-                ("shared", config.shared_pool_size),
-            )
+        pools = {  # kind -> tag -> items
+            kind: {
+                tag: [form.format(slug=slug, tag=tag, i=i) for i in range(size)]
+                for tag, size in pool_sizes.items()
+            }
+            for kind, form in _POOL_ITEM.items()
         }
         stance_tokens = {
             label: [f"{slug}_{tag}_term{i}" for i in range(config.stance_token_count)]
@@ -167,23 +170,11 @@ def generate(config: SynthConfig) -> tuple[Dataset, Dataset]:
             stance = CANONICAL_LABELS[int(rng.choice(3, p=prior))]
             silent = bool(rng.random() < config.silent_fraction)
             tag = _COMMUNITY_TAG.get(stance)
-            sets: dict[str, frozenset[str]] = {}
-            for field in ACCOUNT_FIELDS:
-                sets[field] = _draw_set(
-                    rng,
-                    account_pools[tag] if tag else None,
-                    account_pools["shared"],
-                    config.items_per_set,
-                    config.homophily,
-                )
-            for field in DOMAIN_FIELDS:
-                sets[field] = _draw_set(
-                    rng,
-                    domain_pools[tag] if tag else None,
-                    domain_pools["shared"],
-                    config.items_per_set,
-                    config.homophily,
-                )
+            sets = {
+                field: _draw_set(rng, pools[NETWORK_FIELDS[field]], tag,
+                                 config.items_per_set, config.homophily)
+                for field in _DRAW_ORDER
+            }
             profile = UserNetworkProfile(user_id=user_id, **sets)
             instances = train_instances if in_train[u] else test_instances
             profiles = train_profiles if in_train[u] else test_profiles

@@ -155,11 +155,46 @@ class TestUsageErrors:
         ["--top-n", "0"],
         ["--curve-max", "0"],
         ["--min-df", "0"],
+        ["--max-iter", "0"],
+        ["--selectors", ","],
     ])
     def test_bad_experiment_flag(self, corpus, tmp_path, extra, capsys):
         with pytest.raises(SystemExit) as exc:
             experiment(corpus, tmp_path / "out", 1, *extra)
         assert exc.value.code == EXIT_USAGE
+        assert not (tmp_path / "out").exists()
+
+    # The tweets file does not exist: a flag read after the input would give
+    # the data error instead.
+    @pytest.mark.parametrize("extra,message", [
+        (["--C", "0"], "C must be positive"),
+        (["--tol", "0"], "tol must be positive"),
+        (["--max-iter", "0"], "max_iter must be >= 1"),
+        (["--selector", "FOO"], "unknown selector flags"),
+    ], ids=["C", "tol", "max-iter", "selector"])
+    def test_bad_train_flag(self, tmp_path, extra, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--tweets", str(tmp_path / "missing.tsv"),
+                  "--selector", "TXT", "--mode", "binary",
+                  "--out", str(tmp_path / "out"), *extra])
+        assert exc.value.code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("extra,message", [
+        (["--prior", "1,2"], "three comma-separated weights"),
+        (["--homophily", "2"], "homophily must be in [0, 1]"),
+        (["--users-per-topic", "0"], "users_per_topic"),
+        (["--topics", ","], "at least one topic"),
+        (["--vocab", "0"], "generic_vocab_size must be >= 1"),
+        (["--tokens-per-tweet", "-1"], "tokens_per_tweet must be >= 0"),
+    ], ids=["prior", "homophily", "users-per-topic", "topics", "vocab",
+            "tokens-per-tweet"])
+    def test_bad_synth_flag(self, tmp_path, extra, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--out", str(tmp_path / "out"), *extra])
+        assert exc.value.code == EXIT_USAGE
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_fold_pairing_needs_two_folds(self, corpus, tmp_path, capsys):
@@ -275,6 +310,28 @@ class TestDataErrors:
 
     def test_tweets_path_is_a_directory(self, bundle, corpus, capsys):
         self.predict_error(bundle, corpus, capsys)
+
+    @pytest.mark.parametrize("compare_rows,extra,message", [
+        (slice(0, 3), ["--pair-unit", "fold", "--folds", "5"],
+         "cannot split 3 instances into 5 folds"),
+        (slice(3, 6), [], "do not align by instance id"),
+    ], ids=["too-few-for-folds", "ids-differ"])
+    def test_compare_checked_before_any_output(
+        self, corpus, tmp_path, compare_rows, extra, message, capsys
+    ):
+        test = load_split(corpus, "test.tsv")
+        paths = {}
+        for name, rows in (("a", slice(0, 3)), ("b", compare_rows)):
+            instances = test.instances[rows]
+            paths[name] = tmp_path / f"{name}.tsv"
+            write_predictions(paths[name], instances, [i.label for i in instances])
+        code = main(["evaluate", "--predictions", str(paths["a"]),
+                     "--compare", str(paths["b"]), *extra,
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_DATA
+        captured = capsys.readouterr()
+        assert message in captured.err and not captured.out
+        assert not (tmp_path / "out").exists()
 
     def test_program_bug_is_not_a_data_error(self, tmp_path, monkeypatch):
         def broken(config, out):

@@ -238,6 +238,38 @@ class TestNormalization:
         assert normalize_domain(once) == once
 
 
+# Each field's normalizer, written out field by field: the oracle for the
+# table-driven from_raw.
+PER_FIELD_NORMALIZER = {
+    "in_mentions": normalize_account,
+    "in_domains": normalize_domain,
+    "pn_mentions": normalize_account,
+    "pn_domains": normalize_domain,
+    "cn_friends": normalize_account,
+    "cn_followers": normalize_account,
+}
+
+RAW_MEMBERS = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(["@FoxNews", " @@a ", "https://www.BBC.co.uk/x", "www.x:80", ""]),
+)
+
+
+class TestFromRaw:
+    @given(st.dictionaries(st.sampled_from(sorted(PER_FIELD_NORMALIZER)),
+                           st.lists(RAW_MEMBERS, max_size=5)))
+    def test_matches_the_per_field_normalizers(self, sets):
+        profile = UserNetworkProfile.from_raw("u1", **sets)
+        assert profile.user_id == "u1"
+        for name, normalize in PER_FIELD_NORMALIZER.items():
+            expected = {normalize(v) for v in sets.get(name, [])} - {""}
+            assert profile.set_for(name) == expected
+
+    def test_unknown_field_is_a_type_error(self):
+        with pytest.raises(TypeError, match="in_mention"):
+            UserNetworkProfile.from_raw("u1", in_mention=["a"])
+
+
 class TestLoadProfiles:
     def test_normalizes_and_collapses(self, tmp_path):
         path = write(

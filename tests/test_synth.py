@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import pytest
@@ -163,7 +164,51 @@ class TestGenerate:
                 assert "term" not in inst.text
 
 
+# sha256 of the four write_corpus files of two small configs, recorded
+# before corpus.NETWORK_FIELDS drove the draws: a reordered draw, a renamed
+# pool item or a changed profile order fails them.
+GOLDEN_CONFIGS = {
+    "silent": dict(topics=("alpha", "beta"), users_per_topic=12, tweets_per_user=2,
+                   stance_prior=(0.5, 0.5, 0.0), silent_fraction=0.4,
+                   community_pool_size=10, shared_pool_size=20, items_per_set=5,
+                   seed=3),
+    "none_users": dict(topics=("alpha",), users_per_topic=15, tweets_per_user=2,
+                       stance_prior=(0.3, 0.3, 0.4), homophily=0.6,
+                       community_pool_size=10, shared_pool_size=20,
+                       items_per_set=5, seed=4),
+}
+GOLDEN_SHA256 = {
+    "silent": {
+        "train": "5100f11e05b38f3add8763909c9ddef7a9e319a6b0064cd50e5b9f2d8b99941d",
+        "test": "19b89fa7148351342f66117c6a4a1912347f2337849ac1019e25b525817f023f",
+        "profiles": "fa85148d0bbe97b871b2b7408b86862b66725e9c7f9777a59648d74c8585a198",
+        "manifest": "1a7dbfde54c30afc3916545d368c18f433a63d9e08b764a04879ce2a892e3d54",
+    },
+    "none_users": {
+        "train": "881548dac40c0a428c3add5a875e089a1d64b6d09489f1b7d69e838d3b06d6a4",
+        "test": "cdfa966f1198f8d6b09e57077afccff1fb359684ae2c891cc23d4d194f7324bc",
+        "profiles": "3db109d507eff08da11284532614231040da376ca9a4533a07014be9f2b3a314",
+        "manifest": "5dd9db4f00ab444c4246291defdc1ab980129252968401f47139c3d43fe92894",
+    },
+}
+
+
 class TestWriteCorpus:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+    def test_golden_digests(self, tmp_path, name):
+        config = SynthConfig(**GOLDEN_CONFIGS[name])
+        train, test = generate(config)
+        labels = {i.label for i in train.instances + test.instances}
+        silent = {i.author_id for i in train.instances if not i.text}
+        # Each config covers what it is named for.
+        assert silent if name == "silent" else N in labels
+        paths = write_corpus(config, tmp_path)
+        digests = {
+            key: hashlib.sha256(path.read_bytes()).hexdigest()
+            for key, path in paths.items()
+        }
+        assert digests == GOLDEN_SHA256[name]
+
     def test_byte_identical_across_runs(self, tmp_path):
         config = small_config()
         paths_a = write_corpus(config, tmp_path / "one")
