@@ -40,7 +40,7 @@ from .corpus import (
 )
 from .features import FeatureSetSelector
 from .linsvm import LOSSES, MODE_CLASSES, LinearModel, TrainConfig
-from .linsvm import load_bundle, save_bundle
+from .linsvm import capped_fits, load_bundle, save_bundle
 from .pipeline import predict_dataset, run_cell, train_topic_models
 from .scoring import (
     EvalReport,
@@ -180,6 +180,17 @@ def _predict_bundles(
     return dataset, predict_dataset(models, dataset)
 
 
+def _capped_fit_lines(models: Iterable[tuple[str, LinearModel]]) -> list[str]:
+    """One line per fit of the (topic, model) pairs that stopped at
+    --max-iter instead of --tol."""
+    return [
+        f"topic {topic!r}: the {cls.value} fit stopped at --max-iter "
+        f"({epochs} epochs) before reaching --tol"
+        for topic, model in models
+        for cls, epochs in capped_fits(model)
+    ]
+
+
 def _rankings(
     models: Iterable[tuple[str, LinearModel]], n: int
 ) -> list[RankedFeatures]:
@@ -241,6 +252,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
         bundle_dir = out / f"{slugs[topic]}__{selector}__{args.mode}"
         save_bundle(model, bundle_dir, topic=topic)
         print(f"bundle: {bundle_dir}")
+    for line in _capped_fit_lines(models.items()):
+        print(f"stancelab: {line}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -349,6 +362,7 @@ class _CellResult:
     predictions: list[StanceLabel] | None = None
     # (topic, class) -> RankedFeatures of max(--top-n, --curve-max) entries.
     rankings: dict = field(default_factory=dict)
+    capped_fits: list[str] = field(default_factory=list)
     error: str = ""
 
 
@@ -390,6 +404,7 @@ def _run_experiment_cell(cell: tuple[FeatureSetSelector, str]) -> _CellResult:
         out / "analysis" / f"top_features__{name}.csv",
     )
     result.rankings = {(r.topic, r.label): r for r in rankings}
+    result.capped_fits = _capped_fit_lines(models.items())
     return result
 
 
@@ -521,6 +536,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
     _write_master_csv(out / "master.csv", results, train.topics)
     print(f"master: {out / 'master.csv'}")
+    for result in results:
+        for line in result.capped_fits:
+            print(f"stancelab: cell {result.selector} {result.mode}: {line}",
+                  file=sys.stderr)
     failed = [r for r in results if r.report is None]
     for result in failed:
         print(

@@ -377,14 +377,62 @@ def write_semeval_tsv(path: str | Path, instances: Iterable[LabeledInstance]) ->
         fh.writelines(lines)
 
 
+def _unreadable_member(member: str, kind: str) -> str:
+    """Why load_network_profiles would not read ``member`` back into a
+    field of ``kind``, or ""."""
+    if not member:
+        return "an empty member, which is dropped on load"
+    if _UNWRITABLE_CHAR.search(member):
+        return "a control character or lone surrogate"
+    normalized = NORMALIZERS[kind](member)
+    if normalized != member:
+        return f"a member that would read back as {normalized!r}"
+    return ""
+
+
 def write_network_profiles(
     path: str | Path, profiles: Mapping[str, UserNetworkProfile]
 ) -> None:
-    """Write profiles as JSONL, one user per line, set members sorted."""
+    """Write profiles as JSONL, one user per line, set members sorted.
+
+    Refuses, with a CorpusError naming the user and the field and before
+    the file is opened, any profile that load_network_profiles would not
+    read back equal: a key other than the profile's user_id; an empty user
+    id or one UTF-8 cannot encode; a set member that is empty, holds a
+    control character or a lone surrogate, or is not already normalized
+    for its field's kind (such as "@A" for an account, read back as "a").
+    Each distinct member is checked once per call.
+    """
+    checked: dict[str, set[str]] = {kind: set() for kind in NORMALIZERS}
+    lines = []
+    for user_id in sorted(profiles):
+        profile = profiles[user_id]
+        problem = ""
+        if profile.user_id != user_id:
+            problem = f"{profile.user_id!r}, not the key it is stored under"
+        elif not user_id:
+            problem = "an empty id"
+        elif not utf8_encodable(user_id):
+            problem = "a character UTF-8 cannot encode"
+        if problem:
+            raise CorpusError(
+                f"user {user_id!r}: field 'user_id' holds {problem}; "
+                "the profiles file could not read it back"
+            )
+        record: dict[str, object] = {"user_id": user_id}
+        for name, kind in NETWORK_FIELDS.items():
+            members = getattr(profile, name)
+            record[name] = sorted(members)
+            if members <= checked[kind]:
+                continue
+            for member in sorted(members - checked[kind]):
+                problem = _unreadable_member(member, kind)
+                if problem:
+                    raise CorpusError(
+                        f"user {user_id!r}: field {name!r} holds {problem}, "
+                        f"{member!r}; the profiles file could not read it back"
+                    )
+            checked[kind].update(members)
+        lines.append(json.dumps(record, ensure_ascii=False) + "\n")
     with Path(path).open("w", encoding="utf-8") as fh:
-        for user_id in sorted(profiles):
-            profile = profiles[user_id]
-            record: dict[str, object] = {"user_id": user_id}
-            for name in NETWORK_FIELDS:
-                record[name] = sorted(getattr(profile, name))
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+        fh.writelines(lines)

@@ -9,9 +9,19 @@ squared-hinge (L2) losses are supported; with U the upper box bound and D
 the diagonal shift, hinge uses U=C, D=0 and squared hinge uses U=inf,
 D=1/(2C).
 
+The solver shrinks its active set (Hsieh et al., ICML 2008, section 3.3;
+LIBLINEAR does the same): a coordinate at a bound whose gradient points
+out of the box by more than the previous epoch's largest violation is
+left out of later epochs. Once the shrunk set meets the stopping rule,
+all coordinates come back, and the solver stops only after an epoch over
+all of them meets it. Its iterates equal those of the plain loop in
+``tests/dcd_reference.py`` bit for bit.
+
 ``train_ovr`` is the one fit entry point: one-vs-rest over the canonical
 class order, or in binary mode a single Against-vs-Favor separator, fit
-without the None class, whose margin sign picks the class.
+without the None class, whose margin sign picks the class. A model keeps
+the solver epochs of each fit, and ``capped_fits`` names the fits that
+stopped at the epoch cap instead of the tolerance.
 ``decision_values`` and ``predict`` score a batch of rows. Each of the
 three checks its batch once: every row strictly increasing, inside the
 space.
@@ -37,6 +47,12 @@ LOSSES = ("hinge", "squared_hinge")
 MODE_CLASSES: dict[str, tuple[StanceLabel, ...]] = {
     "ternary": CANONICAL_LABELS,
     "binary": (StanceLabel.AGAINST, StanceLabel.FAVOR),
+}
+# Each mode and the class of each solver fit, in order: binary mode fits
+# one Favor-vs-Against separator.
+MODE_FITS: dict[str, tuple[StanceLabel, ...]] = {
+    "ternary": CANONICAL_LABELS,
+    "binary": (StanceLabel.FAVOR,),
 }
 
 
@@ -92,17 +108,29 @@ def dual_coordinate_descent(
     0..dim-1, and ``y[i]`` its +1/-1 label. The augmented weight vector is
     a float64 array of length dim+1 whose last slot is the bias; the dual
     coefficients are a float64 array of length n; epochs is an int.
-    Terminates when the largest projected-gradient violation in an epoch
-    falls below config.tol, or after config.max_iter epochs. Deterministic
-    for a given config.seed (the per-epoch permutation stream).
+    Deterministic for a given config.seed (the per-epoch permutation
+    stream).
+
+    Shrinking: each epoch walks a permutation of the active coordinates
+    and drops, until the next reset, one at alpha=0 whose gradient lies
+    above the previous epoch's largest signed projected gradient, or one
+    at alpha=U below its smallest. Those bounds are +-inf in the first
+    epoch, after a reset, and when their sign is wrong. When an epoch's
+    largest projected-gradient violation falls below config.tol on a
+    shrunk set, all n coordinates come back and the bounds reset; the
+    solver returns only after an epoch that visited all n and dropped
+    none meets that rule, the stopping rule of a loop without shrinking.
+    It also stops after config.max_iter epochs, shrunk ones included.
 
     Bitwise contract: the weights, the dual coefficients and the epoch
     count equal, bit for bit, those of the reference loop in
     ``tests/dcd_reference.py``, so bundles, predictions and master.csv do
     not depend on how this loop is written. Per-coordinate state lives in
     Python floats, which round exactly as float64 numpy scalars do, so
-    only the floating-point operations and their order matter. The margin
-    must stay one 1-D ``np.add.reduce`` over the row's weights (numpy's
+    only the floating-point operations, their order and the permutation
+    stream matter: each epoch draws ``rng.permutation(active)``, with the
+    active list in the order the previous epoch kept it. The margin must
+    stay one 1-D ``np.add.reduce`` over the row's weights (numpy's
     pairwise sum) plus the bias: ``np.dot``, ``math.fsum``, a Python
     ``sum`` and a 2-D ``W[:, idx].sum(axis=1)`` each round differently.
     """
@@ -119,35 +147,49 @@ def dual_coordinate_descent(
     bias = 0.0
     reduce = np.add.reduce
     rng = np.random.default_rng(config.seed)
+    everything = list(range(n))
+    active = everything
+    # Shrinking bounds from the previous epoch's projected gradients.
+    shrink_above, shrink_below = math.inf, -math.inf
     epochs = 0
     for _ in range(config.max_iter):
         epochs += 1
-        violation = 0.0
-        for i in rng.permutation(n).tolist():
+        # The largest and smallest signed projected gradient of the epoch;
+        # the violation is max(pg_max, -pg_min).
+        pg_max = pg_min = 0.0
+        kept = []
+        for i in rng.permutation(active).tolist():
+            kept.append(i)
             idx = rows[i]
             yi = labels[i]
             ai = alpha[i]
             wi = w[idx]
             g = yi * (float(reduce(wi)) + bias) - 1.0 + diag * ai
-            # The projected gradient pg is min(g, 0) at the lower bound,
-            # max(g, 0) at the upper bound and g between; a zero pg skips
+            # The projected gradient is min(g, 0) at the lower bound,
+            # max(g, 0) at the upper bound and g between; a zero one skips
             # the step. These comparisons, and the clip of new_alpha to
             # [0, upper], give exactly what the min/max builtins would,
-            # -0.0 and NaN included, without their call overhead.
+            # -0.0 included, without their call overhead.
             if ai <= 0.0:
                 if g >= 0.0:
+                    if g > shrink_above:
+                        kept.pop()  # shrunk until the next reset
                     continue
-                pg = -g
+                if g < pg_min:
+                    pg_min = g
             elif ai >= upper:
                 if g <= 0.0:
+                    if g < shrink_below:
+                        kept.pop()
                     continue
-                pg = g
+                if g > pg_max:
+                    pg_max = g
             elif g == 0.0:
                 continue
-            else:
-                pg = abs(g)
-            if pg > violation:
-                violation = pg
+            elif g > pg_max:
+                pg_max = g
+            elif g < pg_min:
+                pg_min = g
             new_alpha = ai - g / qii[i]
             if new_alpha < 0.0:
                 new_alpha = 0.0
@@ -159,8 +201,15 @@ def dual_coordinate_descent(
                 w[idx] = wi
                 bias += delta
             alpha[i] = new_alpha
-        if violation < config.tol:
-            break
+        if pg_max < config.tol and -pg_min < config.tol:
+            if len(kept) == n:
+                break
+            active = everything
+            shrink_above, shrink_below = math.inf, -math.inf
+            continue
+        active = kept
+        shrink_above = pg_max if pg_max > 0.0 else math.inf
+        shrink_below = pg_min if pg_min < 0.0 else -math.inf
     w[dim] = bias
     return w, np.array(alpha, dtype=np.float64), epochs
 
@@ -175,6 +224,18 @@ class LinearModel:
     mode: str  # "ternary" | "binary"
     space: FeatureSpace
     config: TrainConfig
+    # Solver epochs of each fit, aligned with MODE_FITS[mode]; empty for a
+    # model loaded from a bundle that does not record them.
+    epochs: tuple[int, ...] = ()
+
+
+def capped_fits(model: LinearModel) -> list[tuple[StanceLabel, int]]:
+    """(class, epochs) of each fit that stopped at config.max_iter epochs."""
+    return [
+        (cls, epochs)
+        for cls, epochs in zip(MODE_FITS[model.mode], model.epochs)
+        if epochs >= model.config.max_iter
+    ]
 
 
 def train_ovr(
@@ -197,23 +258,23 @@ def train_ovr(
         raise ValueError("labels and rows differ in length")
     dim = space.size
     _check_rows(rows, dim)
-    classes = MODE_CLASSES[mode]
-    fitted = classes
+    classes, fitted = MODE_CLASSES[mode], MODE_FITS[mode]
     if mode == "binary":
         kept = [i for i, lab in enumerate(labels) if lab is not StanceLabel.NONE]
         rows, labels = [rows[i] for i in kept], [labels[i] for i in kept]
-        fitted = (StanceLabel.FAVOR,)
     where = f" for topic {topic!r}" if topic else ""
     for cls in classes:
         if not any(lab is cls for lab in labels):
             raise ValueError(f"no {cls.value} examples{where}")
     weights = np.empty((len(fitted), dim), dtype=np.float64)
     biases = np.empty(len(fitted), dtype=np.float64)
+    epochs = []
     for ci, cls in enumerate(fitted):
         y = np.array([1.0 if lab is cls else -1.0 for lab in labels])
-        w, _, _ = dual_coordinate_descent(rows, y, dim, config)
+        w, _, fit_epochs = dual_coordinate_descent(rows, y, dim, config)
         weights[ci] = w[:dim]
         biases[ci] = w[dim]
+        epochs.append(fit_epochs)
     if mode == "binary":
         weights = np.vstack([-weights, weights])
         biases = np.concatenate([-biases, biases])
@@ -224,6 +285,7 @@ def train_ovr(
         mode=mode,
         space=space,
         config=config,
+        epochs=tuple(epochs),
     )
 
 
@@ -283,6 +345,7 @@ def save_bundle(model: LinearModel, path: str | Path, topic: str = "") -> None:
         "classes": [cls.value for cls in model.classes],
         "config": asdict(model.config),
         "dimension": model.space.size,
+        "epochs": list(model.epochs),
     }
     (path / _METADATA).write_text(
         json.dumps(meta, indent=2) + "\n", encoding="utf-8"
@@ -300,8 +363,9 @@ def load_bundle(path: str | Path) -> tuple[LinearModel, dict]:
 
     Metadata that is not JSON, lacks a key or holds a bad value (such as a
     selector that is not a flag string, a topic that is not a string, an
-    unknown config field, a dimension that is not an integer, or a mode
-    other than those of MODE_CLASSES or classes other than that mode's),
+    unknown config field, a dimension that is not an integer, a mode
+    other than those of MODE_CLASSES or classes other than that mode's, or
+    epochs other than one integer per fit of the mode),
     and a weight line other than an index in 0..dimension-1 (or "bias"), a
     tab and a number, raise CorpusError naming the file and, for weights,
     the line.
@@ -324,6 +388,13 @@ def load_bundle(path: str | Path) -> tuple[LinearModel, dict]:
             raise ValueError(
                 f"classes {[c.value for c in classes]} do not fit mode {mode!r}"
             )
+        # Bundles written before the solver epochs were recorded lack them.
+        epochs = meta.get("epochs", [])
+        if not isinstance(epochs, list) or epochs and (
+            len(epochs) != len(MODE_FITS[mode])
+            or not all(type(e) is int for e in epochs)
+        ):
+            raise ValueError(f"epochs {epochs!r} are not one integer per fit")
     except (KeyError, TypeError, ValueError) as exc:
         raise CorpusError(
             f"{meta_path}: bad metadata ({type(exc).__name__}: {exc})"
@@ -366,5 +437,6 @@ def load_bundle(path: str | Path) -> tuple[LinearModel, dict]:
         mode=mode,
         space=space,
         config=config,
+        epochs=tuple(epochs),
     )
     return model, meta

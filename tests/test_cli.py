@@ -292,6 +292,35 @@ class TestDataErrors:
         err = self.predict_error(bundle, corpus / "test.tsv", capsys)
         assert "metadata.json" in err and "mode" in err
 
+    @pytest.mark.parametrize("epochs", [[1.5], [1, 1], "1", None])
+    def test_epochs_not_one_integer_per_fit(self, bundle, corpus, epochs, capsys):
+        meta = json.loads((bundle / "metadata.json").read_text())
+        meta["epochs"] = epochs
+        (bundle / "metadata.json").write_text(json.dumps(meta))
+        err = self.predict_error(bundle, corpus / "test.tsv", capsys)
+        assert "metadata.json" in err and "epochs" in err
+
+    def test_bundle_without_epochs_loads_and_predicts(self, bundle, corpus,
+                                                      capsys):
+        # Bundles written before the solver epochs were recorded.
+        bundles = bundle.parent
+
+        def predictions():
+            out = bundles.parent / "predictions.tsv"
+            assert main(["predict", "--bundles", str(bundles), "--tweets",
+                         str(corpus / "test.tsv"), "--out", str(out)]) == EXIT_OK
+            return out.read_bytes()
+
+        expected = predictions()
+        for each in bundles.iterdir():
+            meta = json.loads((each / "metadata.json").read_text())
+            assert meta["epochs"] == list(load_bundle(each)[0].epochs)
+            assert len(meta["epochs"]) == 1
+            del meta["epochs"]
+            (each / "metadata.json").write_text(json.dumps(meta))
+            assert load_bundle(each)[0].epochs == ()
+        assert predictions() == expected
+
     @pytest.mark.parametrize("kind", [str, float, bool])
     def test_dimension_not_an_integer(self, bundle, corpus, kind, capsys):
         meta = json.loads((bundle / "metadata.json").read_text())
@@ -375,3 +404,48 @@ class TestProfileControlCharacters:
         err = capsys.readouterr().err
         assert "profiles.jsonl: field 'in_mentions' at line 1" in err
         assert not (tmp_path / "bundles").exists()
+
+
+class TestEpochCap:
+    """A fit that stops at --max-iter instead of --tol is named on stderr;
+    stdout and the written outputs are those of any other run."""
+
+    def test_train_reports_every_capped_fit(self, corpus, tmp_path, capsys):
+        code = main(["train", "--tweets", str(corpus / "train.tsv"),
+                     "--selector", "TXT", "--mode", "ternary", "--max-iter", "1",
+                     "--out", str(tmp_path / "bundles")])
+        assert code == EXIT_OK
+        captured = capsys.readouterr()
+        topics = load_split(corpus, "train.tsv").topics
+        assert captured.out.count("bundle: ") == len(topics)
+        expected = [
+            f"stancelab: topic {topic!r}: the {cls} fit stopped at --max-iter "
+            "(1 epochs) before reaching --tol"
+            for topic in topics for cls in ("AGAINST", "FAVOR", "NONE")
+        ]
+        assert captured.err.splitlines() == expected
+        for bundle in (tmp_path / "bundles").iterdir():
+            assert load_bundle(bundle)[0].epochs == (1, 1, 1)
+
+    def test_converged_train_prints_no_warning(self, corpus, tmp_path, capsys):
+        assert main(["train", "--tweets", str(corpus / "train.tsv"),
+                     "--selector", "TXT", "--mode", "binary",
+                     "--out", str(tmp_path / "bundles")]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_experiment_reports_capped_fits_per_cell(self, corpus, tmp_path, jobs,
+                                                     capsys):
+        assert experiment(corpus, tmp_path / "out", jobs, "--max-iter", "1",
+                          selectors="IN_AT") == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out == f"master: {tmp_path / 'out' / 'master.csv'}\n"
+        topics = load_split(corpus, "train.tsv").topics
+        expected = [
+            f"stancelab: cell IN_AT {mode}: topic {topic!r}: the {cls} fit "
+            "stopped at --max-iter (1 epochs) before reaching --tol"
+            for mode, classes in (("binary", ("FAVOR",)),
+                                  ("ternary", ("AGAINST", "FAVOR", "NONE")))
+            for topic in topics for cls in classes
+        ]
+        assert captured.err.splitlines() == expected

@@ -1,15 +1,18 @@
 import json
+import re
 import tempfile
+from dataclasses import replace
 import unicodedata
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from stancelab.corpus import (
     CorpusError,
     LabeledInstance,
+    NETWORK_FIELDS,
     StanceLabel,
     UserNetworkProfile,
     join,
@@ -383,6 +386,74 @@ class TestLoadProfiles:
         write_network_profiles(path, profiles)
         loaded, _ = load_network_profiles(path)
         assert loaded == profiles
+
+    @pytest.mark.parametrize("key, profile, field", [
+        ("u", UserNetworkProfile.from_raw("u", in_mentions=["a\x01b"]),
+         "in_mentions"),
+        ("u", UserNetworkProfile("u", in_mentions=frozenset({"@A"})),
+         "in_mentions"),
+        ("u", UserNetworkProfile("u", pn_domains=frozenset({"www.x.example"})),
+         "pn_domains"),
+        ("u", UserNetworkProfile("u", cn_followers=frozenset({""})),
+         "cn_followers"),
+        ("x", UserNetworkProfile("y"), "user_id"),
+        ("", UserNetworkProfile(""), "user_id"),
+        ("a\ud800", UserNetworkProfile("a\ud800"), "user_id"),
+    ], ids=["control", "unnormalized-account", "unnormalized-domain", "empty",
+            "other-key", "empty-id", "surrogate-id"])
+    def test_write_refuses_what_load_reads_back_differently(
+        self, tmp_path, key, profile, field
+    ):
+        path = tmp_path / "out.jsonl"
+        profiles = {"a": UserNetworkProfile.empty("a"), key: profile}
+        message = re.escape(f"user {key!r}: field {field!r}")
+        with pytest.raises(CorpusError, match=message):
+            write_network_profiles(path, profiles)
+        assert not path.exists()
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_written_profiles_read_back_equal_or_are_refused(self, data):
+        clean = st.lists(st.sampled_from(["a", "b", "b.example", "x.b.example"]),
+                         max_size=3).map(frozenset)
+        keys = data.draw(st.lists(st.sampled_from(["u", "v", " u", "İ"]),
+                                  min_size=1, max_size=3, unique=True))
+        profiles = {
+            key: UserNetworkProfile(key, **{
+                name: data.draw(clean) for name in NETWORK_FIELDS
+            })
+            for key in keys
+        }
+        # At most one change, which may or may not stop a read-back.
+        key = data.draw(st.sampled_from(keys))
+        change = data.draw(st.sampled_from(["none", "member", "user_id", "key"]))
+        event(change)
+        if change == "member":
+            name = data.draw(st.sampled_from(sorted(NETWORK_FIELDS)))
+            member = data.draw(st.one_of(
+                st.text(st.characters(), max_size=4),
+                st.sampled_from(["", "@a", "A", " a", "www.b.example",
+                                 "b.example/x", "a\x01", "\ud800", "a", "b.example"]),
+            ))
+            profiles[key] = replace(
+                profiles[key], **{name: getattr(profiles[key], name) | {member}}
+            )
+        elif change == "user_id":
+            user_id = data.draw(st.sampled_from(["u", "w", "", "u\ud800"]))
+            profiles[key] = replace(profiles[key], user_id=user_id)
+        elif change == "key":
+            new_key = data.draw(st.sampled_from(["w", "", "u\ud800"]))
+            profiles[new_key] = replace(profiles.pop(key), user_id=new_key)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "p.jsonl"
+            try:
+                write_network_profiles(path, profiles)
+            except CorpusError:
+                event("refused")
+                assert not path.exists()
+                return
+            event("written")
+            assert load_network_profiles(path) == (profiles, 0)
 
 
 class TestJoin:

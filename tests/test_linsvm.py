@@ -1,5 +1,6 @@
 import inspect
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from stancelab.features import (
 from stancelab.linsvm import (
     LinearModel,
     MODE_CLASSES,
+    MODE_FITS,
     TrainConfig,
     _check_rows,
     class_weights,
@@ -154,12 +156,12 @@ class TestTrainBinary:
 
 
 @st.composite
-def solver_problems(draw):
+def solver_problems(draw, max_n=30):
     """Boolean rows (some empty, some repeated, some longer than numpy's
     8-wide and 128-wide pairwise-sum blocks), labels and a config."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dim = draw(st.sampled_from([1, 3, 12, 300]))
-    n = draw(st.integers(1, 30))
+    n = draw(st.integers(1, max_n))
     density = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
     repeat = draw(st.sampled_from([0.0, 0.3, 0.8]))
     rows = []
@@ -179,6 +181,100 @@ def solver_problems(draw):
     return rows, y, dim, config
 
 
+@st.composite
+def all_at_bound_problems(draw, max_pairs=15):
+    """Hinge problems whose every alpha ends at C: one row repeated with
+    as many +1 as -1 labels, so alpha=C everywhere keeps w at zero."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.sampled_from([1, 3, 12]))
+    x = np.flatnonzero(rng.random(dim) < 0.5).astype(np.int64)
+    n = 2 * draw(st.integers(1, max_pairs))
+    y = rng.permutation(np.repeat([1.0, -1.0], n // 2))
+    config = TrainConfig(
+        C=draw(st.sampled_from([0.01, 0.5, 1.0, 3.0])),
+        tol=draw(st.sampled_from([1e-12, 1e-4, 0.5])),
+        seed=draw(st.integers(0, 3)),
+    )
+    return [x.copy() for _ in range(n)], y, dim, config
+
+
+def projected_gradients(rows, y, dim, config, w, alpha):
+    """|projected gradient| of every coordinate at the returned point."""
+    upper = config.C if config.loss == "hinge" else np.inf
+    diag = 0.0 if config.loss == "hinge" else 1.0 / (2.0 * config.C)
+    g = np.array([y[i] * (w[idx].sum() + w[dim]) for i, idx in enumerate(rows)])
+    g += diag * alpha - 1.0
+    pg = np.where(alpha <= 0.0, np.minimum(g, 0.0),
+                  np.where(alpha >= upper, np.maximum(g, 0.0), g))
+    return np.abs(pg)
+
+
+class TestStoppingRule:
+    """A fit that stops before max_iter has just made an epoch over all n
+    coordinates in which each one's projected gradient was below tol when
+    it was visited. Right after its own step a coordinate's projected
+    gradient is 0, and each later step j of that epoch moves it by at most
+    (|x_i & x_j| + 1) * tol / Q_jj. So at the returned point, recomputed
+    here, coordinate i violates by less than tol * sum_j (|x_i & x_j| + 1)
+    / Q_jj, up to rounding. Plain "below tol" does not hold: that epoch's
+    later steps can push an earlier coordinate past it."""
+
+    @staticmethod
+    def violation_bounds(rows, dim, config, w, alpha):
+        n = len(rows)
+        x = np.zeros((n, dim + 1))
+        for i, idx in enumerate(rows):
+            x[i, idx] = 1.0
+        x[:, dim] = 1.0
+        shared = x @ x.T  # |x_i & x_j| + 1
+        diag = 0.0 if config.loss == "hinge" else 1.0 / (2.0 * config.C)
+        qjj = shared.diagonal() + diag
+        spread = (shared / qjj).sum(axis=1) - shared.diagonal() / qjj
+        # Rounding: each of the epoch's n steps and the recomputed margin
+        # round every weight they touch.
+        scale = np.abs(x * w).sum(axis=1) + 1.0 + diag * alpha
+        slack = 8 * (n + dim + 2) * np.finfo(float).eps * scale
+        return config.tol * spread + slack
+
+    @settings(max_examples=150, deadline=None)
+    @given(problem=st.one_of(solver_problems(), all_at_bound_problems()))
+    def test_converged_fit_meets_the_rule_over_all_coordinates(self, problem):
+        rows, y, dim, config = problem
+        w, alpha, epochs = dual_coordinate_descent(rows, y, dim, config)
+        if epochs == config.max_iter:
+            event("capped")
+            return
+        event("converged")
+        violations = projected_gradients(rows, y, dim, config, w, alpha)
+        bounds = self.violation_bounds(rows, dim, config, w, alpha)
+        assert np.all(violations < bounds)
+
+    @settings(max_examples=30, deadline=None)
+    @given(problem=all_at_bound_problems())
+    def test_all_at_bound_ends_with_every_alpha_at_c(self, problem):
+        rows, y, dim, config = problem
+        _, alpha, _ = dual_coordinate_descent(rows, y, dim, config)
+        assert np.all(alpha == config.C)
+
+    @settings(max_examples=50, deadline=None)
+    @given(problem=st.one_of(solver_problems(max_n=5),
+                             all_at_bound_problems(max_pairs=2)))
+    def test_tight_fit_matches_the_oracle_objective(self, problem):
+        rows, y, dim, config = problem
+        config = replace(config, C=min(config.C, 10.0), tol=1e-10,
+                         max_iter=20000)
+        _, alpha, epochs = dual_coordinate_descent(rows, y, dim, config)
+        if epochs == config.max_iter:
+            # An ill-conditioned squared-hinge problem, such as one 300-wide
+            # row with both labels, needs more epochs than this at 1e-10.
+            event("capped")
+            return
+        event("converged")
+        K = gram_matrix(rows, y, dim, config.C, config.loss)
+        _, oracle_obj = solve_svm_dual(rows, y, dim, config.C, config.loss)
+        assert dual_objective(K, alpha) == pytest.approx(oracle_obj, abs=1e-6)
+
+
 class TestSolverIterates:
     """The trainer reproduces the reference loop's iterates bitwise, so a
     faster loop cannot change bundles, predictions or master.csv."""
@@ -195,7 +291,7 @@ class TestSolverIterates:
         return epochs
 
     @settings(max_examples=150, deadline=None)
-    @given(problem=solver_problems())
+    @given(problem=st.one_of(solver_problems(), all_at_bound_problems()))
     def test_matches_reference_loop(self, problem):
         self.assert_same_iterates(*problem)
 
@@ -479,6 +575,8 @@ class TestBundle:
         assert loaded.classes == model.classes
         assert np.array_equal(loaded.weights, model.weights)
         assert np.array_equal(loaded.biases, model.biases)
+        assert len(model.epochs) == len(MODE_FITS[mode])
+        assert loaded.epochs == model.epochs
         rng = np.random.default_rng(1)
         rows = [np.flatnonzero(rng.random(dim) < 0.5) for _ in range(200)]
         before = decision_values(model, rows)
