@@ -30,7 +30,6 @@ OVERLAP_BIN_WIDTH = 5.0
 class OverlapDistribution:
     """Per-user Jaccard scores between two profile sets."""
 
-    pair_name: str
     values: tuple[float, ...]
     excluded: int  # users with both sets empty
 
@@ -69,11 +68,7 @@ def network_overlap(
             excluded += 1
             continue
         values.append(jaccard(set_a, set_b))
-    return OverlapDistribution(
-        pair_name=f"{field_a} vs {field_b}",
-        values=tuple(values),
-        excluded=excluded,
-    )
+    return OverlapDistribution(values=tuple(values), excluded=excluded)
 
 
 @dataclass(frozen=True)

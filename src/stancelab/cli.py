@@ -16,7 +16,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .analysis import (
     RankedFeatures,
@@ -38,7 +38,7 @@ from .corpus import (
     load_network_profiles,
     load_semeval_tsv,
 )
-from .features import FeatureSetSelector
+from .features import NETWORK_FLAG_SOURCES, FeatureSetSelector
 from .linsvm import LOSSES, MODE_CLASSES, LinearModel, TrainConfig
 from .linsvm import capped_fits, load_bundle, save_bundle
 from .pipeline import predict_dataset, run_cell, train_topic_models
@@ -63,12 +63,11 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_CELL = 3
 
-OVERLAP_PAIRS = (
-    ("in_mentions", "pn_mentions"),
-    ("in_mentions", "cn_friends"),
-    ("pn_mentions", "cn_friends"),
-    ("in_domains", "pn_domains"),
-)
+# The network families the analyses compare, in groups of one kind: the
+# account networks, then the domain networks. Each pair within a group is
+# compared by the overlap of users' profile sets and by the top-N curves of
+# its single-family models; a group of three also gets its joint curve.
+COMPARED_FAMILIES = (("IN_AT", "PN_AT", "CN_FR"), ("IN_DM", "PN_DM"))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -127,15 +126,21 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
     )
 
 
+def _load_profiles(path: str | None) -> dict[str, UserNetworkProfile]:
+    """The profiles of a --profiles file, or none without one. Each command
+    reads the file at most once."""
+    if not path:
+        return {}
+    profiles, _ = load_network_profiles(path)
+    return profiles
+
+
 def _load_dataset(
     tweets_path: str,
-    profiles_path: str | None,
+    profiles: Mapping[str, UserNetworkProfile],
     require_profile: bool,
 ) -> Dataset:
     instances = load_semeval_tsv(tweets_path)
-    profiles: dict = {}
-    if profiles_path:
-        profiles, _ = load_network_profiles(profiles_path)
     dataset, dropped = join(instances, profiles, require_profile=require_profile)
     if dropped:
         print(f"dropped {dropped} instances without profiles", file=sys.stderr)
@@ -169,14 +174,17 @@ def _load_models(bundles_dir: str) -> dict[str, LinearModel]:
 
 
 def _predict_bundles(
-    args: argparse.Namespace, bundles_dir: str, require_profile: bool
+    args: argparse.Namespace,
+    bundles_dir: str,
+    profiles: Mapping[str, UserNetworkProfile],
+    require_profile: bool,
 ) -> tuple[Dataset, list[StanceLabel]]:
     """Predicts every tweet of --tweets with the bundles under bundles_dir."""
     models = _load_models(bundles_dir)
     needs_profiles = any(m.space.selector.uses_profiles for m in models.values())
     if needs_profiles and not args.profiles:
         args.parser.error("these bundles use network features; pass --profiles")
-    dataset = _load_dataset(args.tweets, args.profiles, require_profile)
+    dataset = _load_dataset(args.tweets, profiles, require_profile)
     return dataset, predict_dataset(models, dataset)
 
 
@@ -244,7 +252,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
         selector = FeatureSetSelector.parse(args.selector)
         config = _train_config(args)
     _check_profiles_flag(args.parser, [selector], args.profiles)
-    train = _load_dataset(args.tweets, args.profiles, args.require_profile)
+    profiles = _load_profiles(args.profiles)
+    train = _load_dataset(args.tweets, profiles, args.require_profile)
     models = train_topic_models(train, selector, args.mode, config, args.min_df)
     slugs = _unique_slugs(train.topics)
     out = Path(args.out)
@@ -258,27 +267,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    dataset, predictions = _predict_bundles(args, args.bundles, args.require_profile)
+    dataset, predictions = _predict_bundles(
+        args, args.bundles, _load_profiles(args.profiles), args.require_profile
+    )
     write_predictions(args.out, dataset.instances, predictions)
     print(f"predictions: {args.out}")
     return EXIT_OK
-
-
-def _predictions_from_source(
-    args: argparse.Namespace, source: str
-) -> tuple[list[str], list[str], list[StanceLabel], list[StanceLabel]]:
-    """Returns aligned (ids, topics, gold, pred) from a predictions TSV or a
-    bundles directory."""
-    path = Path(source)
-    if path.is_dir():
-        if not args.tweets:
-            args.parser.error("scoring a bundles directory requires --tweets")
-        dataset, predictions = _predict_bundles(args, source, False)
-        ids = [inst.tweet_id for inst in dataset.instances]
-        topics = [inst.topic for inst in dataset.instances]
-        gold = [inst.label for inst in dataset.instances]
-        return ids, topics, gold, predictions
-    return read_predictions(source)
 
 
 def _fold_scores(
@@ -300,6 +294,24 @@ def _fold_scores(
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    profiles = None  # read on first use, once for --bundles and --compare
+
+    def predictions_from(source: str):
+        """Aligned (ids, topics, gold, pred) from a predictions TSV or a
+        bundles directory, scored on --tweets and --profiles."""
+        nonlocal profiles
+        if not Path(source).is_dir():
+            return read_predictions(source)
+        if not args.tweets:
+            args.parser.error("scoring a bundles directory requires --tweets")
+        if profiles is None:
+            profiles = _load_profiles(args.profiles)
+        dataset, predictions = _predict_bundles(args, source, profiles, False)
+        ids = [inst.tweet_id for inst in dataset.instances]
+        topics = [inst.topic for inst in dataset.instances]
+        gold = [inst.label for inst in dataset.instances]
+        return ids, topics, gold, predictions
+
     if args.predictions:
         ids, topics, gold, pred = read_predictions(args.predictions)
     elif args.gold and args.pred_labels:
@@ -313,7 +325,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         topics = [inst.topic for inst in instances]
         gold = [inst.label for inst in instances]
     elif args.bundles:
-        ids, topics, gold, pred = _predictions_from_source(args, args.bundles)
+        ids, topics, gold, pred = predictions_from(args.bundles)
     else:
         args.parser.error(
             "provide --predictions, or --gold with --pred-labels, or --bundles"
@@ -322,9 +334,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     # Everything that can fail comes before the first file is written.
     significance = ""
     if args.compare:
-        cmp_ids, cmp_topics, cmp_gold, cmp_pred = _predictions_from_source(
-            args, args.compare
-        )
+        cmp_ids, cmp_topics, cmp_gold, cmp_pred = predictions_from(args.compare)
         if cmp_ids != ids:
             raise CorpusError("--compare predictions do not align by instance id")
         lines = [f"pair_unit={args.pair_unit}"]
@@ -429,11 +439,13 @@ def _run_cells(
 
 
 def _write_overlap_csvs(
-    profiles: dict[str, UserNetworkProfile], out_dir: Path
+    profiles: Mapping[str, UserNetworkProfile], out_dir: Path
 ) -> None:
-    for field_a, field_b in OVERLAP_PAIRS:
-        dist = network_overlap(profiles, (field_a, field_b))
-        write_overlap_csv(dist, out_dir / f"overlap__{field_a}__{field_b}.csv")
+    for group in COMPARED_FAMILIES:
+        for flags in combinations(group, 2):
+            field_a, field_b = (NETWORK_FLAG_SOURCES[flag][1] for flag in flags)
+            dist = network_overlap(profiles, (field_a, field_b))
+            write_overlap_csv(dist, out_dir / f"overlap__{field_a}__{field_b}.csv")
 
 
 def _write_master_csv(
@@ -471,8 +483,8 @@ def _experiment_curves(
     topics: Sequence[str],
     n_max: int,
 ) -> dict[str, list[tuple[int, float]]]:
-    """Top-N overlap curves across the single-family account models
-    (IN_AT, PN_AT, CN_FR) and the domain pair (IN_DM, PN_DM)."""
+    """Top-N overlap curves across the single-family models of each group
+    of COMPARED_FAMILIES whose every family has a non-empty ranking."""
     curves: dict[str, list[tuple[int, float]]] = {}
 
     def ranking(flag: str, topic: str, cls: StanceLabel):
@@ -481,19 +493,18 @@ def _experiment_curves(
 
     for topic in topics:
         for cls in (StanceLabel.FAVOR, StanceLabel.AGAINST):
-            trio = [(f, ranking(f, topic, cls)) for f in ("IN_AT", "PN_AT", "CN_FR")]
-            if all(r is not None and r.entries for _, r in trio):
-                key = f"IN_AT+PN_AT+CN_FR | {cls.value} | {topic}"
-                curves[key] = topn_overlap_curve(
-                    trio[0][1], trio[1][1], trio[2][1], n_max=n_max
-                )
-                for (name_l, left), (name_r, right) in combinations(trio, 2):
+            for group in COMPARED_FAMILIES:
+                ranked = [(f, ranking(f, topic, cls)) for f in group]
+                if not all(r is not None and r.entries for _, r in ranked):
+                    continue
+                if len(group) == 3:
+                    key = f"{'+'.join(group)} | {cls.value} | {topic}"
+                    curves[key] = topn_overlap_curve(
+                        *(r for _, r in ranked), n_max=n_max
+                    )
+                for (name_l, left), (name_r, right) in combinations(ranked, 2):
                     key = f"{name_l} vs {name_r} | {cls.value} | {topic}"
                     curves[key] = topn_overlap_curve(left, right, n_max=n_max)
-            duo = [ranking(f, topic, cls) for f in ("IN_DM", "PN_DM")]
-            if all(r is not None and r.entries for r in duo):
-                key = f"IN_DM vs PN_DM | {cls.value} | {topic}"
-                curves[key] = topn_overlap_curve(duo[0], duo[1], n_max=n_max)
     return curves
 
 
@@ -508,8 +519,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     if not modes:
         args.parser.error("no modes given")
     _check_profiles_flag(args.parser, selectors, args.profiles)
-    train = _load_dataset(args.tweets, args.profiles, args.require_profile)
-    test = _load_dataset(args.test, args.profiles, args.require_profile)
+    profiles = _load_profiles(args.profiles)
+    train = _load_dataset(args.tweets, profiles, args.require_profile)
+    test = _load_dataset(args.test, profiles, args.require_profile)
     out = Path(args.out)
     analysis_dir = out / "analysis"
     analysis_dir.mkdir(parents=True, exist_ok=True)
@@ -524,9 +536,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         for r in results
         if r.report is not None
     }
-    all_profiles = {**train.profiles, **test.profiles}
-    if any(p for p in all_profiles.values()):
-        _write_overlap_csvs(all_profiles, analysis_dir)
+    if profiles:
+        _write_overlap_csvs(profiles, analysis_dir)
     if consistency:
         write_consistency_csv(consistency, analysis_dir / "user_consistency.csv")
     for mode in modes:
@@ -553,8 +564,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     did_anything = False
+    profiles = _load_profiles(args.profiles)
     if args.profiles:
-        profiles, _ = load_network_profiles(args.profiles)
         if not profiles:
             raise CorpusError(f"{args.profiles}: no profiles")
         _write_overlap_csvs(profiles, out)
@@ -567,7 +578,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.predictions:
         if not args.tweets:
             args.parser.error("--predictions needs --tweets for author grouping")
-        dataset = _load_dataset(args.tweets, args.profiles, False)
+        dataset = _load_dataset(args.tweets, profiles, False)
         _, _, _, pred = read_predictions(args.predictions)
         if len(pred) != len(dataset.instances):
             raise CorpusError("predictions do not align with tweets file")

@@ -195,21 +195,21 @@ def load_semeval_tsv(path: str | Path) -> list[LabeledInstance]:
             fields = line.split("\t")
             if len(fields) not in (4, 5):
                 raise CorpusError(
-                    f"{path.name}: expected 4 or 5 tab-separated fields, "
+                    f"{path}: expected 4 or 5 tab-separated fields, "
                     f"got {len(fields)} at line {lineno}"
                 )
             tweet_id, topic, text = fields[0].strip(), fields[1].strip(), fields[2]
             if not topic:
-                raise CorpusError(f"{path.name}: empty topic at line {lineno}")
+                raise CorpusError(f"{path}: empty topic at line {lineno}")
             if tweet_id in seen_ids:
                 raise CorpusError(
-                    f"{path.name}: duplicate tweet id {tweet_id!r} at line {lineno}"
+                    f"{path}: duplicate tweet id {tweet_id!r} at line {lineno}"
                 )
             seen_ids.add(tweet_id)
             try:
                 label = StanceLabel.parse(fields[3])
             except CorpusError as exc:
-                raise CorpusError(f"{path.name}: {exc} at line {lineno}") from None
+                raise CorpusError(f"{path}: {exc} at line {lineno}") from None
             author_id = fields[4].strip() if len(fields) == 5 else tweet_id
             instances.append(
                 LabeledInstance(
@@ -224,13 +224,13 @@ def load_semeval_tsv(path: str | Path) -> list[LabeledInstance]:
 
 
 def _reject_unwritable_chars(
-    profile: UserNetworkProfile, file_name: str, lineno: int
+    profile: UserNetworkProfile, path: Path, lineno: int
 ) -> None:
     for name in NETWORK_FIELDS:
         bad = [v for v in profile.set_for(name) if _UNWRITABLE_CHAR.search(v)]
         if bad:
             raise CorpusError(
-                f"{file_name}: field {name!r} at line {lineno} holds "
+                f"{path}: field {name!r} at line {lineno} holds "
                 f"a control character or lone surrogate in {min(bad)!r}"
             )
 
@@ -257,16 +257,16 @@ def load_network_profiles(
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusError(
-                    f"{path.name}: unparseable record at line {lineno}: {exc.msg}"
+                    f"{path}: unparseable record at line {lineno}: {exc.msg}"
                 ) from None
             if not isinstance(record, dict):
                 raise CorpusError(
-                    f"{path.name}: record at line {lineno} is not an object"
+                    f"{path}: record at line {lineno} is not an object"
                 )
             user_id = record.get("user_id")
             if not isinstance(user_id, str) or not user_id:
                 raise CorpusError(
-                    f"{path.name}: missing user_id at line {lineno}"
+                    f"{path}: missing user_id at line {lineno}"
                 )
             sets: dict[str, list[str]] = {}
             for name in NETWORK_FIELDS:
@@ -275,7 +275,7 @@ def load_network_profiles(
                     isinstance(v, str) for v in values
                 ):
                     raise CorpusError(
-                        f"{path.name}: field {name!r} at line {lineno} "
+                        f"{path}: field {name!r} at line {lineno} "
                         "is not an array of strings"
                     )
                 sets[name] = values
@@ -285,7 +285,7 @@ def load_network_profiles(
             # and a lone surrogate (UTF-8 cannot hold one) only escaped; a
             # line with none of these needs no scan of its members.
             if "\\" in line or "\x7f" in line or not line.isascii():
-                _reject_unwritable_chars(profile, path.name, lineno)
+                _reject_unwritable_chars(profile, path, lineno)
             if user_id in profiles:
                 duplicates += 1
             profiles[user_id] = profile

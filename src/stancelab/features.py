@@ -95,10 +95,6 @@ class FeatureSetSelector:
     def uses_profiles(self) -> bool:
         return bool(self.flags - {"TXT"})
 
-    @property
-    def network_only(self) -> bool:
-        return not self.uses_text
-
     def __str__(self) -> str:
         return "+".join(sorted(self.flags))
 

@@ -403,7 +403,7 @@ def load_bundle(path: str | Path) -> tuple[LinearModel, dict]:
     dim = space.size
     if dim != dimension:
         raise ValueError(
-            f"bundle {path.name}: space has {dim} features, "
+            f"bundle {path}: space has {dim} features, "
             f"metadata says {dimension}"
         )
     weights = np.zeros((len(classes), dim), dtype=np.float64)

@@ -318,13 +318,13 @@ def read_predictions(
             fields = line.split("\t")
             if len(fields) != 4:
                 raise CorpusError(
-                    f"{path.name}: expected 4 fields at line {lineno}"
+                    f"{path}: expected 4 fields at line {lineno}"
                 )
             try:
                 g = StanceLabel.parse(fields[2])
                 p = StanceLabel.parse(fields[3])
             except CorpusError as exc:
-                raise CorpusError(f"{path.name}: {exc} at line {lineno}") from None
+                raise CorpusError(f"{path}: {exc} at line {lineno}") from None
             ids.append(fields[0])
             topics.append(fields[1])
             gold.append(g)
@@ -344,7 +344,7 @@ def read_label_lines(path: str | Path) -> list[StanceLabel]:
             try:
                 labels.append(StanceLabel.parse(text))
             except CorpusError as exc:
-                raise CorpusError(f"{path.name}: {exc} at line {lineno}") from None
+                raise CorpusError(f"{path}: {exc} at line {lineno}") from None
     return labels
 
 

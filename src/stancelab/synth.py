@@ -36,6 +36,9 @@ from .corpus import (
 
 TRAIN_FRACTION = 0.7
 
+# Stance-indicative tokens per polarized stance and topic.
+STANCE_TOKEN_COUNT = 6
+
 # The network fields in the order each user draws them: the account fields,
 # then the domain fields, each in table order (sorted is stable). The draws
 # consume the seeded stream in this order, so changing it changes every
@@ -63,7 +66,6 @@ class SynthConfig:
     users_per_topic: int = 200
     tweets_per_user: int = 3
     stance_prior: Prior = (0.4, 0.4, 0.2)
-    topic_priors: Mapping[str, Prior] | None = None
     homophily: float = 0.9
     text_signal: float = 0.5
     community_pool_size: int = 60
@@ -72,7 +74,6 @@ class SynthConfig:
     silent_fraction: float = 0.0
     tokens_per_tweet: int = 8
     generic_vocab_size: int = 200
-    stance_token_count: int = 6
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -92,18 +93,9 @@ class SynthConfig:
             raise ValueError("generic_vocab_size must be >= 1")
         if self.tokens_per_tweet < 0:
             raise ValueError("tokens_per_tweet must be >= 0")
-        for prior in [self.stance_prior] + list((self.topic_priors or {}).values()):
-            if len(prior) != 3 or any(p < 0 for p in prior) or sum(prior) <= 0:
-                raise ValueError(f"invalid stance prior {prior!r}")
-        if self.topic_priors:
-            unknown = set(self.topic_priors) - set(self.topics)
-            if unknown:
-                raise ValueError(f"priors for unknown topics: {sorted(unknown)}")
-
-    def prior_for(self, topic: str) -> np.ndarray:
-        prior = (self.topic_priors or {}).get(topic, self.stance_prior)
-        arr = np.asarray(prior, dtype=np.float64)
-        return arr / arr.sum()
+        prior = self.stance_prior
+        if len(prior) != 3 or any(p < 0 for p in prior) or sum(prior) <= 0:
+            raise ValueError(f"invalid stance prior {prior!r}")
 
 
 _COMMUNITY_TAG = {
@@ -141,10 +133,11 @@ def generate(config: SynthConfig) -> tuple[Dataset, Dataset]:
     train_profiles: dict[str, UserNetworkProfile] = {}
     test_profiles: dict[str, UserNetworkProfile] = {}
     topics_seen: list[str] = []
+    prior = np.asarray(config.stance_prior, dtype=np.float64)
+    prior = prior / prior.sum()
     for topic in config.topics:
         slug = topic_slug(topic)
         topics_seen.append(topic)
-        prior = config.prior_for(topic)
         pool_sizes = {
             "fav": config.community_pool_size,
             "agn": config.community_pool_size,
@@ -158,7 +151,7 @@ def generate(config: SynthConfig) -> tuple[Dataset, Dataset]:
             for kind, form in _POOL_ITEM.items()
         }
         stance_tokens = {
-            label: [f"{slug}_{tag}_term{i}" for i in range(config.stance_token_count)]
+            label: [f"{slug}_{tag}_term{i}" for i in range(STANCE_TOKEN_COUNT)]
             for label, tag in _COMMUNITY_TAG.items()
         }
         n_users = config.users_per_topic
@@ -183,9 +176,7 @@ def generate(config: SynthConfig) -> tuple[Dataset, Dataset]:
                 token_ids = rng.integers(len(vocab), size=config.tokens_per_tweet)
                 tokens = [vocab[int(i)] for i in token_ids]
                 if tag is not None and rng.random() < config.text_signal:
-                    term = stance_tokens[stance][
-                        int(rng.integers(config.stance_token_count))
-                    ]
+                    term = stance_tokens[stance][int(rng.integers(STANCE_TOKEN_COUNT))]
                     tokens.insert(int(rng.integers(len(tokens) + 1)), term)
                 text = "" if silent else " ".join(tokens)
                 instances.append(

@@ -120,6 +120,91 @@ class TestExperiment:
             rows = [row for row in csv.reader(fh) if row[1] in expected]
         assert rows == [row for pair in sorted(expected) for row in expected[pair]]
 
+    @pytest.mark.parametrize("selectors, curves", [
+        ("IN_AT,PN_AT,CN_FR,IN_DM,PN_DM",
+         ["IN_AT+PN_AT+CN_FR", "IN_AT vs PN_AT", "IN_AT vs CN_FR",
+          "PN_AT vs CN_FR", "IN_DM vs PN_DM"]),
+        # A group with a family missing gets no curves at all.
+        ("IN_AT,PN_AT,IN_DM,PN_DM", ["IN_DM vs PN_DM"]),
+    ], ids=["all-families", "no-CN_FR"])
+    def test_compared_families(self, corpus, tmp_path, selectors, curves):
+        # The comparisons the paper's analysis makes: profile-set overlap of
+        # IN/PN/CN accounts and IN/PN domains, and the top-N curves of the
+        # single-family models, for every topic and polarized class.
+        out = tmp_path / "out"
+        assert experiment(corpus, out, 1, "--modes", "ternary", "--curve-max", "5",
+                          selectors=selectors) == EXIT_OK
+        analysis = out / "analysis"
+        assert sorted(path.name for path in analysis.glob("overlap__*")) == [
+            "overlap__in_domains__pn_domains.csv",
+            "overlap__in_mentions__cn_friends.csv",
+            "overlap__in_mentions__pn_mentions.csv",
+            "overlap__pn_mentions__cn_friends.csv",
+        ]
+        with (analysis / "topn_curves__ternary.csv").open(newline="") as fh:
+            pairs = {row["pair"] for row in csv.DictReader(fh)}
+        assert pairs == {
+            f"{curve} | {cls} | {topic}"
+            for curve in curves
+            for cls in ("FAVOR", "AGAINST")
+            for topic in load_split(corpus, "train.tsv").topics
+        }
+
+    def test_no_overlap_files_without_profiles(self, corpus, tmp_path):
+        out = tmp_path / "out"
+        assert main(["experiment", "--tweets", str(corpus / "train.tsv"),
+                     "--test", str(corpus / "test.tsv"), "--selectors", "TXT",
+                     "--modes", "binary", "--out", str(out)]) == EXIT_OK
+        assert (out / "analysis" / "user_consistency.csv").exists()
+        assert not list((out / "analysis").glob("overlap__*"))
+
+
+class TestProfilesReadOnce:
+    """Each command reads the --profiles file once, however many inputs it
+    joins with it."""
+
+    @pytest.fixture(scope="class")
+    def scored(self, corpus, tmp_path_factory):
+        root = tmp_path_factory.mktemp("scored")
+        assert main(["train", "--tweets", str(corpus / "train.tsv"),
+                     "--profiles", str(corpus / "profiles.jsonl"),
+                     "--selector", "IN_AT", "--mode", "binary",
+                     "--out", str(root / "bundles")]) == EXIT_OK
+        assert main(["predict", "--bundles", str(root / "bundles"),
+                     "--tweets", str(corpus / "test.tsv"),
+                     "--profiles", str(corpus / "profiles.jsonl"),
+                     "--out", str(root / "predictions.tsv")]) == EXIT_OK
+        return root
+
+    @pytest.mark.parametrize("command", [
+        "train", "predict", "experiment", "analyze", "evaluate"])
+    def test_one_read_per_command(self, corpus, scored, tmp_path, monkeypatch,
+                                  command, capsys):
+        reads = []
+
+        def counting(path):
+            reads.append(path)
+            return load_network_profiles(path)
+
+        monkeypatch.setattr(cli, "load_network_profiles", counting)
+        profiles = ["--profiles", str(corpus / "profiles.jsonl")]
+        test = ["--tweets", str(corpus / "test.tsv")]
+        out = ["--out", str(tmp_path / "out")]
+        argv = {
+            "train": ["train", "--tweets", str(corpus / "train.tsv"),
+                      "--selector", "IN_AT", "--mode", "binary"],
+            "predict": ["predict", "--bundles", str(scored / "bundles"), *test],
+            "experiment": ["experiment", "--tweets", str(corpus / "train.tsv"),
+                           "--test", str(corpus / "test.tsv"),
+                           "--selectors", "IN_AT", "--modes", "binary"],
+            "analyze": ["analyze", "--predictions",
+                        str(scored / "predictions.tsv"), *test],
+            "evaluate": ["evaluate", "--bundles", str(scored / "bundles"),
+                         "--compare", str(scored / "bundles"), *test],
+        }[command]
+        assert main([*argv, *profiles, *out]) == EXIT_OK
+        assert len(reads) == 1
+
 
 @pytest.mark.parametrize("selector, mode", [("TXT+IN_AT+IN_DM", "ternary"),
                                             ("IN_AT", "binary")])
@@ -360,6 +445,40 @@ class TestDataErrors:
         assert code == EXIT_DATA
         captured = capsys.readouterr()
         assert message in captured.err and not captured.out
+        assert not (tmp_path / "out").exists()
+
+    def test_predictions_error_names_the_path(self, corpus, tmp_path, capsys):
+        # Two inputs of one base name: the message says which one is at fault.
+        instances = load_split(corpus, "test.tsv").instances
+        a, b = (tmp_path / side / "predictions.tsv" for side in "ab")
+        for path in (a, b):
+            path.parent.mkdir()
+            write_predictions(path, instances, [i.label for i in instances])
+        with b.open("a", encoding="utf-8") as fh:
+            fh.write("short\tline\n")
+        code = main(["evaluate", "--predictions", str(a), "--compare", str(b),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_DATA
+        line = len(instances) + 2
+        assert capsys.readouterr().err == (
+            f"stancelab: {b}: expected 4 fields at line {line}\n"
+        )
+
+    def test_tweets_error_names_the_path(self, corpus, tmp_path, capsys):
+        a, b = (tmp_path / side / "tweets.tsv" for side in "ab")
+        for path in (a, b):
+            path.parent.mkdir()
+            path.write_bytes((corpus / "test.tsv").read_bytes())
+        with b.open("a", encoding="utf-8") as fh:
+            fh.write("short\tline\n")
+        code = main(["experiment", "--tweets", str(a), "--test", str(b),
+                     "--selectors", "TXT", "--out", str(tmp_path / "out")])
+        assert code == EXIT_DATA
+        line = len(load_semeval_tsv(a)) + 2
+        assert capsys.readouterr().err == (
+            f"stancelab: {b}: expected 4 or 5 tab-separated fields, "
+            f"got 2 at line {line}\n"
+        )
         assert not (tmp_path / "out").exists()
 
     def test_program_bug_is_not_a_data_error(self, tmp_path, monkeypatch):

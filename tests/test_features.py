@@ -43,9 +43,9 @@ class TestSelector:
             FeatureSetSelector.parse("TXT+XX")
 
     def test_profile_and_text_queries(self):
-        assert FeatureSetSelector.parse("TXT").network_only is False
+        assert FeatureSetSelector.parse("TXT").uses_text is True
         assert FeatureSetSelector.parse("TXT").uses_profiles is False
-        assert FeatureSetSelector.parse("CN_FR+CN_FL").network_only is True
+        assert FeatureSetSelector.parse("CN_FR+CN_FL").uses_text is False
         assert FeatureSetSelector.parse("TXT+PN_DM").uses_profiles is True
 
 

@@ -47,10 +47,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_config(stance_prior=(-1.0, 1.0, 0.0))
 
-    def test_unknown_topic_prior(self):
-        with pytest.raises(ValueError, match="unknown topics"):
-            small_config(topic_priors={"nope": (1.0, 1.0, 1.0)})
-
     def test_empty_topics(self):
         with pytest.raises(ValueError):
             small_config(topics=())
