@@ -106,6 +106,8 @@ def _parse_selectors(text: str) -> list[FeatureSetSelector]:
     selectors = [FeatureSetSelector.parse(part) for part in text.split(",") if part]
     if not selectors:
         raise ValueError("no selectors given")
+    if len(set(selectors)) < len(selectors):
+        raise ValueError(f"repeated selector in {text!r}")
     return selectors
 
 
@@ -129,10 +131,7 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
 def _load_profiles(path: str | None) -> dict[str, UserNetworkProfile]:
     """The profiles of a --profiles file, or none without one. Each command
     reads the file at most once."""
-    if not path:
-        return {}
-    profiles, _ = load_network_profiles(path)
-    return profiles
+    return load_network_profiles(path)[0] if path else {}
 
 
 def _load_dataset(
@@ -171,21 +170,6 @@ def _load_models(bundles_dir: str) -> dict[str, LinearModel]:
     if not models:
         raise CorpusError(f"no model bundles found under {bundles_dir}")
     return models
-
-
-def _predict_bundles(
-    args: argparse.Namespace,
-    bundles_dir: str,
-    profiles: Mapping[str, UserNetworkProfile],
-    require_profile: bool,
-) -> tuple[Dataset, list[StanceLabel]]:
-    """Predicts every tweet of --tweets with the bundles under bundles_dir."""
-    models = _load_models(bundles_dir)
-    needs_profiles = any(m.space.selector.uses_profiles for m in models.values())
-    if needs_profiles and not args.profiles:
-        args.parser.error("these bundles use network features; pass --profiles")
-    dataset = _load_dataset(args.tweets, profiles, require_profile)
-    return dataset, predict_dataset(models, dataset)
 
 
 def _capped_fit_lines(models: Iterable[tuple[str, LinearModel]]) -> list[str]:
@@ -267,10 +251,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    dataset, predictions = _predict_bundles(
-        args, args.bundles, _load_profiles(args.profiles), args.require_profile
+    models = _load_models(args.bundles)
+    selectors = [model.space.selector for model in models.values()]
+    _check_profiles_flag(args.parser, selectors, args.profiles)
+    dataset = _load_dataset(
+        args.tweets, _load_profiles(args.profiles), args.require_profile
     )
-    write_predictions(args.out, dataset.instances, predictions)
+    write_predictions(args.out, dataset.instances, predict_dataset(models, dataset))
     print(f"predictions: {args.out}")
     return EXIT_OK
 
@@ -294,23 +281,25 @@ def _fold_scores(
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    profiles = None  # read on first use, once for --bundles and --compare
+    dataset = None  # loaded on first use, once for --bundles and --compare
 
     def predictions_from(source: str):
         """Aligned (ids, topics, gold, pred) from a predictions TSV or a
         bundles directory, scored on --tweets and --profiles."""
-        nonlocal profiles
+        nonlocal dataset
         if not Path(source).is_dir():
             return read_predictions(source)
         if not args.tweets:
             args.parser.error("scoring a bundles directory requires --tweets")
-        if profiles is None:
-            profiles = _load_profiles(args.profiles)
-        dataset, predictions = _predict_bundles(args, source, profiles, False)
+        models = _load_models(source)
+        selectors = [model.space.selector for model in models.values()]
+        _check_profiles_flag(args.parser, selectors, args.profiles)
+        if dataset is None:
+            dataset = _load_dataset(args.tweets, _load_profiles(args.profiles), False)
         ids = [inst.tweet_id for inst in dataset.instances]
         topics = [inst.topic for inst in dataset.instances]
         gold = [inst.label for inst in dataset.instances]
-        return ids, topics, gold, predictions
+        return ids, topics, gold, predict_dataset(models, dataset)
 
     if args.predictions:
         ids, topics, gold, pred = read_predictions(args.predictions)
@@ -518,6 +507,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             args.parser.error(f"unknown mode {mode!r}")
     if not modes:
         args.parser.error("no modes given")
+    if len(set(modes)) < len(modes):
+        args.parser.error(f"repeated mode in {args.modes!r}")
     _check_profiles_flag(args.parser, selectors, args.profiles)
     profiles = _load_profiles(args.profiles)
     train = _load_dataset(args.tweets, profiles, args.require_profile)
@@ -561,33 +552,29 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    if not (args.profiles or args.bundles or args.predictions):
+        args.parser.error("nothing to analyze: pass --profiles, --bundles, "
+                          "or --predictions")
+    if args.predictions and not args.tweets:
+        args.parser.error("--predictions needs --tweets for author grouping")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    did_anything = False
     profiles = _load_profiles(args.profiles)
     if args.profiles:
         if not profiles:
             raise CorpusError(f"{args.profiles}: no profiles")
         _write_overlap_csvs(profiles, out)
-        did_anything = True
     if args.bundles:
         models = _load_models(args.bundles)
         rankings = _rankings(sorted(models.items()), args.top_n)
         write_rankings_csv(rankings, out / "top_features.csv")
-        did_anything = True
     if args.predictions:
-        if not args.tweets:
-            args.parser.error("--predictions needs --tweets for author grouping")
         dataset = _load_dataset(args.tweets, profiles, False)
         _, _, _, pred = read_predictions(args.predictions)
         if len(pred) != len(dataset.instances):
             raise CorpusError("predictions do not align with tweets file")
         report = user_consistency(dataset, pred)
         write_consistency_csv({"predictions": report}, out / "user_consistency.csv")
-        did_anything = True
-    if not did_anything:
-        args.parser.error("nothing to analyze: pass --profiles, --bundles, "
-                          "or --predictions")
     return EXIT_OK
 
 
@@ -623,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--topics", default="alpha,beta,gamma")
     p.add_argument("--users-per-topic", type=int, default=200)
     p.add_argument("--tweets-per-user", type=int, default=3)
@@ -646,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="e.g. TXT or IN_AT+IN_DM or TXT+IN_AT+IN_DM")
     p.add_argument("--mode", choices=MODE_CLASSES, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--require-profile", action="store_true",
                    help="drop instances whose author has no profile")
     _add_train_flags(p)
@@ -672,7 +659,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="second predictions TSV or bundles dir for significance tests")
     p.add_argument("--pair-unit", choices=("topic", "fold"), default="topic")
     p.add_argument("--folds", type=_int_at_least(2), default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("experiment", help="run the full selector/mode matrix")
@@ -682,8 +669,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--selectors", required=True, help="comma-separated selector list")
     p.add_argument("--modes", default="ternary,binary")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1,
                    help="worker processes for experiment cells; "
                    "output is identical to --jobs 1")
     p.add_argument("--top-n", type=_int_at_least(1), default=20)

@@ -162,7 +162,10 @@ class UserNetworkProfile:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable joined corpus: instances plus a profile for every author."""
+    """Joined corpus: instances, the loaded profile table and the topics in
+    order of first appearance. An author need not be in ``profiles``;
+    profile_for is the one place that gives such an author an empty
+    profile."""
 
     instances: tuple[LabeledInstance, ...]
     profiles: Mapping[str, UserNetworkProfile]
@@ -297,27 +300,23 @@ def join(
     profiles: Mapping[str, UserNetworkProfile],
     require_profile: bool = False,
 ) -> tuple[Dataset, int]:
-    """Join instances with author profiles into a Dataset.
+    """Join instances with author profiles into a Dataset that holds
+    ``profiles`` itself, not a copy.
 
     With ``require_profile`` set, instances whose author has no profile are
     dropped (the paper's treatment of deleted users); the drop count is
-    returned. Otherwise missing authors get all-empty profiles.
+    returned. Otherwise they are kept, and Dataset.profile_for gives their
+    authors empty profiles.
     """
     kept: list[LabeledInstance] = []
-    joined: dict[str, UserNetworkProfile] = dict(profiles)
     dropped = 0
     for inst in instances:
-        if inst.author_id not in joined:
-            if require_profile:
-                dropped += 1
-                continue
-            joined[inst.author_id] = UserNetworkProfile.empty(inst.author_id)
-        kept.append(inst)
-    topics: list[str] = []
-    for inst in kept:
-        if inst.topic not in topics:
-            topics.append(inst.topic)
-    return Dataset(tuple(kept), joined, tuple(topics)), dropped
+        if require_profile and inst.author_id not in profiles:
+            dropped += 1
+        else:
+            kept.append(inst)
+    topics = tuple(dict.fromkeys(inst.topic for inst in kept))
+    return Dataset(tuple(kept), profiles, topics), dropped
 
 
 def utf8_encodable(text: str) -> bool:

@@ -79,6 +79,9 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if not self.topics:
             raise ValueError("need at least one topic")
+        slugs = [topic_slug(topic) for topic in self.topics]
+        if len(set(slugs)) < len(slugs):
+            raise ValueError(f"topics need distinct slugs (ids use them): {slugs}")
         if self.users_per_topic < 1 or self.tweets_per_user < 1:
             raise ValueError("users_per_topic and tweets_per_user must be >= 1")
         for name in ("homophily", "text_signal", "silent_fraction"):

@@ -161,7 +161,7 @@ class TestExperiment:
 
 class TestProfilesReadOnce:
     """Each command reads the --profiles file once, however many inputs it
-    joins with it."""
+    joins with it, and each tweets file once."""
 
     @pytest.fixture(scope="class")
     def scored(self, corpus, tmp_path_factory):
@@ -205,6 +205,27 @@ class TestProfilesReadOnce:
         assert main([*argv, *profiles, *out]) == EXIT_OK
         assert len(reads) == 1
 
+    def test_evaluate_joins_the_tweets_once(self, corpus, scored, tmp_path,
+                                            monkeypatch, capsys):
+        # Both bundles directories score the one joined --tweets dataset.
+        assert main(["train", "--tweets", str(corpus / "train.tsv"),
+                     "--selector", "TXT", "--mode", "binary",
+                     "--out", str(tmp_path / "text")]) == EXIT_OK
+        calls = []
+        for name in ("load_semeval_tsv", "join"):
+            def counting(*args, _fn=getattr(cli, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, counting)
+        assert main(["evaluate", "--bundles", str(scored / "bundles"),
+                     "--compare", str(tmp_path / "text"),
+                     "--tweets", str(corpus / "test.tsv"),
+                     "--profiles", str(corpus / "profiles.jsonl"),
+                     "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert sorted(calls) == ["join", "load_semeval_tsv"]
+        assert (tmp_path / "out" / "significance.txt").exists()
+
 
 @pytest.mark.parametrize("selector, mode", [("TXT+IN_AT+IN_DM", "ternary"),
                                             ("IN_AT", "binary")])
@@ -242,6 +263,12 @@ class TestUsageErrors:
         ["--min-df", "0"],
         ["--max-iter", "0"],
         ["--selectors", ","],
+        ["--selectors", "TXT,TXT"],
+        ["--selectors", "TXT+IN_AT,IN_AT+TXT"],
+        ["--modes", "ternary,ternary"],
+        ["--seed", "-1"],
+        ["--jobs", "0"],
+        ["--jobs", "-1"],
     ])
     def test_bad_experiment_flag(self, corpus, tmp_path, extra, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -256,7 +283,8 @@ class TestUsageErrors:
         (["--tol", "0"], "tol must be positive"),
         (["--max-iter", "0"], "max_iter must be >= 1"),
         (["--selector", "FOO"], "unknown selector flags"),
-    ], ids=["C", "tol", "max-iter", "selector"])
+        (["--seed", "-1"], "--seed: must be >= 0"),
+    ], ids=["C", "tol", "max-iter", "selector", "seed"])
     def test_bad_train_flag(self, tmp_path, extra, message, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--tweets", str(tmp_path / "missing.tsv"),
@@ -273,8 +301,11 @@ class TestUsageErrors:
         (["--topics", ","], "at least one topic"),
         (["--vocab", "0"], "generic_vocab_size must be >= 1"),
         (["--tokens-per-tweet", "-1"], "tokens_per_tweet must be >= 0"),
+        (["--topics", "a,a"], "topics need distinct slugs"),
+        (["--topics", "a b,ab"], "topics need distinct slugs"),
+        (["--seed", "-1"], "--seed: must be >= 0"),
     ], ids=["prior", "homophily", "users-per-topic", "topics", "vocab",
-            "tokens-per-tweet"])
+            "tokens-per-tweet", "repeated-topic", "repeated-slug", "seed"])
     def test_bad_synth_flag(self, tmp_path, extra, message, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["synth", "--out", str(tmp_path / "out"), *extra])
@@ -295,10 +326,56 @@ class TestUsageErrors:
         assert "--folds" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_negative_evaluate_seed(self, corpus, tmp_path, capsys):
+        test = load_split(corpus, "test.tsv")
+        predictions = tmp_path / "predictions.tsv"
+        write_predictions(predictions, test.instances,
+                          [inst.label for inst in test.instances])
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--predictions", str(predictions),
+                  "--compare", str(predictions), "--pair-unit", "fold",
+                  "--seed", "-1", "--out", str(tmp_path / "out")])
+        assert exc.value.code == EXIT_USAGE
+        assert "--seed: must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", ["nothing", "predictions-without-tweets"])
+    def test_bad_analyze_flags(self, corpus, tmp_path, case, capsys):
+        # With --profiles the overlap files would be the first output.
+        extra, message = {
+            "nothing": ([], "nothing to analyze"),
+            "predictions-without-tweets": (
+                ["--profiles", str(corpus / "profiles.jsonl"),
+                 "--predictions", str(tmp_path / "predictions.tsv")],
+                "--predictions needs --tweets",
+            ),
+        }[case]
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--out", str(tmp_path / "out"), *extra])
+        assert exc.value.code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_network_selector_without_profiles(self, corpus, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "--tweets", str(corpus / "train.tsv"),
                   "--test", str(corpus / "test.tsv"), "--selectors", "TXT,IN_AT",
+                  "--out", str(tmp_path / "out")])
+        assert exc.value.code == EXIT_USAGE
+        assert "network selectors require --profiles" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_network_bundles_without_profiles(self, corpus, tmp_path, command,
+                                              capsys):
+        bundles = str(tmp_path / "bundles")
+        assert main(["train", "--tweets", str(corpus / "train.tsv"),
+                     "--profiles", str(corpus / "profiles.jsonl"),
+                     "--selector", "IN_AT", "--mode", "binary",
+                     "--out", bundles]) == EXIT_OK
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--bundles", bundles, "--tweets", str(corpus / "test.tsv"),
                   "--out", str(tmp_path / "out")])
         assert exc.value.code == EXIT_USAGE
         assert "network selectors require --profiles" in capsys.readouterr().err

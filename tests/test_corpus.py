@@ -481,10 +481,18 @@ class TestJoin:
                                 require_profile=False)
         assert len(dataset.instances) == 3
         assert dropped == 0
-        profile = dataset.profiles["u2"]
+        profile = dataset.profile_for("u2")
+        assert profile.user_id == "u2"
         assert all(not getattr(profile, f) for f in (
             "in_mentions", "in_domains", "pn_mentions", "pn_domains",
             "cn_friends", "cn_followers"))
+
+    def test_holds_the_callers_profiles(self):
+        profiles = self._profiles()
+        for require_profile in (False, True):
+            dataset, _ = join(self._instances(), profiles, require_profile)
+            assert dataset.profiles is profiles
+        assert sorted(profiles) == ["u0", "u1"]
 
     def test_empty_input(self):
         dataset, dropped = join([], {}, require_profile=True)
