@@ -9,8 +9,10 @@ from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .corpus import Dataset, StanceLabel, UserNetworkProfile
-from .linsvm import LinearModel, class_weights
+from .linsvm import LinearModel
 
 
 def jaccard(a: Iterable, b: Iterable) -> float:
@@ -81,12 +83,24 @@ class RankedFeatures:
 def top_features(
     model: LinearModel, cls: StanceLabel, topic: str, n: int
 ) -> RankedFeatures:
-    """Top n features by signed weight toward the class."""
+    """Top n features by signed weight toward the class, ties by name.
+
+    One stable argsort of the negated weights over the columns in name
+    order; spaces from build_feature_space index their names in that order
+    already. The weights must be finite (load_bundle checks them).
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    weights = class_weights(model, cls)
-    ordered = sorted(weights.items(), key=lambda kv: (-kv[1], kv[0]))
-    return RankedFeatures(label=cls, topic=topic, entries=tuple(ordered[:n]))
+    if cls not in model.classes:
+        raise ValueError(f"class {cls.value} not in model classes")
+    names = list(model.space.index_of)
+    cols = list(model.space.index_of.values())
+    if any(a > b for a, b in zip(names, names[1:])):
+        names, cols = map(list, zip(*sorted(zip(names, cols))))
+    weights = model.weights[model.classes.index(cls)][cols]
+    top = np.argsort(-weights, kind="stable")[:n]
+    entries = zip([names[i] for i in top.tolist()], weights[top].tolist())
+    return RankedFeatures(label=cls, topic=topic, entries=tuple(entries))
 
 
 def _strip_namespace(feature: str) -> str:

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
+import pickle
 import sys
+import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import combinations
@@ -39,7 +42,7 @@ from .corpus import (
     load_semeval_tsv,
 )
 from .features import NETWORK_FLAG_SOURCES, FeatureSetSelector
-from .linsvm import LOSSES, MODE_CLASSES, LinearModel, TrainConfig
+from .linsvm import LOSSES, MODE_CLASSES, MODE_FITS, LinearModel, TrainConfig
 from .linsvm import capped_fits, load_bundle, save_bundle
 from .pipeline import predict_dataset, run_cell, train_topic_models
 from .scoring import (
@@ -375,6 +378,19 @@ def _init_cells(context: tuple) -> None:
     _CELL_CONTEXT = context
 
 
+def _load_cells(path: str) -> None:
+    """Worker initializer: reads the context that _run_cells pickled."""
+    with open(path, "rb") as fh:
+        _init_cells(pickle.load(fh))
+
+
+def _cell_cost(cell: tuple[FeatureSetSelector, str]) -> tuple[bool, int]:
+    """A sort key that is larger for a costlier cell: text rows are about
+    ten times denser than network rows, and each fit is one solve."""
+    selector, mode = cell
+    return selector.uses_text, len(MODE_FITS[mode])
+
+
 def _run_experiment_cell(cell: tuple[FeatureSetSelector, str]) -> _CellResult:
     """Trains and scores one cell, then writes its cell directory, bundles
     and top-features CSV under the experiment's output directory."""
@@ -410,7 +426,18 @@ def _run_experiment_cell(cell: tuple[FeatureSetSelector, str]) -> _CellResult:
 def _run_cells(
     cells: Sequence[tuple[FeatureSetSelector, str]], jobs: int, context: tuple
 ) -> list[_CellResult]:
-    """Runs the cells in this process, or in `jobs` worker processes."""
+    """Runs the cells in this process, or in `jobs` worker processes; the
+    results come back in the order of `cells`, and every output is
+    identical to that of --jobs 1.
+
+    The workers get the path of a file that holds the pickled context, not
+    the context itself: a spawned worker reads its start-up arguments only
+    after it has imported the program, so arguments larger than a pipe
+    buffer would block this process and start the workers one after the
+    other. The cells are submitted costliest first (Graham's
+    longest-processing-time rule), so that no worker idles while the last
+    large cell runs.
+    """
     if jobs <= 1:
         _init_cells(context)
         return list(map(_run_experiment_cell, cells))
@@ -418,13 +445,23 @@ def _run_cells(
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(
-        max_workers=min(jobs, len(cells)),
-        mp_context=multiprocessing.get_context("spawn"),
-        initializer=_init_cells,
-        initargs=(context,),
-    ) as pool:
-        return list(pool.map(_run_experiment_cell, cells))
+    order = sorted(range(len(cells)), key=lambda i: _cell_cost(cells[i]),
+                   reverse=True)
+    fd, path = tempfile.mkstemp(prefix="stancelab-cells-", suffix=".pickle")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            pickle.dump(context, fh)
+        with ProcessPoolExecutor(
+            max_workers=min(jobs, len(cells)),
+            mp_context=multiprocessing.get_context("spawn"),
+            initializer=_load_cells,
+            initargs=(path,),
+        ) as pool:
+            ordered = pool.map(_run_experiment_cell, [cells[i] for i in order])
+            done = dict(zip(order, ordered))
+    finally:
+        os.unlink(path)
+    return [done[i] for i in range(len(cells))]
 
 
 def _write_overlap_csvs(
@@ -557,22 +594,24 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                           "or --predictions")
     if args.predictions and not args.tweets:
         args.parser.error("--predictions needs --tweets for author grouping")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    # Everything that can fail comes before the first file is written.
     profiles = _load_profiles(args.profiles)
-    if args.profiles:
-        if not profiles:
-            raise CorpusError(f"{args.profiles}: no profiles")
-        _write_overlap_csvs(profiles, out)
-    if args.bundles:
-        models = _load_models(args.bundles)
-        rankings = _rankings(sorted(models.items()), args.top_n)
-        write_rankings_csv(rankings, out / "top_features.csv")
+    if args.profiles and not profiles:
+        raise CorpusError(f"{args.profiles}: no profiles")
+    models = _load_models(args.bundles) if args.bundles else {}
     if args.predictions:
         dataset = _load_dataset(args.tweets, profiles, False)
         _, _, _, pred = read_predictions(args.predictions)
         if len(pred) != len(dataset.instances):
             raise CorpusError("predictions do not align with tweets file")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    if profiles:
+        _write_overlap_csvs(profiles, out)
+    if models:
+        rankings = _rankings(sorted(models.items()), args.top_n)
+        write_rankings_csv(rankings, out / "top_features.csv")
+    if args.predictions:
         report = user_consistency(dataset, pred)
         write_consistency_csv({"predictions": report}, out / "user_consistency.csv")
     return EXIT_OK
@@ -671,7 +710,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--jobs", type=_int_at_least(1), default=1,
-                   help="worker processes for experiment cells; "
+                   help="worker processes for experiment cells, which start "
+                   "together and take the costliest cells first; "
                    "output is identical to --jobs 1")
     p.add_argument("--top-n", type=_int_at_least(1), default=20)
     p.add_argument("--curve-max", type=_int_at_least(1), default=200)

