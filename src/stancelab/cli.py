@@ -16,7 +16,7 @@ import pickle
 import sys
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import combinations
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -72,6 +72,16 @@ EXIT_CELL = 3
 # its single-family models; a group of three also gets its joint curve.
 COMPARED_FAMILIES = (("IN_AT", "PN_AT", "CN_FR"), ("IN_DM", "PN_DM"))
 
+# The synth flags that each set one SynthConfig field, in --help order; the
+# field's default is the flag's default.
+_SYNTH_FLAGS = {
+    "--users-per-topic": "users_per_topic", "--tweets-per-user": "tweets_per_user",
+    "--homophily": "homophily", "--text-signal": "text_signal",
+    "--silent-fraction": "silent_fraction", "--community-pool": "community_pool_size",
+    "--shared-pool": "shared_pool_size", "--items-per-set": "items_per_set",
+    "--tokens-per-tweet": "tokens_per_tweet", "--vocab": "generic_vocab_size",
+}
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on usage errors; the contract here is 1.
@@ -105,13 +115,20 @@ def _unique_slugs(topics: Sequence[str]) -> dict[str, str]:
     return slugs
 
 
-def _parse_selectors(text: str) -> list[FeatureSetSelector]:
-    selectors = [FeatureSetSelector.parse(part) for part in text.split(",") if part]
-    if not selectors:
-        raise ValueError("no selectors given")
-    if len(set(selectors)) < len(selectors):
-        raise ValueError(f"repeated selector in {text!r}")
-    return selectors
+def _parse_list(text: str, parse: Callable[[str], object], noun: str) -> list:
+    """The comma-separated values of a list flag; blank entries are skipped."""
+    values = [parse(part) for part in map(str.strip, text.split(",")) if part]
+    if not values:
+        raise ValueError(f"no {noun}s given")
+    if len(set(values)) < len(values):
+        raise ValueError(f"repeated {noun} in {text!r}")
+    return values
+
+
+def _parse_mode(mode: str) -> str:
+    if mode not in MODE_CLASSES:
+        raise ValueError(f"unknown mode {mode!r}")
+    return mode
 
 
 def _parse_prior(text: str) -> tuple[float, float, float]:
@@ -122,13 +139,7 @@ def _parse_prior(text: str) -> tuple[float, float, float]:
 
 
 def _train_config(args: argparse.Namespace) -> TrainConfig:
-    return TrainConfig(
-        C=args.C,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        seed=args.seed,
-        loss=args.loss,
-    )
+    return TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
 
 
 def _load_profiles(path: str | None) -> dict[str, UserNetworkProfile]:
@@ -215,18 +226,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     with _flag_values(args.parser):
         config = SynthConfig(
             topics=tuple(t.strip() for t in args.topics.split(",") if t.strip()),
-            users_per_topic=args.users_per_topic,
-            tweets_per_user=args.tweets_per_user,
             stance_prior=_parse_prior(args.prior),
-            homophily=args.homophily,
-            text_signal=args.text_signal,
-            community_pool_size=args.community_pool,
-            shared_pool_size=args.shared_pool,
-            items_per_set=args.items_per_set,
-            silent_fraction=args.silent_fraction,
-            tokens_per_tweet=args.tokens_per_tweet,
-            generic_vocab_size=args.vocab,
             seed=args.seed,
+            **{name: getattr(args, name) for name in _SYNTH_FLAGS.values()},
         )
     paths = write_corpus(config, args.out)
     for name in ("train", "test", "profiles", "manifest"):
@@ -369,19 +371,15 @@ class _CellResult:
 
 
 # (train, test, config, min_df, out, top_n, curve_max) of the running
-# experiment, set once in each process that runs cells by _init_cells.
+# experiment, set by _run_cells at --jobs 1 and by _load_cells in a worker.
 _CELL_CONTEXT: tuple[Dataset, Dataset, TrainConfig, int, Path, int, int] | None = None
-
-
-def _init_cells(context: tuple) -> None:
-    global _CELL_CONTEXT
-    _CELL_CONTEXT = context
 
 
 def _load_cells(path: str) -> None:
     """Worker initializer: reads the context that _run_cells pickled."""
+    global _CELL_CONTEXT
     with open(path, "rb") as fh:
-        _init_cells(pickle.load(fh))
+        _CELL_CONTEXT = pickle.load(fh)
 
 
 def _cell_cost(cell: tuple[FeatureSetSelector, str]) -> tuple[bool, int]:
@@ -438,8 +436,9 @@ def _run_cells(
     longest-processing-time rule), so that no worker idles while the last
     large cell runs.
     """
+    global _CELL_CONTEXT
     if jobs <= 1:
-        _init_cells(context)
+        _CELL_CONTEXT = context
         return list(map(_run_experiment_cell, cells))
     # Imported here so that the other commands do not pay for it at start-up.
     import multiprocessing
@@ -512,16 +511,12 @@ def _experiment_curves(
     """Top-N overlap curves across the single-family models of each group
     of COMPARED_FAMILIES whose every family has a non-empty ranking."""
     curves: dict[str, list[tuple[int, float]]] = {}
-
-    def ranking(flag: str, topic: str, cls: StanceLabel):
-        result = results.get((flag, mode))
-        return None if result is None else result.rankings.get((topic, cls))
-
     for topic in topics:
         for cls in (StanceLabel.FAVOR, StanceLabel.AGAINST):
             for group in COMPARED_FAMILIES:
-                ranked = [(f, ranking(f, topic, cls)) for f in group]
-                if not all(r is not None and r.entries for _, r in ranked):
+                ranked = [(f, results[f, mode].rankings.get((topic, cls)))
+                          for f in group if (f, mode) in results]
+                if len(ranked) < len(group) or not all(r and r.entries for _, r in ranked):
                     continue
                 if len(group) == 3:
                     key = f"{'+'.join(group)} | {cls.value} | {topic}"
@@ -536,16 +531,9 @@ def _experiment_curves(
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     with _flag_values(args.parser):
-        selectors = _parse_selectors(args.selectors)
+        selectors = _parse_list(args.selectors, FeatureSetSelector.parse, "selector")
         config = _train_config(args)
-    modes = [m.strip() for m in args.modes.split(",") if m.strip()]
-    for mode in modes:
-        if mode not in MODE_CLASSES:
-            args.parser.error(f"unknown mode {mode!r}")
-    if not modes:
-        args.parser.error("no modes given")
-    if len(set(modes)) < len(modes):
-        args.parser.error(f"repeated mode in {args.modes!r}")
+        modes = _parse_list(args.modes, _parse_mode, "mode")
     _check_profiles_flag(args.parser, selectors, args.profiles)
     profiles = _load_profiles(args.profiles)
     train = _load_dataset(args.tweets, profiles, args.require_profile)
@@ -635,10 +623,12 @@ def _int_at_least(low: int) -> Callable[[str], int]:
 
 
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--C", type=float, default=1.0, help="SVM cost parameter")
-    parser.add_argument("--tol", type=float, default=1e-4, help="dual stopping tolerance")
-    parser.add_argument("--max-iter", type=int, default=1000, help="epoch cap")
-    parser.add_argument("--loss", choices=LOSSES, default="hinge")
+    parser.add_argument("--C", type=float, default=TrainConfig.C, help="SVM cost parameter")
+    parser.add_argument("--tol", type=float, default=TrainConfig.tol,
+                        help="dual stopping tolerance")
+    parser.add_argument("--max-iter", type=int, default=TrainConfig.max_iter,
+                        help="epoch cap")
+    parser.add_argument("--loss", choices=LOSSES, default=TrainConfig.loss)
     parser.add_argument("--min-df", type=_int_at_least(1), default=1,
                         help="minimum training document frequency per feature")
 
@@ -649,20 +639,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=SynthConfig.seed)
     p.add_argument("--topics", default="alpha,beta,gamma")
-    p.add_argument("--users-per-topic", type=int, default=200)
-    p.add_argument("--tweets-per-user", type=int, default=3)
-    p.add_argument("--prior", default="0.4,0.4,0.2",
-                   help="against,favor,none weights")
-    p.add_argument("--homophily", type=float, default=0.9)
-    p.add_argument("--text-signal", type=float, default=0.5)
-    p.add_argument("--silent-fraction", type=float, default=0.0)
-    p.add_argument("--community-pool", type=int, default=60)
-    p.add_argument("--shared-pool", type=int, default=120)
-    p.add_argument("--items-per-set", type=int, default=12)
-    p.add_argument("--tokens-per-tweet", type=int, default=8)
-    p.add_argument("--vocab", type=int, default=200)
+    for flag, name in _SYNTH_FLAGS.items():
+        if flag == "--homophily":  # --prior keeps its place in --help
+            p.add_argument("--prior", help="against,favor,none weights",
+                           default=",".join(map(str, SynthConfig.stance_prior)))
+        default = getattr(SynthConfig, name)
+        p.add_argument(flag, dest=name, metavar=flag[2:].upper().replace("-", "_"),
+                       type=type(default), default=default)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("train", help="train per-topic models into bundles")
@@ -672,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="e.g. TXT or IN_AT+IN_DM or TXT+IN_AT+IN_DM")
     p.add_argument("--mode", choices=MODE_CLASSES, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=TrainConfig.seed)
     p.add_argument("--require-profile", action="store_true",
                    help="drop instances whose author has no profile")
     _add_train_flags(p)
@@ -708,7 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--selectors", required=True, help="comma-separated selector list")
     p.add_argument("--modes", default="ternary,binary")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=TrainConfig.seed)
     p.add_argument("--jobs", type=_int_at_least(1), default=1,
                    help="worker processes for experiment cells, which start "
                    "together and take the costliest cells first; "

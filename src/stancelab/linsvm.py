@@ -372,9 +372,11 @@ def load_bundle(path: str | Path) -> tuple[LinearModel, dict]:
     unknown config field, a dimension that is not an integer, a mode
     other than those of MODE_CLASSES or classes other than that mode's, or
     epochs other than one integer per fit of the mode),
-    and a weight line other than an index in 0..dimension-1 (or "bias"), a
-    tab and a finite number, raise CorpusError naming the file and, for
-    weights, the line.
+    a weight line other than an index in 0..dimension-1 (or "bias"), a
+    tab and a finite number, an index on two lines, and a weights file
+    whose last line is not its one bias line (as a write cut short leaves
+    it), raise CorpusError naming the file and, where there is one, the
+    line.
     """
     path = Path(path)
     meta_path = path / _METADATA
@@ -416,6 +418,8 @@ def load_bundle(path: str | Path) -> tuple[LinearModel, dict]:
     biases = np.zeros(len(classes), dtype=np.float64)
     for ci, cls in enumerate(classes):
         weights_path = path / _weights_file(cls)
+        seen: set[int] = set()
+        bias = None
         with weights_path.open(encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
                 line = line.strip()
@@ -437,10 +441,21 @@ def load_bundle(path: str | Path) -> tuple[LinearModel, dict]:
                         f"{weights_path}: line {line_no}: weight {value} "
                         "is not finite"
                     )
+                if bias is not None:
+                    raise CorpusError(f"{weights_path}: line {line_no}: follows "
+                                      "the bias line, which must be the last")
+                if idx in seen:
+                    raise CorpusError(
+                        f"{weights_path}: line {line_no}: index {idx} appears twice"
+                    )
                 if idx is None:
-                    biases[ci] = number
+                    bias = number
                 else:
+                    seen.add(idx)
                     weights[ci, idx] = number
+        if bias is None:
+            raise CorpusError(f"{weights_path}: no bias line; the file may be cut short")
+        biases[ci] = bias
     model = LinearModel(
         classes=classes,
         weights=weights,

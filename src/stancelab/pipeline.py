@@ -43,7 +43,9 @@ def train_topic_models(
     min_df: int = 1,
 ) -> dict[str, LinearModel]:
     """One model per topic, with a feature space built on that topic's
-    training instances only."""
+    training instances only. An empty training set raises ValueError."""
+    if not train.instances:
+        raise ValueError("no training instances")
     models: dict[str, LinearModel] = {}
     for topic in train.topics:
         instances = [i for i in train.instances if i.topic == topic]

@@ -1,5 +1,6 @@
 """End-to-end tests of the stancelab command line on a tiny synth corpus."""
 
+import argparse
 import concurrent.futures
 import csv
 import json
@@ -21,6 +22,7 @@ from stancelab.features import FeatureSetSelector
 from stancelab.linsvm import TrainConfig, load_bundle
 from stancelab.pipeline import run_cell
 from stancelab.scoring import write_predictions, write_report_csv
+from stancelab.synth import SynthConfig
 
 SELECTORS = "TXT,IN_AT,IN_DM,PN_AT,PN_DM,CN_FR,CN_FL,TXT+IN_AT+IN_DM"
 
@@ -80,6 +82,17 @@ class TestExperiment:
         for row in rows:
             assert row["status"].startswith("failed:"), row
         assert "cell failed:" in capsys.readouterr().err
+
+    def test_empty_training_set_fails_every_cell(self, corpus, tmp_path, capsys):
+        train = tmp_path / "train.tsv"
+        train.write_text((corpus / "train.tsv").read_text().splitlines()[0] + "\n")
+        out = tmp_path / "out"
+        assert main(["experiment", "--tweets", str(train),
+                     "--test", str(corpus / "test.tsv"), "--selectors", "TXT",
+                     "--out", str(out)]) == EXIT_CELL
+        with (out / "master.csv").open(newline="") as fh:
+            statuses = [row["status"] for row in csv.DictReader(fh)]
+        assert statuses == ["failed: ValueError: no training instances"] * 2
 
     @pytest.mark.parametrize("top_n, curve_max", [(30, 10), (5, 500)])
     def test_top_features_csv_ranks_the_saved_bundles(self, corpus, tmp_path,
@@ -437,6 +450,150 @@ class TestUsageErrors:
         assert not (tmp_path / "out").exists()
 
 
+def _type_name(kind):
+    """None, "int" or "float", or "int>=N" for an int type with a floor."""
+    if kind is None or kind in (int, float):
+        return getattr(kind, "__name__", None)
+
+    def accepts(text):
+        try:
+            kind(text)
+        except (ValueError, argparse.ArgumentTypeError):
+            return False
+        return True
+
+    return f"int>={next(n for n in range(-1, 3) if accepts(str(n)))}"
+
+
+def _options(parser):
+    """Per subcommand, in --help order: (option strings, metavar shown in
+    --help, default, type, choices, required) of each option."""
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: [
+            (tuple(a.option_strings), a.metavar or a.dest.upper() if a.nargs != 0 else None,
+             a.default, _type_name(a.type), list(a.choices) if a.choices else None,
+             a.required)
+            for a in command._actions if not isinstance(a, argparse._HelpAction)
+        ]
+        for name, command in sub.choices.items()
+    }
+
+
+# The options of every subcommand as the command line has offered them;
+# a change here changes what scripts may pass.
+PARSER_CONTRACT = {
+    "synth": [
+        (("--out",), "OUT", None, None, None, True),
+        (("--seed",), "SEED", 0, "int>=0", None, False),
+        (("--topics",), "TOPICS", "alpha,beta,gamma", None, None, False),
+        (("--users-per-topic",), "USERS_PER_TOPIC", 200, "int", None, False),
+        (("--tweets-per-user",), "TWEETS_PER_USER", 3, "int", None, False),
+        (("--prior",), "PRIOR", "0.4,0.4,0.2", None, None, False),
+        (("--homophily",), "HOMOPHILY", 0.9, "float", None, False),
+        (("--text-signal",), "TEXT_SIGNAL", 0.5, "float", None, False),
+        (("--silent-fraction",), "SILENT_FRACTION", 0.0, "float", None, False),
+        (("--community-pool",), "COMMUNITY_POOL", 60, "int", None, False),
+        (("--shared-pool",), "SHARED_POOL", 120, "int", None, False),
+        (("--items-per-set",), "ITEMS_PER_SET", 12, "int", None, False),
+        (("--tokens-per-tweet",), "TOKENS_PER_TWEET", 8, "int", None, False),
+        (("--vocab",), "VOCAB", 200, "int", None, False),
+    ],
+    "train": [
+        (("--tweets",), "TWEETS", None, None, None, True),
+        (("--profiles",), "PROFILES", None, None, None, False),
+        (("--selector",), "SELECTOR", None, None, None, True),
+        (("--mode",), "MODE", None, None, ["ternary", "binary"], True),
+        (("--out",), "OUT", None, None, None, True),
+        (("--seed",), "SEED", 0, "int>=0", None, False),
+        (("--require-profile",), None, False, None, None, False),
+        (("--C",), "C", 1.0, "float", None, False),
+        (("--tol",), "TOL", 0.0001, "float", None, False),
+        (("--max-iter",), "MAX_ITER", 1000, "int", None, False),
+        (("--loss",), "LOSS", "hinge", None, ["hinge", "squared_hinge"], False),
+        (("--min-df",), "MIN_DF", 1, "int>=1", None, False),
+    ],
+    "predict": [
+        (("--bundles",), "BUNDLES", None, None, None, True),
+        (("--tweets",), "TWEETS", None, None, None, True),
+        (("--profiles",), "PROFILES", None, None, None, False),
+        (("--out",), "OUT", None, None, None, True),
+        (("--require-profile",), None, False, None, None, False),
+    ],
+    "evaluate": [
+        (("--predictions",), "PREDICTIONS", None, None, None, False),
+        (("--gold",), "GOLD", None, None, None, False),
+        (("--pred-labels",), "PRED_LABELS", None, None, None, False),
+        (("--bundles",), "BUNDLES", None, None, None, False),
+        (("--tweets",), "TWEETS", None, None, None, False),
+        (("--profiles",), "PROFILES", None, None, None, False),
+        (("--out",), "OUT", None, None, None, True),
+        (("--compare",), "COMPARE", None, None, None, False),
+        (("--pair-unit",), "PAIR_UNIT", "topic", None, ["topic", "fold"], False),
+        (("--folds",), "FOLDS", 5, "int>=2", None, False),
+        (("--seed",), "SEED", 0, "int>=0", None, False),
+    ],
+    "experiment": [
+        (("--tweets",), "TWEETS", None, None, None, True),
+        (("--test",), "TEST", None, None, None, True),
+        (("--profiles",), "PROFILES", None, None, None, False),
+        (("--selectors",), "SELECTORS", None, None, None, True),
+        (("--modes",), "MODES", "ternary,binary", None, None, False),
+        (("--out",), "OUT", None, None, None, True),
+        (("--seed",), "SEED", 0, "int>=0", None, False),
+        (("--jobs",), "JOBS", 1, "int>=1", None, False),
+        (("--top-n",), "TOP_N", 20, "int>=1", None, False),
+        (("--curve-max",), "CURVE_MAX", 200, "int>=1", None, False),
+        (("--require-profile",), None, False, None, None, False),
+        (("--C",), "C", 1.0, "float", None, False),
+        (("--tol",), "TOL", 0.0001, "float", None, False),
+        (("--max-iter",), "MAX_ITER", 1000, "int", None, False),
+        (("--loss",), "LOSS", "hinge", None, ["hinge", "squared_hinge"], False),
+        (("--min-df",), "MIN_DF", 1, "int>=1", None, False),
+    ],
+    "analyze": [
+        (("--profiles",), "PROFILES", None, None, None, False),
+        (("--bundles",), "BUNDLES", None, None, None, False),
+        (("--predictions",), "PREDICTIONS", None, None, None, False),
+        (("--tweets",), "TWEETS", None, None, None, False),
+        (("--out",), "OUT", None, None, None, True),
+        (("--top-n",), "TOP_N", 20, "int>=1", None, False),
+    ],
+}
+
+
+class TestParserContract:
+    def test_every_option_as_offered(self):
+        options = _options(cli.build_parser())
+        assert options == PARSER_CONTRACT
+        # 1 == 1.0 above: an int default in place of a float one would still
+        # change the config that bundles record.
+        assert {name: [type(row[2]) for row in rows] for name, rows in options.items()} == {
+            name: [type(row[2]) for row in rows] for name, rows in PARSER_CONTRACT.items()
+        }
+
+    def test_defaults_are_the_config_defaults(self):
+        defaults = {name: {row[0][0]: row[2] for row in rows}
+                    for name, rows in _options(cli.build_parser()).items()}
+        synth = {
+            "--users-per-topic": "users_per_topic", "--tweets-per-user": "tweets_per_user",
+            "--homophily": "homophily", "--text-signal": "text_signal",
+            "--silent-fraction": "silent_fraction",
+            "--community-pool": "community_pool_size", "--shared-pool": "shared_pool_size",
+            "--items-per-set": "items_per_set", "--tokens-per-tweet": "tokens_per_tweet",
+            "--vocab": "generic_vocab_size", "--seed": "seed",
+        }
+        for flag, name in synth.items():
+            assert defaults["synth"][flag] == getattr(SynthConfig, name), flag
+        prior = cli._parse_prior(defaults["synth"]["--prior"])
+        assert prior == SynthConfig.stance_prior
+        train = {"--C": "C", "--tol": "tol", "--max-iter": "max_iter", "--seed": "seed",
+                 "--loss": "loss"}
+        for command in ("train", "experiment"):
+            for flag, name in train.items():
+                assert defaults[command][flag] == getattr(TrainConfig, name), flag
+
+
 class TestDataErrors:
     """A malformed input exits 2 with one line naming it; a bug in the
     program is not reported as a data error."""
@@ -625,6 +782,51 @@ class TestDataErrors:
             fh.write(line + "\n")
         err = self.predict_error(bundle, corpus / "test.tsv", capsys)
         assert f"{weights_file}: line {lines + 1}:" in err and "finite" in err
+
+    @pytest.mark.parametrize("case", ["missing", "repeated", "not-last"])
+    def test_bias_line_is_the_one_last_line(self, bundle, corpus, case, capsys):
+        # save_bundle writes the bias line last, so a file without one was
+        # cut short.
+        weights = bundle / "weights_FAVOR.tsv"
+        lines = weights.read_text().splitlines()
+        assert lines[-1].startswith("bias\t")
+        lines, expected = {
+            "missing": (lines[:-1], "no bias line"),
+            "repeated": (lines + ["bias\t0.5"], f"line {len(lines) + 1}:"),
+            "not-last": (lines[-1:] + lines[:-1], "line 2:"),
+        }[case]
+        weights.write_text("\n".join(lines) + "\n")
+        err = self.predict_error(bundle, corpus / "test.tsv", capsys)
+        assert "weights_FAVOR.tsv" in err and expected in err
+
+    def test_repeated_weight_index(self, bundle, corpus, capsys):
+        weights = bundle / "weights_AGAINST.tsv"
+        lines = weights.read_text().splitlines()
+        index = lines[0].split("\t")[0]
+        weights.write_text("\n".join([lines[0], f"{index}\t0.25", *lines[1:]]) + "\n")
+        err = self.predict_error(bundle, corpus / "test.tsv", capsys)
+        assert f"weights_AGAINST.tsv: line 2: index {index} appears twice" in err
+
+    @pytest.mark.parametrize("case", ["header-only", "no-profiles"])
+    def test_empty_training_set(self, corpus, tmp_path, case, capsys):
+        # Every instance is gone before training: the file holds none, or
+        # --require-profile drops them all.
+        tweets, profiles = tmp_path / "train.tsv", tmp_path / "profiles.jsonl"
+        header = (corpus / "train.tsv").read_text().splitlines(keepends=True)[0]
+        tweets.write_text(header)
+        profiles.write_text("")
+        if case == "no-profiles":
+            tweets.write_bytes((corpus / "train.tsv").read_bytes())
+        capsys.readouterr()
+        code = main(["train", "--tweets", str(tweets), "--profiles", str(profiles),
+                     "--require-profile", "--selector", "TXT", "--mode", "binary",
+                     "--out", str(tmp_path / "bundles")])
+        assert code == EXIT_DATA
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.splitlines()[-1] == "stancelab: no training instances"
+        assert len(captured.err.splitlines()) == (1 if case == "header-only" else 2)
+        assert not (tmp_path / "bundles").exists()
 
     @pytest.mark.parametrize("case", ["no-bundles", "misaligned-predictions"])
     def test_analyze_reads_every_input_before_writing(self, corpus, bundle,
