@@ -24,7 +24,6 @@ from .features import (
 from .linsvm import (
     LinearModel,
     TrainConfig,
-    class_weights,
     decision_values,
     load_bundle,
     predict,

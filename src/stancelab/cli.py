@@ -35,6 +35,7 @@ from .analysis import (
 from .corpus import (
     CorpusError,
     Dataset,
+    LabeledInstance,
     StanceLabel,
     UserNetworkProfile,
     join,
@@ -143,21 +144,40 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
 
 
 def _load_profiles(path: str | None) -> dict[str, UserNetworkProfile]:
-    """The profiles of a --profiles file, or none without one. Each command
-    reads the file at most once."""
+    """Every family of every profile of a --profiles file, or none without
+    one. Each command reads the file at most once."""
     return load_network_profiles(path)[0] if path else {}
 
 
-def _load_dataset(
-    tweets_path: str,
+def _join(
+    instances: Sequence[LabeledInstance],
     profiles: Mapping[str, UserNetworkProfile],
     require_profile: bool,
 ) -> Dataset:
-    instances = load_semeval_tsv(tweets_path)
     dataset, dropped = join(instances, profiles, require_profile=require_profile)
     if dropped:
         print(f"dropped {dropped} instances without profiles", file=sys.stderr)
     return dataset
+
+
+def _load_dataset_for(
+    selectors: Iterable[FeatureSetSelector],
+    tweets_path: str,
+    profiles_path: str | None,
+    require_profile: bool,
+) -> Dataset:
+    """Reads --tweets, then only what the selectors use of --profiles: their
+    families, of the tweets' authors."""
+    instances = load_semeval_tsv(tweets_path)
+    profiles: dict[str, UserNetworkProfile] = {}
+    if profiles_path:
+        profiles, _ = load_network_profiles(
+            profiles_path,
+            fields={NETWORK_FLAG_SOURCES[flag][1]
+                    for s in selectors for flag in s.flags - {"TXT"}},
+            authors={inst.author_id for inst in instances},
+        )
+    return _join(instances, profiles, require_profile)
 
 
 def _check_profiles_flag(
@@ -241,8 +261,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
         selector = FeatureSetSelector.parse(args.selector)
         config = _train_config(args)
     _check_profiles_flag(args.parser, [selector], args.profiles)
-    profiles = _load_profiles(args.profiles)
-    train = _load_dataset(args.tweets, profiles, args.require_profile)
+    train = _load_dataset_for(
+        [selector], args.tweets, args.profiles, args.require_profile
+    )
     models = train_topic_models(train, selector, args.mode, config, args.min_df)
     slugs = _unique_slugs(train.topics)
     out = Path(args.out)
@@ -259,8 +280,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     models = _load_models(args.bundles)
     selectors = [model.space.selector for model in models.values()]
     _check_profiles_flag(args.parser, selectors, args.profiles)
-    dataset = _load_dataset(
-        args.tweets, _load_profiles(args.profiles), args.require_profile
+    dataset = _load_dataset_for(
+        selectors, args.tweets, args.profiles, args.require_profile
     )
     write_predictions(args.out, dataset.instances, predict_dataset(models, dataset))
     print(f"predictions: {args.out}")
@@ -286,29 +307,38 @@ def _fold_scores(
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    dataset = None  # loaded on first use, once for --bundles and --compare
+    if args.predictions or (args.gold and args.pred_labels):
+        primary = None
+    elif args.bundles:
+        primary = args.bundles
+    else:
+        args.parser.error(
+            "provide --predictions, or --gold with --pred-labels, or --bundles"
+        )
+    # Both sides' bundles load before --tweets, so that --profiles is read
+    # once, with every family either side uses.
+    bundle_dirs = [s for s in (primary, args.compare) if s and Path(s).is_dir()]
+    if bundle_dirs and not args.tweets:
+        args.parser.error("scoring a bundles directory requires --tweets")
+    model_sets = {source: _load_models(source) for source in bundle_dirs}
+    selectors = [m.space.selector for ms in model_sets.values() for m in ms.values()]
+    _check_profiles_flag(args.parser, selectors, args.profiles)
+    dataset = (_load_dataset_for(selectors, args.tweets, args.profiles, False)
+               if model_sets else None)
 
     def predictions_from(source: str):
         """Aligned (ids, topics, gold, pred) from a predictions TSV or a
         bundles directory, scored on --tweets and --profiles."""
-        nonlocal dataset
-        if not Path(source).is_dir():
+        if source not in model_sets:
             return read_predictions(source)
-        if not args.tweets:
-            args.parser.error("scoring a bundles directory requires --tweets")
-        models = _load_models(source)
-        selectors = [model.space.selector for model in models.values()]
-        _check_profiles_flag(args.parser, selectors, args.profiles)
-        if dataset is None:
-            dataset = _load_dataset(args.tweets, _load_profiles(args.profiles), False)
         ids = [inst.tweet_id for inst in dataset.instances]
         topics = [inst.topic for inst in dataset.instances]
         gold = [inst.label for inst in dataset.instances]
-        return ids, topics, gold, predict_dataset(models, dataset)
+        return ids, topics, gold, predict_dataset(model_sets[source], dataset)
 
     if args.predictions:
         ids, topics, gold, pred = read_predictions(args.predictions)
-    elif args.gold and args.pred_labels:
+    elif primary is None:
         instances = load_semeval_tsv(args.gold)
         pred = read_label_lines(args.pred_labels)
         if len(pred) != len(instances):
@@ -318,12 +348,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         ids = [inst.tweet_id for inst in instances]
         topics = [inst.topic for inst in instances]
         gold = [inst.label for inst in instances]
-    elif args.bundles:
-        ids, topics, gold, pred = predictions_from(args.bundles)
     else:
-        args.parser.error(
-            "provide --predictions, or --gold with --pred-labels, or --bundles"
-        )
+        ids, topics, gold, pred = predictions_from(primary)
     report = score_semeval(gold, pred, topics)
     # Everything that can fail comes before the first file is written.
     significance = ""
@@ -536,8 +562,16 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         modes = _parse_list(args.modes, _parse_mode, "mode")
     _check_profiles_flag(args.parser, selectors, args.profiles)
     profiles = _load_profiles(args.profiles)
-    train = _load_dataset(args.tweets, profiles, args.require_profile)
-    test = _load_dataset(args.test, profiles, args.require_profile)
+    train = _join(load_semeval_tsv(args.tweets), profiles, args.require_profile)
+    test = _join(load_semeval_tsv(args.test), profiles, args.require_profile)
+    # A network row depends only on its author, so a network cell can
+    # memorize an author whose tweets are on both sides.
+    shared = ({(i.author_id, i.topic) for i in train.instances}
+              & {(i.author_id, i.topic) for i in test.instances})
+    if shared:
+        print(f"stancelab: {len(shared)} (author, topic) pairs are in both "
+              "--tweets and --test; network cells can memorize their authors",
+              file=sys.stderr)
     out = Path(args.out)
     analysis_dir = out / "analysis"
     analysis_dir.mkdir(parents=True, exist_ok=True)
@@ -588,7 +622,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         raise CorpusError(f"{args.profiles}: no profiles")
     models = _load_models(args.bundles) if args.bundles else {}
     if args.predictions:
-        dataset = _load_dataset(args.tweets, profiles, False)
+        dataset = _join(load_semeval_tsv(args.tweets), profiles, False)
         _, _, _, pred = read_predictions(args.predictions)
         if len(pred) != len(dataset.instances):
             raise CorpusError("predictions do not align with tweets file")

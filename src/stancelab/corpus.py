@@ -11,16 +11,24 @@ Two file formats are owned by this module:
   up to six array-of-string keys, one per network family. ``NETWORK_FIELDS``
   is the one table of those families and of their kinds (account or domain).
   Absent keys mean empty sets.
+
+``load_network_profiles`` can leave out what a command does not use:
+``fields`` names the families to read and ``authors`` the users to keep.
+Every line is still parsed and type-checked, duplicates are counted over all
+records, and a line that trips the control-character screen (a backslash, a
+DEL or a non-ASCII character) is checked in full, whoever its author. An
+unread family raises UnreadFamilyError when used, so it never passes for an
+empty set.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Collection, Container, Iterable, Mapping
 from urllib.parse import urlsplit
 
 
@@ -122,13 +130,38 @@ NETWORK_FIELDS: dict[str, str] = {
 NORMALIZERS = {"account": normalize_account, "domain": normalize_domain}
 
 
+class UnreadFamilyError(LookupError):
+    """A network family was used that load_network_profiles did not read."""
+
+
+class _Unread:
+    """The value of a family that load_network_profiles did not read: any
+    use as a set raises, so it never passes for an empty set."""
+
+    __slots__ = ("field_name",)
+
+    def __init__(self, field_name: str) -> None:
+        self.field_name = field_name
+
+    def refuse(self, *_):
+        raise UnreadFamilyError(
+            f"network family {self.field_name!r} was not read from the profiles file"
+        )
+
+    __iter__ = __len__ = __bool__ = __contains__ = refuse
+
+
+_UNREAD = {name: _Unread(name) for name in NETWORK_FIELDS}
+
+
 @dataclass(frozen=True)
 class UserNetworkProfile:
     """The six account/domain sets describing one user's networks.
 
     Sets may be empty (silent or passive users). Account strings are
     lowercase with no leading '@'; domain strings are lowercase hostnames
-    with no scheme, path, or port.
+    with no scheme, path, or port. A family that load_network_profiles was
+    told not to read raises UnreadFamilyError when used.
     """
 
     user_id: str
@@ -157,7 +190,10 @@ class UserNetworkProfile:
     def set_for(self, field_name: str) -> frozenset[str]:
         if field_name not in NETWORK_FIELDS:
             raise ValueError(f"unknown network field {field_name!r}")
-        return getattr(self, field_name)
+        members = getattr(self, field_name)
+        if isinstance(members, _Unread):
+            members.refuse()
+        return members
 
 
 @dataclass(frozen=True)
@@ -240,16 +276,38 @@ def _reject_unwritable_chars(
 
 def load_network_profiles(
     path: str | Path,
+    fields: Collection[str] | None = None,
+    authors: Container[str] | None = None,
 ) -> tuple[dict[str, UserNetworkProfile], int]:
     """Read a profiles JSONL file.
 
     Returns the user_id -> profile mapping plus the number of duplicate
-    user_id records encountered (last record wins). A set member that holds
+    user_id records in the file (last record wins). A set member that holds
     a control character or a lone surrogate (neither can be written to a
     bundle's feature space) after normalization is rejected.
+
+    Two filters leave out what the caller does not use. ``fields`` names the
+    families to read (all six by default); the others hold a stand-in that
+    raises UnreadFamilyError when used. ``authors`` names the users to keep
+    (all by default); the others are left out of the mapping. Whatever the
+    filters, every line is parsed, every field of every record is
+    type-checked and duplicates are counted over all records. A line that
+    may hold a control character or a lone surrogate (screened by a
+    backslash, a DEL or a non-ASCII character in it) is normalized and
+    checked in full, whoever its author. So the filters change neither
+    which files load, nor any error message, nor the duplicate count.
     """
     path = Path(path)
+    wanted = NETWORK_FIELDS.keys() if fields is None else set(fields)
+    unknown = wanted - NETWORK_FIELDS.keys()
+    if unknown:
+        raise ValueError(f"unknown network fields: {sorted(unknown)}")
+    normalizers = {
+        name: NORMALIZERS[kind] for name, kind in NETWORK_FIELDS.items() if name in wanted
+    }
+    unread = {name: _UNREAD[name] for name in NETWORK_FIELDS if name not in wanted}
     profiles: dict[str, UserNetworkProfile] = {}
+    skipped: set[str] = set()
     duplicates = 0
     with path.open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -282,16 +340,27 @@ def load_network_profiles(
                         "is not an array of strings"
                     )
                 sets[name] = values
-            profile = UserNetworkProfile.from_raw(user_id, **sets)
+            keep = authors is None or user_id in authors
             # json.loads refuses raw U+0000..U+001F in strings, so a control
             # character arrives escaped, as a raw DEL or as raw non-ASCII,
             # and a lone surrogate (UTF-8 cannot hold one) only escaped; a
             # line with none of these needs no scan of its members.
             if "\\" in line or "\x7f" in line or not line.isascii():
+                profile = UserNetworkProfile.from_raw(user_id, **sets)
                 _reject_unwritable_chars(profile, path, lineno)
-            if user_id in profiles:
+                if keep and unread:
+                    profile = replace(profile, **unread)
+            elif keep:
+                profile = UserNetworkProfile(user_id, **unread, **{
+                    name: _normalized_set(sets[name], normalize)
+                    for name, normalize in normalizers.items()
+                })
+            if user_id in profiles or user_id in skipped:
                 duplicates += 1
-            profiles[user_id] = profile
+            if keep:
+                profiles[user_id] = profile
+            else:
+                skipped.add(user_id)
     return profiles, duplicates
 
 

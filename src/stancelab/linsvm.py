@@ -310,14 +310,6 @@ def predict(model: LinearModel, rows: Sequence[np.ndarray]) -> list[StanceLabel]
     return [classes[ci] for ci in best.tolist()]
 
 
-def class_weights(model: LinearModel, cls: StanceLabel) -> dict[str, float]:
-    """Feature-string -> weight map for one class."""
-    if cls not in model.classes:
-        raise ValueError(f"class {cls.value} not in model classes")
-    row = model.weights[model.classes.index(cls)]
-    return {name: float(row[idx]) for name, idx in model.space.index_of.items()}
-
-
 # ---------------------------------------------------------------------------
 # Model bundle: a directory that round-trips predictions bitwise.
 

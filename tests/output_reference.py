@@ -1,8 +1,8 @@
 """The per-cell output writers before their numpy paths, kept as oracles.
 
-``top_features`` ranks through a name -> weight map of every column and a
-sort of all of them, as ``analysis.top_features`` did; ``write_weights``
-writes one bundle weights file element by element, as
+``top_features`` ranks through ``class_weights``, a name -> weight map of
+every column, and a sort of all of them, as ``analysis.top_features`` did;
+``write_weights`` writes one bundle weights file element by element, as
 ``linsvm.save_bundle`` did. The program's versions must give the same
 rankings, float bits included, and the same bytes.
 """
@@ -15,7 +15,15 @@ import numpy as np
 
 from stancelab.analysis import RankedFeatures
 from stancelab.corpus import StanceLabel
-from stancelab.linsvm import LinearModel, class_weights
+from stancelab.linsvm import LinearModel
+
+
+def class_weights(model: LinearModel, cls: StanceLabel) -> dict[str, float]:
+    """Feature-string -> weight map for one class."""
+    if cls not in model.classes:
+        raise ValueError(f"class {cls.value} not in model classes")
+    row = model.weights[model.classes.index(cls)]
+    return {name: float(row[idx]) for name, idx in model.space.index_of.items()}
 
 
 def top_features(

@@ -250,9 +250,9 @@ class TestProfilesReadOnce:
                                   command, capsys):
         reads = []
 
-        def counting(path):
+        def counting(path, **kwargs):
             reads.append(path)
-            return load_network_profiles(path)
+            return load_network_profiles(path, **kwargs)
 
         monkeypatch.setattr(cli, "load_network_profiles", counting)
         profiles = ["--profiles", str(corpus / "profiles.jsonl")]
@@ -293,6 +293,72 @@ class TestProfilesReadOnce:
                      "--out", str(tmp_path / "out")]) == EXIT_OK
         assert sorted(calls) == ["join", "load_semeval_tsv"]
         assert (tmp_path / "out" / "significance.txt").exists()
+
+
+class TestFilteredRead:
+    """train, predict and evaluate read of --profiles only the families and
+    the authors they use, and write what a full read gives."""
+
+    @staticmethod
+    def run(corpus, profiles, out, extra):
+        test = ["--tweets", str(corpus / "test.tsv"), "--profiles", str(profiles)]
+        for selector in ("IN_AT", "IN_DM"):
+            assert main(["train", "--tweets", str(corpus / "train.tsv"),
+                         "--profiles", str(profiles), "--selector", selector,
+                         "--mode", "binary", "--out", str(out / selector),
+                         *extra]) == EXIT_OK
+        assert main(["predict", "--bundles", str(out / "IN_AT"), *test,
+                     "--out", str(out / "predictions.tsv"), *extra]) == EXIT_OK
+        # Each side reads a family the other does not use.
+        assert main(["evaluate", "--bundles", str(out / "IN_AT"),
+                     "--compare", str(out / "IN_DM"), *test,
+                     "--out", str(out / "evaluation")]) == EXIT_OK
+
+    @pytest.mark.parametrize("extra", [[], ["--require-profile"]])
+    def test_outputs_equal_a_full_read(self, corpus, tmp_path, monkeypatch,
+                                       extra, capsys):
+        half = tmp_path / "half.jsonl"
+        lines = (corpus / "profiles.jsonl").read_text().splitlines(keepends=True)
+        half.write_text("".join(lines[::2]))
+        reads = []
+
+        def recording(path, **kwargs):
+            reads.append(kwargs)
+            return load_network_profiles(path, **kwargs)
+
+        monkeypatch.setattr(cli, "load_network_profiles", recording)
+        self.run(corpus, half, tmp_path / "filtered", extra)
+        filtered_err = capsys.readouterr().err
+        assert [sorted(r["fields"]) for r in reads] == [
+            ["in_mentions"], ["in_domains"], ["in_mentions"],
+            ["in_domains", "in_mentions"]]
+        monkeypatch.setattr(cli, "load_network_profiles",
+                            lambda path, **_: load_network_profiles(path))
+        self.run(corpus, half, tmp_path / "full", extra)
+        assert capsys.readouterr().err == filtered_err
+        filtered, full = tree(tmp_path / "filtered"), tree(tmp_path / "full")
+        assert "evaluation/significance.txt" in full
+        assert filtered == full
+
+
+def test_experiment_notes_authors_in_both_splits(corpus, tmp_path, capsys):
+    note = "pairs are in both --tweets and --test"
+    argv = ["experiment", "--tweets", str(corpus / "train.tsv"),
+            "--profiles", str(corpus / "profiles.jsonl"),
+            "--selectors", "IN_AT", "--modes", "binary"]
+    # synth splits by user, so its splits share no author.
+    assert main([*argv, "--test", str(corpus / "test.tsv"),
+                 "--out", str(tmp_path / "split")]) == EXIT_OK
+    split = capsys.readouterr()
+    assert note not in split.err
+    assert main([*argv, "--test", str(corpus / "train.tsv"),
+                 "--out", str(tmp_path / "shared")]) == EXIT_OK
+    shared = capsys.readouterr()
+    pairs = {(i.author_id, i.topic) for i in load_semeval_tsv(corpus / "train.tsv")}
+    assert shared.err.count(note) == 1
+    assert (f"stancelab: {len(pairs)} (author, topic) {note}; network cells "
+            "can memorize their authors\n") in shared.err
+    assert shared.out == split.out.replace("split", "shared")
 
 
 @pytest.mark.parametrize("selector, mode", [("TXT+IN_AT+IN_DM", "ternary"),

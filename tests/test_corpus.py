@@ -14,6 +14,7 @@ from stancelab.corpus import (
     LabeledInstance,
     NETWORK_FIELDS,
     StanceLabel,
+    UnreadFamilyError,
     UserNetworkProfile,
     join,
     load_network_profiles,
@@ -22,6 +23,12 @@ from stancelab.corpus import (
     normalize_domain,
     write_network_profiles,
     write_semeval_tsv,
+)
+from stancelab.features import (
+    FeatureSetSelector,
+    FeatureSpace,
+    extract_features,
+    index_rows,
 )
 
 
@@ -454,6 +461,110 @@ class TestLoadProfiles:
                 return
             event("written")
             assert load_network_profiles(path) == (profiles, 0)
+
+
+# Members that pass the screen unseen, members that trip it (a backslash
+# escape, a raw DEL, raw non-ASCII, a control character or a lone surrogate
+# after normalization), and values that are not arrays of strings.
+FILTER_MEMBERS = st.sampled_from(
+    ["a", "@B", " www.c.example/x ", "d\\e", "é", "\n@J\t", ""] * 16
+    + ["f\x7fg", "h\ni", "\x85", "\ud800k"]
+)
+FILTER_USERS = ["u0", "u1", "u2", "u3"]
+
+
+@st.composite
+def profile_lines(draw):
+    """One line of a profiles file, valid or not."""
+    kind = draw(st.sampled_from(["record"] * 38 + ["unparseable", "array"]))
+    if kind == "unparseable":
+        return "{not json"
+    if kind == "array":
+        return "[1]"
+    record: dict = {}
+    if draw(st.integers(0, 39)):
+        record["user_id"] = draw(st.sampled_from(FILTER_USERS))
+    else:
+        record["user_id"] = draw(st.sampled_from([5, "", None]))
+    for name in NETWORK_FIELDS:
+        if draw(st.booleans()):
+            record[name] = draw(st.lists(FILTER_MEMBERS, max_size=3))
+            if not draw(st.integers(0, 59)):
+                record[name] = draw(st.sampled_from(["a", [1], None]))
+    surrogate = "\ud800" in json.dumps(record, ensure_ascii=False)
+    return json.dumps(record, ensure_ascii=surrogate or draw(st.booleans()))
+
+
+class TestFilteredLoad:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lines=st.lists(profile_lines(), max_size=6),
+        fields=st.none() | st.sets(st.sampled_from(sorted(NETWORK_FIELDS))),
+        authors=st.none() | st.sets(st.sampled_from(FILTER_USERS + ["u9"])),
+    )
+    def test_filters_change_no_outcome(self, lines, fields, authors):
+        # Both loads accept the file or both raise the same message; the
+        # filtered one keeps the filtered authors and families of the full one.
+        outcomes = []
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "p.jsonl"
+            path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+            for kwargs in ({}, {"fields": fields, "authors": authors}):
+                try:
+                    outcomes.append(load_network_profiles(path, **kwargs))
+                except CorpusError as exc:
+                    outcomes.append(str(exc))
+        full, filtered = outcomes
+        if isinstance(full, str):
+            event("rejected")
+            assert filtered == full
+            return
+        event("accepted")
+        (every, duplicates), (kept, kept_duplicates) = full, filtered
+        assert kept_duplicates == duplicates
+        assert sorted(kept) == sorted(
+            u for u in every if authors is None or u in authors)
+        for user_id, profile in kept.items():
+            assert profile.user_id == user_id
+            for name in NETWORK_FIELDS:
+                if fields is None or name in fields:
+                    assert profile.set_for(name) == every[user_id].set_for(name)
+                else:
+                    with pytest.raises(UnreadFamilyError):
+                        profile.set_for(name)
+
+    def test_unread_family_raises_when_used(self, tmp_path):
+        path = write(tmp_path, "p.jsonl",
+                     '{"user_id": "u1", "in_mentions": ["a"], "pn_mentions": ["b"]}\n')
+        profiles, _ = load_network_profiles(path, fields={"in_mentions"})
+        profile = profiles["u1"]
+        inst = LabeledInstance("t1", "u1", "A", "", StanceLabel.NONE)
+        dataset, _ = join([inst], profiles)
+        read, both = FeatureSetSelector.of("IN_AT"), FeatureSetSelector.of("IN_AT", "PN_AT")
+        space = FeatureSpace({"inat:a": 0, "pnat:b": 1}, both)
+        # The family that was read works as usual.
+        assert profile.set_for("in_mentions") == {"a"}
+        assert extract_features(inst, profile, read) == {"inat:a"}
+        assert [r.tolist() for r in index_rows(FeatureSpace({"inat:a": 0}, read),
+                                               [inst], dataset)] == [[0]]
+        # The unread one never passes for an empty set.
+        message = "was not read from the profiles file"
+        for use in (lambda: profile.set_for("pn_mentions"),
+                    lambda: len(profile.pn_mentions),
+                    lambda: "b" in profile.pn_mentions,
+                    lambda: extract_features(inst, profile, both),
+                    lambda: index_rows(space, [inst], dataset),
+                    lambda: write_network_profiles(tmp_path / "out.jsonl", profiles)):
+            with pytest.raises(UnreadFamilyError, match=message):
+                use()
+        assert not (tmp_path / "out.jsonl").exists()
+        # An author the file does not hold still has empty sets.
+        assert dataset.profile_for("u2").set_for("pn_mentions") == frozenset()
+
+    def test_unknown_field_rejected(self, tmp_path):
+        path = write(tmp_path, "p.jsonl", "")
+        with pytest.raises(ValueError, match="in_mention"):
+            load_network_profiles(path, fields={"in_mention"})
 
 
 class TestJoin:

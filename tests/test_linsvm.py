@@ -30,7 +30,6 @@ from stancelab.linsvm import (
     MODE_FITS,
     TrainConfig,
     _check_rows,
-    class_weights,
     decision_values,
     dual_coordinate_descent,
     load_bundle,
@@ -40,6 +39,7 @@ from stancelab.linsvm import (
 )
 
 from dcd_reference import reference_dcd
+from output_reference import class_weights
 from qp_oracle import dual_objective, gram_matrix, random_problem, solve_svm_dual
 
 TIGHT = TrainConfig(C=1.0, tol=1e-10, max_iter=20000)
