@@ -1,77 +1,46 @@
 """Command-line entry points: synth, train, predict, evaluate, experiment,
 analyze.
 
-Every command is reproducible from its flags plus --seed. Exit codes:
-0 success; 1 usage error, before any output is written; 2 data error, an
-unreadable or malformed input reported in one line; 3 experiment-cell
-failure. Any other exception is a program bug and prints its traceback.
+The CLI parses flags, loads the inputs they name, calls the library and
+prints; the experiment grid itself runs in stancelab.experiment. Every
+command is reproducible from its flags plus --seed. Exit codes: 0 success;
+1 usage error, before any output is written; 2 data error, an unreadable or
+malformed input reported in one line; 3 experiment-cell failure. Any other
+exception is a program bug and prints its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import os
-import pickle
 import sys
-import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
-from itertools import combinations
+from dataclasses import fields
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .analysis import (
-    RankedFeatures,
-    top_features,
-    topn_overlap_curve,
-    network_overlap,
-    user_consistency,
-    write_consistency_csv,
-    write_curves_csv,
-    write_overlap_csv,
-    write_rankings_csv,
-)
+from .analysis import user_consistency, write_consistency_csv, write_rankings_csv
 from .corpus import (
-    CorpusError,
-    Dataset,
-    LabeledInstance,
-    StanceLabel,
-    UserNetworkProfile,
-    join,
-    load_network_profiles,
-    load_semeval_tsv,
+    CorpusError, Dataset, LabeledInstance, StanceLabel, UserNetworkProfile, join,
+    load_network_profiles, load_semeval_tsv,
+)
+from .experiment import (
+    CellContext, _capped_fit_lines, _rankings, _unique_slugs, _write_overlap_csvs,
+    _write_report_dir, run_experiment,
 )
 from .features import NETWORK_FLAG_SOURCES, FeatureSetSelector
-from .linsvm import LOSSES, MODE_CLASSES, MODE_FITS, LinearModel, TrainConfig
-from .linsvm import capped_fits, load_bundle, save_bundle
-from .pipeline import predict_dataset, run_cell, train_topic_models
+from .linsvm import LOSSES, MODE_CLASSES, LinearModel, TrainConfig
+from .linsvm import load_bundle, save_bundle
+from .pipeline import predict_dataset, train_topic_models
 from .scoring import (
-    EvalReport,
-    kfold,
-    mann_whitney_u,
-    minority_recall_flags,
-    paired_t_test,
-    read_label_lines,
-    read_predictions,
-    render_report,
-    score_semeval,
-    write_confusion_csv,
-    write_predictions,
-    write_report_csv,
+    kfold, mann_whitney_u, paired_t_test, read_label_lines, read_predictions,
+    score_semeval, write_predictions,
 )
-from .synth import SynthConfig, topic_slug, write_corpus
+from .synth import SynthConfig, write_corpus
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_CELL = 3
-
-# The network families the analyses compare, in groups of one kind: the
-# account networks, then the domain networks. Each pair within a group is
-# compared by the overlap of users' profile sets and by the top-N curves of
-# its single-family models; a group of three also gets its joint curve.
-COMPARED_FAMILIES = (("IN_AT", "PN_AT", "CN_FR"), ("IN_DM", "PN_DM"))
 
 # The synth flags that each set one SynthConfig field, in --help order; the
 # field's default is the flag's default.
@@ -100,20 +69,6 @@ def _flag_values(parser: argparse.ArgumentParser) -> Iterator[None]:
         yield
     except ValueError as exc:
         parser.error(str(exc))
-
-
-def _unique_slugs(topics: Sequence[str]) -> dict[str, str]:
-    slugs: dict[str, str] = {}
-    used: set[str] = set()
-    for topic in topics:
-        slug = topic_slug(topic)
-        candidate, i = slug, 2
-        while candidate in used:
-            candidate = f"{slug}{i}"
-            i += 1
-        used.add(candidate)
-        slugs[topic] = candidate
-    return slugs
 
 
 def _parse_list(text: str, parse: Callable[[str], object], noun: str) -> list:
@@ -206,38 +161,6 @@ def _load_models(bundles_dir: str) -> dict[str, LinearModel]:
     return models
 
 
-def _capped_fit_lines(models: Iterable[tuple[str, LinearModel]]) -> list[str]:
-    """One line per fit of the (topic, model) pairs that stopped at
-    --max-iter instead of --tol."""
-    return [
-        f"topic {topic!r}: the {cls.value} fit stopped at --max-iter "
-        f"({epochs} epochs) before reaching --tol"
-        for topic, model in models
-        for cls, epochs in capped_fits(model)
-    ]
-
-
-def _rankings(
-    models: Iterable[tuple[str, LinearModel]], n: int
-) -> list[RankedFeatures]:
-    """The top n features of every class of every (topic, model)."""
-    return [
-        top_features(model, cls, topic, n)
-        for topic, model in models
-        for cls in model.classes
-    ]
-
-
-def _write_report_dir(report: EvalReport, out: Path, title: str = "") -> str:
-    """Writes report.txt, report.csv and confusion.csv; returns the text."""
-    text = render_report(report, title=title)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "report.txt").write_text(text, encoding="utf-8")
-    write_report_csv(report, out / "report.csv")
-    write_confusion_csv(report.confusion, out / "confusion.csv")
-    return text
-
-
 # ---------------------------------------------------------------------------
 # Subcommands.
 
@@ -308,16 +231,16 @@ def _fold_scores(
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     if args.predictions or (args.gold and args.pred_labels):
-        primary = None
+        primary, bundles = args.predictions, None
     elif args.bundles:
-        primary = args.bundles
+        primary = bundles = args.bundles
     else:
         args.parser.error(
             "provide --predictions, or --gold with --pred-labels, or --bundles"
         )
     # Both sides' bundles load before --tweets, so that --profiles is read
     # once, with every family either side uses.
-    bundle_dirs = [s for s in (primary, args.compare) if s and Path(s).is_dir()]
+    bundle_dirs = [s for s in (bundles, args.compare) if s and Path(s).is_dir()]
     if bundle_dirs and not args.tweets:
         args.parser.error("scoring a bundles directory requires --tweets")
     model_sets = {source: _load_models(source) for source in bundle_dirs}
@@ -326,30 +249,26 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     dataset = (_load_dataset_for(selectors, args.tweets, args.profiles, False)
                if model_sets else None)
 
-    def predictions_from(source: str):
-        """Aligned (ids, topics, gold, pred) from a predictions TSV or a
-        bundles directory, scored on --tweets and --profiles."""
-        if source not in model_sets:
+    def predictions_from(source: str | None):
+        """Aligned (ids, topics, gold, pred) from a predictions TSV, from a
+        bundles directory scored on --tweets and --profiles, or, for no
+        source, from --gold and --pred-labels."""
+        if source is None:
+            instances = load_semeval_tsv(args.gold)
+            pred = read_label_lines(args.pred_labels)
+            if len(pred) != len(instances):
+                raise CorpusError(
+                    f"{len(pred)} predicted labels for {len(instances)} gold instances"
+                )
+        elif source in model_sets:
+            instances = dataset.instances
+            pred = predict_dataset(model_sets[source], dataset)
+        else:
             return read_predictions(source)
-        ids = [inst.tweet_id for inst in dataset.instances]
-        topics = [inst.topic for inst in dataset.instances]
-        gold = [inst.label for inst in dataset.instances]
-        return ids, topics, gold, predict_dataset(model_sets[source], dataset)
+        return ([i.tweet_id for i in instances], [i.topic for i in instances],
+                [i.label for i in instances], pred)
 
-    if args.predictions:
-        ids, topics, gold, pred = read_predictions(args.predictions)
-    elif primary is None:
-        instances = load_semeval_tsv(args.gold)
-        pred = read_label_lines(args.pred_labels)
-        if len(pred) != len(instances):
-            raise CorpusError(
-                f"{len(pred)} predicted labels for {len(instances)} gold instances"
-            )
-        ids = [inst.tweet_id for inst in instances]
-        topics = [inst.topic for inst in instances]
-        gold = [inst.label for inst in instances]
-    else:
-        ids, topics, gold, pred = predictions_from(primary)
+    ids, topics, gold, pred = predictions_from(primary)
     report = score_semeval(gold, pred, topics)
     # Everything that can fail comes before the first file is written.
     significance = ""
@@ -384,177 +303,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-@dataclass
-class _CellResult:
-    selector: FeatureSetSelector
-    mode: str
-    report: EvalReport | None = None
-    predictions: list[StanceLabel] | None = None
-    # (topic, class) -> RankedFeatures of max(--top-n, --curve-max) entries.
-    rankings: dict = field(default_factory=dict)
-    capped_fits: list[str] = field(default_factory=list)
-    error: str = ""
-
-
-# (train, test, config, min_df, out, top_n, curve_max) of the running
-# experiment, set by _run_cells at --jobs 1 and by _load_cells in a worker.
-_CELL_CONTEXT: tuple[Dataset, Dataset, TrainConfig, int, Path, int, int] | None = None
-
-
-def _load_cells(path: str) -> None:
-    """Worker initializer: reads the context that _run_cells pickled."""
-    global _CELL_CONTEXT
-    with open(path, "rb") as fh:
-        _CELL_CONTEXT = pickle.load(fh)
-
-
-def _cell_cost(cell: tuple[FeatureSetSelector, str]) -> tuple[bool, int]:
-    """A sort key that is larger for a costlier cell: text rows are about
-    ten times denser than network rows, and each fit is one solve."""
-    selector, mode = cell
-    return selector.uses_text, len(MODE_FITS[mode])
-
-
-def _run_experiment_cell(cell: tuple[FeatureSetSelector, str]) -> _CellResult:
-    """Trains and scores one cell, then writes its cell directory, bundles
-    and top-features CSV under the experiment's output directory."""
-    train, test, config, min_df, out, top_n, curve_max = _CELL_CONTEXT
-    selector, mode = cell
-    result = _CellResult(selector=selector, mode=mode)
-    try:
-        models, result.report, result.predictions = run_cell(
-            train, test, selector, mode, config, min_df=min_df
-        )
-    except Exception as exc:  # cell failures are recorded, not fatal
-        result.error = f"{type(exc).__name__}: {exc}"
-        return result
-    name = f"{selector}__{mode}"
-    cell_dir = out / "cells" / name
-    _write_report_dir(result.report, cell_dir, title=name)
-    write_predictions(cell_dir / "predictions.tsv", test.instances, result.predictions)
-    slugs = _unique_slugs(train.topics)
-    for topic, model in models.items():
-        save_bundle(model, out / "bundles" / name / slugs[topic], topic=topic)
-    # A ranking is a sorted prefix, so the one computed for the curves also
-    # gives the --top-n CSV.
-    rankings = _rankings(models.items(), max(top_n, curve_max))
-    write_rankings_csv(
-        [replace(r, entries=r.entries[:top_n]) for r in rankings],
-        out / "analysis" / f"top_features__{name}.csv",
-    )
-    result.rankings = {(r.topic, r.label): r for r in rankings}
-    result.capped_fits = _capped_fit_lines(models.items())
-    return result
-
-
-def _run_cells(
-    cells: Sequence[tuple[FeatureSetSelector, str]], jobs: int, context: tuple
-) -> list[_CellResult]:
-    """Runs the cells in this process, or in `jobs` worker processes; the
-    results come back in the order of `cells`, and every output is
-    identical to that of --jobs 1.
-
-    The workers get the path of a file that holds the pickled context, not
-    the context itself: a spawned worker reads its start-up arguments only
-    after it has imported the program, so arguments larger than a pipe
-    buffer would block this process and start the workers one after the
-    other. The cells are submitted costliest first (Graham's
-    longest-processing-time rule), so that no worker idles while the last
-    large cell runs.
-    """
-    global _CELL_CONTEXT
-    if jobs <= 1:
-        _CELL_CONTEXT = context
-        return list(map(_run_experiment_cell, cells))
-    # Imported here so that the other commands do not pay for it at start-up.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    order = sorted(range(len(cells)), key=lambda i: _cell_cost(cells[i]),
-                   reverse=True)
-    fd, path = tempfile.mkstemp(prefix="stancelab-cells-", suffix=".pickle")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            pickle.dump(context, fh)
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(cells)),
-            mp_context=multiprocessing.get_context("spawn"),
-            initializer=_load_cells,
-            initargs=(path,),
-        ) as pool:
-            ordered = pool.map(_run_experiment_cell, [cells[i] for i in order])
-            done = dict(zip(order, ordered))
-    finally:
-        os.unlink(path)
-    return [done[i] for i in range(len(cells))]
-
-
-def _write_overlap_csvs(
-    profiles: Mapping[str, UserNetworkProfile], out_dir: Path
-) -> None:
-    for group in COMPARED_FAMILIES:
-        for flags in combinations(group, 2):
-            field_a, field_b = (NETWORK_FLAG_SOURCES[flag][1] for flag in flags)
-            dist = network_overlap(profiles, (field_a, field_b))
-            write_overlap_csv(dist, out_dir / f"overlap__{field_a}__{field_b}.csv")
-
-
-def _write_master_csv(
-    path: Path, results: Sequence[_CellResult], topics: Sequence[str]
-) -> None:
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["selector", "mode", "status"]
-            + [f"f_avg[{t}]" for t in topics]
-            + ["f_favor", "f_against", "f_avg", "collapsed_classes"]
-        )
-        for result in results:
-            row = [str(result.selector), result.mode]
-            if result.report is None:
-                row += [f"failed: {result.error}"] + [""] * (len(topics) + 4)
-            else:
-                report = result.report
-                row.append("ok")
-                for topic in topics:
-                    scores = report.per_topic.get(topic)
-                    row.append(f"{scores.f_avg:.4f}" if scores else "")
-                row += [
-                    f"{report.overall.f_favor:.4f}",
-                    f"{report.overall.f_against:.4f}",
-                    f"{report.overall.f_avg:.4f}",
-                    "+".join(c.value for c in minority_recall_flags(report.confusion)),
-                ]
-            writer.writerow(row)
-
-
-def _experiment_curves(
-    results: dict[tuple[str, str], _CellResult],
-    mode: str,
-    topics: Sequence[str],
-    n_max: int,
-) -> dict[str, list[tuple[int, float]]]:
-    """Top-N overlap curves across the single-family models of each group
-    of COMPARED_FAMILIES whose every family has a non-empty ranking."""
-    curves: dict[str, list[tuple[int, float]]] = {}
-    for topic in topics:
-        for cls in (StanceLabel.FAVOR, StanceLabel.AGAINST):
-            for group in COMPARED_FAMILIES:
-                ranked = [(f, results[f, mode].rankings.get((topic, cls)))
-                          for f in group if (f, mode) in results]
-                if len(ranked) < len(group) or not all(r and r.entries for _, r in ranked):
-                    continue
-                if len(group) == 3:
-                    key = f"{'+'.join(group)} | {cls.value} | {topic}"
-                    curves[key] = topn_overlap_curve(
-                        *(r for _, r in ranked), n_max=n_max
-                    )
-                for (name_l, left), (name_r, right) in combinations(ranked, 2):
-                    key = f"{name_l} vs {name_r} | {cls.value} | {topic}"
-                    curves[key] = topn_overlap_curve(left, right, n_max=n_max)
-    return curves
-
-
 def _cmd_experiment(args: argparse.Namespace) -> int:
     with _flag_values(args.parser):
         selectors = _parse_list(args.selectors, FeatureSetSelector.parse, "selector")
@@ -572,31 +320,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         print(f"stancelab: {len(shared)} (author, topic) pairs are in both "
               "--tweets and --test; network cells can memorize their authors",
               file=sys.stderr)
-    out = Path(args.out)
-    analysis_dir = out / "analysis"
-    analysis_dir.mkdir(parents=True, exist_ok=True)
-    cells = [(sel, mode) for sel in selectors for mode in modes]
-    context = (train, test, config, args.min_df, out, args.top_n, args.curve_max)
-    results = _run_cells(cells, args.jobs, context)
-    results.sort(key=lambda r: (str(r.selector), r.mode))
-    by_key = {(str(r.selector), r.mode): r for r in results}
-
-    consistency = {
-        f"{r.selector}__{r.mode}": user_consistency(test, r.predictions)
-        for r in results
-        if r.report is not None
-    }
-    if profiles:
-        _write_overlap_csvs(profiles, analysis_dir)
-    if consistency:
-        write_consistency_csv(consistency, analysis_dir / "user_consistency.csv")
-    for mode in modes:
-        curves = _experiment_curves(by_key, mode, train.topics, args.curve_max)
-        if curves:
-            write_curves_csv(curves, analysis_dir / f"topn_curves__{mode}.csv")
-
-    _write_master_csv(out / "master.csv", results, train.topics)
-    print(f"master: {out / 'master.csv'}")
+    context = CellContext(train, test, config, args.min_df, Path(args.out),
+                          args.top_n, args.curve_max)
+    results = run_experiment(context, selectors, modes, args.jobs)
+    print(f"master: {context.out / 'master.csv'}")
     for result in results:
         for line in result.capped_fits:
             print(f"stancelab: cell {result.selector} {result.mode}: {line}",
@@ -623,9 +350,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     models = _load_models(args.bundles) if args.bundles else {}
     if args.predictions:
         dataset = _join(load_semeval_tsv(args.tweets), profiles, False)
-        _, _, _, pred = read_predictions(args.predictions)
-        if len(pred) != len(dataset.instances):
-            raise CorpusError("predictions do not align with tweets file")
+        ids, _, _, pred = read_predictions(args.predictions)
+        if ids != [inst.tweet_id for inst in dataset.instances]:
+            raise CorpusError("--predictions do not align with --tweets by instance id")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if profiles:

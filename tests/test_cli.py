@@ -6,6 +6,7 @@ import csv
 import json
 import os
 import pickle
+import random
 import subprocess
 import sys
 import tempfile
@@ -18,6 +19,7 @@ from stancelab import cli
 from stancelab.analysis import top_features, topn_overlap_curve, write_rankings_csv
 from stancelab.cli import EXIT_CELL, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from stancelab.corpus import StanceLabel, join, load_network_profiles, load_semeval_tsv
+from stancelab.experiment import CellContext, run_experiment
 from stancelab.features import FeatureSetSelector
 from stancelab.linsvm import TrainConfig, load_bundle
 from stancelab.pipeline import run_cell
@@ -173,6 +175,31 @@ class TestExperiment:
                      "--modes", "binary", "--out", str(out)]) == EXIT_OK
         assert (out / "analysis" / "user_consistency.csv").exists()
         assert not list((out / "analysis").glob("overlap__*"))
+
+    @pytest.mark.parametrize("prior", [None, "1,0,0"], ids=["ok", "failing"])
+    def test_engine_runs_in_process(self, corpus, tmp_path, prior, capsys):
+        # run_experiment needs no argparse: a CellContext built from the
+        # loaded split writes what the command writes.
+        if prior:
+            corpus = synth(tmp_path / "corpus", "--prior", prior)
+        selectors = "TXT,IN_AT,PN_AT,CN_FR"
+        code = experiment(corpus, tmp_path / "cli", 1, selectors=selectors)
+        assert code == (EXIT_CELL if prior else EXIT_OK)
+        profiles, _ = load_network_profiles(corpus / "profiles.jsonl")
+        train, test = (join(load_semeval_tsv(corpus / name), profiles)[0]
+                       for name in ("train.tsv", "test.tsv"))
+        context = CellContext(train, test, TrainConfig(), min_df=1,
+                              out=tmp_path / "engine", top_n=20, curve_max=200)
+        results = run_experiment(
+            context, [FeatureSetSelector.parse(s) for s in selectors.split(",")],
+            ["ternary", "binary"])
+        assert tree(tmp_path / "engine") == tree(tmp_path / "cli")
+        with (tmp_path / "cli" / "master.csv").open(newline="") as fh:
+            rows = [(row["selector"], row["mode"], row["status"])
+                    for row in csv.DictReader(fh)]
+        assert [(str(r.selector), r.mode,
+                 "ok" if r.report else f"failed: {r.error}") for r in results] == rows
+        assert rows == sorted(rows) and len(rows) == 8
 
 
 class TestCellPool:
@@ -907,6 +934,26 @@ class TestDataErrors:
                      "--bundles", str(bundles), "--predictions", str(predictions),
                      "--tweets", str(corpus / "test.tsv"), "--out", str(out)])
         assert code == EXIT_DATA
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["shuffled", "row-missing"])
+    def test_analyze_predictions_align_with_tweets_by_id(self, corpus, tmp_path,
+                                                         case, capsys):
+        # Consistency groups predictions by the author of the tweet in the
+        # same row, so rows of the right count in another order are wrong.
+        instances = list(load_split(corpus, "test.tsv").instances)
+        if case == "shuffled":
+            random.Random(3).shuffle(instances)
+        else:
+            del instances[len(instances) // 2]
+        predictions = tmp_path / "predictions.tsv"
+        write_predictions(predictions, instances, [i.label for i in instances])
+        out = tmp_path / "out"
+        code = main(["analyze", "--predictions", str(predictions),
+                     "--tweets", str(corpus / "test.tsv"), "--out", str(out)])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == (
+            "stancelab: --predictions do not align with --tweets by instance id\n")
         assert not out.exists()
 
     def test_program_bug_is_not_a_data_error(self, tmp_path, monkeypatch):
