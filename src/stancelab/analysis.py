@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
@@ -11,7 +10,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Dataset, StanceLabel, UserNetworkProfile
+from .corpus import Dataset, StanceLabel, UserNetworkProfile, write_csv
 from .linsvm import LinearModel
 
 
@@ -203,45 +202,31 @@ def user_consistency(
 
 
 def write_overlap_csv(dist: OverlapDistribution, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_low", "bin_high", "count"])
-        for lo, hi, count in dist.histogram():
-            writer.writerow([f"{lo:g}", f"{hi:g}", count])
+    write_csv(path, ["bin_low", "bin_high", "count"],
+              ([f"{lo:g}", f"{hi:g}", count] for lo, hi, count in dist.histogram()))
 
 
 def write_curves_csv(
     curves: Mapping[str, Sequence[tuple[int, float]]], path: str | Path
 ) -> None:
     """Rows (N, pair, jaccard), one block per named curve."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["N", "pair", "jaccard"])
-        for pair in sorted(curves):
-            for n, value in curves[pair]:
-                writer.writerow([n, pair, f"{value:.6f}"])
+    write_csv(path, ["N", "pair", "jaccard"],
+              ([n, pair, f"{value:.6f}"]
+               for pair in sorted(curves) for n, value in curves[pair]))
 
 
 def write_rankings_csv(
     rankings: Sequence[RankedFeatures], path: str | Path
 ) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "feature", "weight", "class", "topic"])
-        for ranking in rankings:
-            for rank, (feature, weight) in enumerate(ranking.entries, start=1):
-                writer.writerow(
-                    [rank, feature, f"{weight:.6f}", ranking.label.value,
-                     ranking.topic]
-                )
+    write_csv(path, ["rank", "feature", "weight", "class", "topic"],
+              ([rank, feature, f"{weight:.6f}", ranking.label.value, ranking.topic]
+               for ranking in rankings
+               for rank, (feature, weight) in enumerate(ranking.entries, start=1)))
 
 
 def write_consistency_csv(
     reports: Mapping[str, ConsistencyReport], path: str | Path
 ) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "groups", "uniform", "polarized_plus_none", "mixed"])
-        for name in sorted(reports):
-            r = reports[name]
-            writer.writerow([name, r.total, r.uniform, r.polarized_plus_none, r.mixed])
+    write_csv(path, ["model", "groups", "uniform", "polarized_plus_none", "mixed"],
+              ([name, r.total, r.uniform, r.polarized_plus_none, r.mixed]
+               for name, r in sorted(reports.items())))

@@ -21,11 +21,11 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from .analysis import user_consistency, write_consistency_csv, write_rankings_csv
 from .corpus import (
     CorpusError, Dataset, LabeledInstance, StanceLabel, UserNetworkProfile, join,
-    load_network_profiles, load_semeval_tsv,
+    load_network_profiles, load_semeval_tsv, output_file,
 )
 from .experiment import (
-    CellContext, _capped_fit_lines, _rankings, _unique_slugs, _write_overlap_csvs,
-    _write_report_dir, run_experiment,
+    CellContext, capped_fit_lines, model_rankings, run_experiment, unique_slugs,
+    write_overlap_csvs, write_report_dir,
 )
 from .features import NETWORK_FLAG_SOURCES, FeatureSetSelector
 from .linsvm import LOSSES, MODE_CLASSES, LinearModel, TrainConfig
@@ -188,13 +188,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
         [selector], args.tweets, args.profiles, args.require_profile
     )
     models = train_topic_models(train, selector, args.mode, config, args.min_df)
-    slugs = _unique_slugs(train.topics)
+    slugs = unique_slugs(train.topics)
     out = Path(args.out)
     for topic, model in models.items():
         bundle_dir = out / f"{slugs[topic]}__{selector}__{args.mode}"
         save_bundle(model, bundle_dir, topic=topic)
         print(f"bundle: {bundle_dir}")
-    for line in _capped_fit_lines(models.items()):
+    for line in capped_fit_lines(models.items()):
         print(f"stancelab: {line}", file=sys.stderr)
     return EXIT_OK
 
@@ -234,6 +234,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         primary, bundles = args.predictions, None
     elif args.bundles:
         primary = bundles = args.bundles
+        if not Path(bundles).is_dir():
+            raise CorpusError(f"--bundles {bundles}: not a directory of bundles")
     else:
         args.parser.error(
             "provide --predictions, or --gold with --pred-labels, or --bundles"
@@ -296,9 +298,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         lines.append(f"u_test_p={u.p_value:.6f} ({u.method})")
         significance = "\n".join(lines) + "\n"
     out = Path(args.out)
-    print(_write_report_dir(report, out), end="")
+    print(write_report_dir(report, out), end="")
     if significance:
-        (out / "significance.txt").write_text(significance, encoding="utf-8")
+        with output_file(out / "significance.txt") as fh:
+            fh.write(significance)
         print(significance, end="")
     return EXIT_OK
 
@@ -356,9 +359,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if profiles:
-        _write_overlap_csvs(profiles, out)
+        write_overlap_csvs(profiles, out)
     if models:
-        rankings = _rankings(sorted(models.items()), args.top_n)
+        rankings = model_rankings(sorted(models.items()), args.top_n)
         write_rankings_csv(rankings, out / "top_features.csv")
     if args.predictions:
         report = user_consistency(dataset, pred)

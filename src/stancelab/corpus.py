@@ -23,12 +23,15 @@ empty set.
 
 from __future__ import annotations
 
+import csv
 import json
+import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Collection, Container, Iterable, Mapping
+from typing import Collection, Container, Iterable, Iterator, Mapping, Sequence, TextIO
 from urllib.parse import urlsplit
 
 
@@ -388,6 +391,35 @@ def join(
     return Dataset(tuple(kept), profiles, topics), dropped
 
 
+@contextmanager
+def output_file(path: str | Path) -> Iterator[TextIO]:
+    """Opens path for UTF-8 text, untranslated, so that every file stancelab
+    writes ends complete or as it was: a temporary file beside path replaces
+    it on a clean exit and is removed on an exception; OSErrors name path."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    fh = None
+    try:
+        fh = open(tmp, "w", encoding="utf-8", newline="")
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException as exc:
+        if fh is not None:
+            tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(tmp):
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
+        raise
+
+
+def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """Writes header and rows as CSV, with CRLF line ends, via output_file."""
+    with output_file(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def utf8_encodable(text: str) -> bool:
     """Whether UTF-8 can encode text: false if it holds a lone surrogate."""
     if text.isascii():
@@ -421,8 +453,8 @@ def _unreadable(inst: LabeledInstance, line: str, seen_ids: set[str]) -> str:
 def write_semeval_tsv(path: str | Path, instances: Iterable[LabeledInstance]) -> None:
     """Write instances in the tweets TSV format (with the AuthorID column).
 
-    Refuses, with a CorpusError naming the tweet id and before the file is
-    opened, any instance that load_semeval_tsv would not read back equal:
+    Refuses, with a CorpusError naming the tweet id and leaving the file as
+    it was, any instance that load_semeval_tsv would not read back equal:
     a tab, "\\n" or "\\r" in a field; surrounding whitespace in the ID,
     Target or AuthorID; an empty Target; an empty AuthorID with a
     non-empty ID (it would read back as the ID); a repeated ID; or a
@@ -441,7 +473,7 @@ def write_semeval_tsv(path: str | Path, instances: Iterable[LabeledInstance]) ->
             )
         seen_ids.add(inst.tweet_id)
         lines.append(line + "\n")
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with output_file(path) as fh:
         fh.writelines(lines)
 
 
@@ -463,8 +495,8 @@ def write_network_profiles(
 ) -> None:
     """Write profiles as JSONL, one user per line, set members sorted.
 
-    Refuses, with a CorpusError naming the user and the field and before
-    the file is opened, any profile that load_network_profiles would not
+    Refuses, with a CorpusError naming the user and the field and leaving
+    the file as it was, any profile that load_network_profiles would not
     read back equal: a key other than the profile's user_id; an empty user
     id or one UTF-8 cannot encode; a set member that is empty, holds a
     control character or a lone surrogate, or is not already normalized
@@ -502,5 +534,5 @@ def write_network_profiles(
                     )
             checked[kind].update(members)
         lines.append(json.dumps(record, ensure_ascii=False) + "\n")
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with output_file(path) as fh:
         fh.writelines(lines)

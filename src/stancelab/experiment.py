@@ -13,7 +13,6 @@ tree under CellContext.out, where NAME is SELECTOR__MODE:
 
 from __future__ import annotations
 
-import csv
 import os
 import pickle
 import tempfile
@@ -26,7 +25,7 @@ from .analysis import (
     RankedFeatures, network_overlap, top_features, topn_overlap_curve, user_consistency,
     write_consistency_csv, write_curves_csv, write_overlap_csv, write_rankings_csv,
 )
-from .corpus import Dataset, StanceLabel, UserNetworkProfile
+from .corpus import Dataset, StanceLabel, UserNetworkProfile, output_file, write_csv
 from .features import NETWORK_FLAG_SOURCES, FeatureSetSelector
 from .linsvm import MODE_FITS, LinearModel, TrainConfig, capped_fits, save_bundle
 from .pipeline import run_cell
@@ -70,7 +69,8 @@ class CellResult:
     error: str = ""
 
 
-def _unique_slugs(topics: Sequence[str]) -> dict[str, str]:
+def unique_slugs(topics: Sequence[str]) -> dict[str, str]:
+    """A distinct slug per topic for file names: a repeated slug gets 2, 3..."""
     slugs: dict[str, str] = {}
     used: set[str] = set()
     for topic in topics:
@@ -84,7 +84,7 @@ def _unique_slugs(topics: Sequence[str]) -> dict[str, str]:
     return slugs
 
 
-def _capped_fit_lines(models: Iterable[tuple[str, LinearModel]]) -> list[str]:
+def capped_fit_lines(models: Iterable[tuple[str, LinearModel]]) -> list[str]:
     """One line per fit of the (topic, model) pairs that stopped at
     --max-iter instead of --tol."""
     return [
@@ -95,7 +95,7 @@ def _capped_fit_lines(models: Iterable[tuple[str, LinearModel]]) -> list[str]:
     ]
 
 
-def _rankings(
+def model_rankings(
     models: Iterable[tuple[str, LinearModel]], n: int
 ) -> list[RankedFeatures]:
     """The top n features of every class of every (topic, model)."""
@@ -106,11 +106,12 @@ def _rankings(
     ]
 
 
-def _write_report_dir(report: EvalReport, out: Path, title: str = "") -> str:
+def write_report_dir(report: EvalReport, out: Path, title: str = "") -> str:
     """Writes report.txt, report.csv and confusion.csv; returns the text."""
     text = render_report(report, title=title)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.txt").write_text(text, encoding="utf-8")
+    with output_file(out / "report.txt") as fh:
+        fh.write(text)
     write_report_csv(report, out / "report.csv")
     write_confusion_csv(report.confusion, out / "confusion.csv")
     return text
@@ -149,14 +150,14 @@ def _run_experiment_cell(
         return CellResult(selector, mode, error=f"{type(exc).__name__}: {exc}")
     name = f"{selector}__{mode}"
     cell_dir = out / "cells" / name
-    _write_report_dir(report, cell_dir, title=name)
+    write_report_dir(report, cell_dir, title=name)
     write_predictions(cell_dir / "predictions.tsv", test.instances, predictions)
-    slugs = _unique_slugs(train.topics)
+    slugs = unique_slugs(train.topics)
     for topic, model in models.items():
         save_bundle(model, out / "bundles" / name / slugs[topic], topic=topic)
     # A ranking is a sorted prefix, so the one computed for the curves also
     # gives the --top-n CSV.
-    rankings = _rankings(models.items(), max(context.top_n, context.curve_max))
+    rankings = model_rankings(models.items(), max(context.top_n, context.curve_max))
     write_rankings_csv(
         [replace(r, entries=r.entries[:context.top_n]) for r in rankings],
         out / "analysis" / f"top_features__{name}.csv",
@@ -164,7 +165,7 @@ def _run_experiment_cell(
     return CellResult(
         selector, mode, report, predictions,
         rankings={(r.topic, r.label): r for r in rankings},
-        capped_fits=_capped_fit_lines(models.items()),
+        capped_fits=capped_fit_lines(models.items()),
     )
 
 
@@ -212,9 +213,10 @@ def _run_cells(
     return [done[i] for i in range(len(cells))]
 
 
-def _write_overlap_csvs(
+def write_overlap_csvs(
     profiles: Mapping[str, UserNetworkProfile], out_dir: Path
 ) -> None:
+    """Writes overlap__A__B.csv for each pair within a COMPARED_FAMILIES group."""
     for group in COMPARED_FAMILIES:
         for flags in combinations(group, 2):
             field_a, field_b = (NETWORK_FLAG_SOURCES[flag][1] for flag in flags)
@@ -222,33 +224,23 @@ def _write_overlap_csvs(
             write_overlap_csv(dist, out_dir / f"overlap__{field_a}__{field_b}.csv")
 
 
+def _master_row(result: CellResult, topics: Sequence[str]) -> list[str]:
+    report = result.report
+    if report is None:
+        return [f"failed: {result.error}"] + [""] * (len(topics) + 4)
+    per_topic = [report.per_topic.get(topic) for topic in topics]
+    o = report.overall
+    return (["ok"] + [f"{s.f_avg:.4f}" if s else "" for s in per_topic]
+            + [f"{v:.4f}" for v in (o.f_favor, o.f_against, o.f_avg)]
+            + ["+".join(c.value for c in minority_recall_flags(report.confusion))])
+
+
 def _write_master_csv(
     path: Path, results: Sequence[CellResult], topics: Sequence[str]
 ) -> None:
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["selector", "mode", "status"]
-            + [f"f_avg[{t}]" for t in topics]
-            + ["f_favor", "f_against", "f_avg", "collapsed_classes"]
-        )
-        for result in results:
-            row = [str(result.selector), result.mode]
-            if result.report is None:
-                row += [f"failed: {result.error}"] + [""] * (len(topics) + 4)
-            else:
-                report = result.report
-                row.append("ok")
-                for topic in topics:
-                    scores = report.per_topic.get(topic)
-                    row.append(f"{scores.f_avg:.4f}" if scores else "")
-                row += [
-                    f"{report.overall.f_favor:.4f}",
-                    f"{report.overall.f_against:.4f}",
-                    f"{report.overall.f_avg:.4f}",
-                    "+".join(c.value for c in minority_recall_flags(report.confusion)),
-                ]
-            writer.writerow(row)
+    write_csv(path, ["selector", "mode", "status"] + [f"f_avg[{t}]" for t in topics]
+              + ["f_favor", "f_against", "f_avg", "collapsed_classes"],
+              ([str(r.selector), r.mode, *_master_row(r, topics)] for r in results))
 
 
 def _experiment_curves(
@@ -296,7 +288,7 @@ def run_experiment(context: CellContext, selectors: Sequence[FeatureSetSelector]
         if r.report is not None
     }
     if train.profiles:
-        _write_overlap_csvs(train.profiles, analysis_dir)
+        write_overlap_csvs(train.profiles, analysis_dir)
     if consistency:
         write_consistency_csv(consistency, analysis_dir / "user_consistency.csv")
     for mode in modes:

@@ -45,7 +45,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import CorpusError, Dataset, LabeledInstance, UserNetworkProfile
-from .corpus import utf8_encodable
+from .corpus import output_file, utf8_encodable
 
 # Flag name -> (namespace prefix, profile field); TXT is handled separately.
 NETWORK_FLAG_SOURCES: dict[str, tuple[str, str]] = {
@@ -418,8 +418,8 @@ def index_rows(
 def write_feature_space(path: str | Path, space: FeatureSpace) -> None:
     """One "feature<TAB>index" line per column.
 
-    Refuses, with a CorpusError naming the feature and before the file is
-    opened, a name that read_feature_space would not read back: one
+    Refuses, with a CorpusError naming the feature and leaving the file as
+    it was, a name that read_feature_space would not read back: one
     holding "\\n" or "\\r", or a character UTF-8 cannot encode.
     """
     lines = []
@@ -430,7 +430,7 @@ def write_feature_space(path: str | Path, space: FeatureSpace) -> None:
                 f"UTF-8 cannot encode; the space file could not read it back"
             )
         lines.append(f"{name}\t{idx}\n")
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with output_file(path) as fh:
         fh.writelines(lines)
 
 

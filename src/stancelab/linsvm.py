@@ -37,7 +37,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import CANONICAL_LABELS, CorpusError, StanceLabel
+from .corpus import CANONICAL_LABELS, CorpusError, StanceLabel, output_file
 from .features import FeatureSetSelector, FeatureSpace
 from .features import read_feature_space, write_feature_space
 
@@ -322,14 +322,29 @@ def _weights_file(cls: StanceLabel) -> str:
 
 
 def save_bundle(model: LinearModel, path: str | Path, topic: str = "") -> None:
-    """Write metadata, feature space, and per-class weight files.
+    """Write the feature space, the per-class weight files and, last, the
+    metadata, so that a directory holding metadata.json is a whole bundle.
 
-    A feature name the space file cannot hold raises CorpusError before
-    any file is written (see write_feature_space).
+    A feature name the space file cannot hold raises CorpusError before any
+    file in the directory changes (see write_feature_space).
     """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     write_feature_space(path / _SPACE, model.space)  # first: it may refuse
+    # An earlier bundle's metadata must not vouch for this one's weights.
+    (path / _METADATA).unlink(missing_ok=True)
+    for ci, cls in enumerate(model.classes):
+        row = model.weights[ci]
+        nz = np.flatnonzero(row)
+        with output_file(path / _weights_file(cls)) as fh:
+            # 1024 weights per write: one string for the whole file raised
+            # the experiment's peak memory by about 0.4 MB.
+            for start in range(0, nz.size, 1024):
+                idx = nz[start : start + 1024]
+                fh.write("".join(
+                    f"{i}\t{w!r}\n" for i, w in zip(idx.tolist(), row[idx].tolist())
+                ))
+            fh.write(f"bias\t{float(model.biases[ci])!r}\n")
     meta = {
         "mode": model.mode,
         "selector": str(model.space.selector),
@@ -339,21 +354,8 @@ def save_bundle(model: LinearModel, path: str | Path, topic: str = "") -> None:
         "dimension": model.space.size,
         "epochs": list(model.epochs),
     }
-    (path / _METADATA).write_text(
-        json.dumps(meta, indent=2) + "\n", encoding="utf-8"
-    )
-    for ci, cls in enumerate(model.classes):
-        row = model.weights[ci]
-        nz = np.flatnonzero(row)
-        with (path / _weights_file(cls)).open("w", encoding="utf-8") as fh:
-            # 1024 weights per write: one string for the whole file raised
-            # the experiment's peak memory by about 0.4 MB.
-            for start in range(0, nz.size, 1024):
-                idx = nz[start : start + 1024]
-                fh.write("".join(
-                    f"{i}\t{w!r}\n" for i, w in zip(idx.tolist(), row[idx].tolist())
-                ))
-            fh.write(f"bias\t{float(model.biases[ci])!r}\n")
+    with output_file(path / _METADATA) as fh:
+        fh.write(json.dumps(meta, indent=2) + "\n")
 
 
 def load_bundle(path: str | Path) -> tuple[LinearModel, dict]:

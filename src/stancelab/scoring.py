@@ -8,7 +8,6 @@ pool instances across topics; per-topic scores restrict to one topic.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -18,6 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import CANONICAL_LABELS, CorpusError, LabeledInstance, StanceLabel
+from .corpus import output_file, write_csv
 
 _LABEL_INDEX = {label: i for i, label in enumerate(CANONICAL_LABELS)}
 
@@ -291,7 +291,7 @@ def write_predictions(
     instances = list(instances)
     if len(instances) != len(predictions):
         raise ValueError("instances and predictions differ in length")
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with output_file(path) as fh:
         fh.write("ID\tTarget\tGold\tPred\n")
         for inst, pred in zip(instances, predictions):
             fh.write(
@@ -374,23 +374,14 @@ def render_report(report: EvalReport, title: str = "") -> str:
 
 
 def write_report_csv(report: EvalReport, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["topic", "f_favor", "f_against", "f_avg"])
-        for topic, scores in report.per_topic.items():
-            writer.writerow(
-                [topic, f"{scores.f_favor:.4f}", f"{scores.f_against:.4f}",
-                 f"{scores.f_avg:.4f}"]
-            )
-        o = report.overall
-        writer.writerow(
-            ["OVERALL", f"{o.f_favor:.4f}", f"{o.f_against:.4f}", f"{o.f_avg:.4f}"]
-        )
+    write_csv(path, ["topic", "f_favor", "f_against", "f_avg"],
+              ([topic, f"{s.f_favor:.4f}", f"{s.f_against:.4f}", f"{s.f_avg:.4f}"]
+               for topic, s in [*report.per_topic.items(), ("OVERALL", report.overall)]))
 
 
 def write_confusion_csv(matrix: np.ndarray, path: str | Path) -> None:
     names = [label.value for label in CANONICAL_LABELS]
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with output_file(path) as fh:
         fh.write("gold_pred," + ",".join(names) + "\n")
         for i, name in enumerate(names):
             fh.write(name + "," + ",".join(str(int(v)) for v in matrix[i]) + "\n")

@@ -30,6 +30,7 @@ from .corpus import (
     LabeledInstance,
     StanceLabel,
     UserNetworkProfile,
+    output_file,
     write_network_profiles,
     write_semeval_tsv,
 )
@@ -215,7 +216,7 @@ def write_corpus(config: SynthConfig, out_dir: str | Path) -> dict[str, Path]:
     truth: dict[tuple[str, str], StanceLabel] = {}
     for inst in train.instances + test.instances:
         truth[(inst.topic, inst.author_id)] = inst.label
-    with paths["manifest"].open("w", encoding="utf-8") as fh:
+    with output_file(paths["manifest"]) as fh:
         fh.write("user_id,topic,latent_stance\n")
         for (topic, user_id), label in sorted(truth.items()):
             fh.write(f"{user_id},{topic},{label.value}\n")

@@ -71,6 +71,7 @@ class TestExperiment:
         assert "master.csv" in serial
         assert any(name.startswith("analysis/topn_curves__") for name in serial)
         assert sorted(pool) == sorted(serial)
+        assert not [name for name in serial if name.endswith(".tmp")]
         for name in serial:
             assert pool[name] == serial[name], name
 
@@ -806,6 +807,33 @@ class TestDataErrors:
 
     def test_tweets_path_is_a_directory(self, bundle, corpus, capsys):
         self.predict_error(bundle, corpus, capsys)
+
+    @pytest.mark.parametrize("where, reason", [
+        ("missing/p.tsv", "[Errno 2] No such file or directory"),
+        ("a_directory", "[Errno 21] Is a directory"),
+    ])
+    def test_output_error_names_the_given_path(self, bundle, corpus, tmp_path,
+                                               where, reason, capsys):
+        # The predictions go to a temporary file first; the error names --out.
+        (tmp_path / "a_directory").mkdir()
+        out = tmp_path / where
+        code = main(["predict", "--bundles", str(bundle.parent),
+                     "--tweets", str(corpus / "test.tsv"), "--out", str(out)])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == f"stancelab: {reason}: '{out}'\n"
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_evaluate_bundles_must_be_a_directory(self, corpus, tmp_path, capsys):
+        instances = load_split(corpus, "test.tsv").instances
+        predictions = tmp_path / "predictions.tsv"
+        write_predictions(predictions, instances, [i.label for i in instances])
+        code = main(["evaluate", "--bundles", str(predictions),
+                     "--tweets", str(corpus / "test.tsv"),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_DATA
+        captured = capsys.readouterr()
+        assert str(predictions) in captured.err and not captured.out
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("compare_rows,extra,message", [
         (slice(0, 3), ["--pair-unit", "fold", "--folds", "5"],
