@@ -65,10 +65,10 @@ class TrainConfig:
     loss: str = "hinge"
 
     def __post_init__(self) -> None:
-        if self.C <= 0:
-            raise ValueError("C must be positive")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.C < math.inf:
+            raise ValueError("C must be positive and finite")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.loss not in LOSSES:
@@ -363,9 +363,10 @@ def load_bundle(path: str | Path) -> tuple[LinearModel, dict]:
 
     Metadata that is not JSON, lacks a key or holds a bad value (such as a
     selector that is not a flag string, a topic that is not a string, an
-    unknown config field, a dimension that is not an integer, a mode
-    other than those of MODE_CLASSES or classes other than that mode's, or
-    epochs other than one integer per fit of the mode),
+    unknown config field, a config value that TrainConfig refuses, a
+    dimension that is not an integer, a mode other than those of
+    MODE_CLASSES or classes other than that mode's, or epochs other than
+    one integer per fit of the mode),
     a weight line other than an index in 0..dimension-1 (or "bias"), a
     tab and a finite number, an index on two lines, and a weights file
     whose last line is not its one bias line (as a write cut short leaves

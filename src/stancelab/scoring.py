@@ -9,6 +9,7 @@ pool instances across topics; per-topic scores restrict to one topic.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
@@ -134,72 +135,29 @@ def kfold(n: int, k: int, seed: int) -> FoldPlan:
 # Significance tests.
 
 
-def _betacf(a: float, b: float, x: float) -> float:
-    # Continued fraction for the incomplete beta (modified Lentz).
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, 300):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-12:
-            break
-    return h
-
-
-def _reg_inc_beta(a: float, b: float, x: float, y: float) -> float:
-    """Regularized incomplete beta I_x(a, b), given x and y = 1 - x.
-
-    The caller computes y directly rather than leaving it to ``1 - x``:
-    near x = 1 the subtraction cancels (and x itself may round to 1.0), so
-    the complement branch would lose the value.
-    """
-    if x <= 0.0:
-        return 0.0
-    if y <= 0.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log(y)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, y) / b
-
-
 def student_t_two_sided_p(t: float, dof: int) -> float:
-    """P(|T| >= t) for Student's t with dof degrees of freedom."""
+    """P(|T| >= |t|) for Student's t with an integer dof >= 1: the finite
+    sums of Abramowitz & Stegun 26.7.3 (odd dof) and 26.7.4 (even dof) in
+    theta = atan(|t| / sqrt(dof)), with sin and cos from one hypot so that
+    neither a subnormal nor a huge t overflows."""
+    dof = operator.index(dof)
     if dof < 1:
         raise ValueError("dof must be >= 1")
-    t2 = t * t
-    return _reg_inc_beta(dof / 2.0, 0.5, dof / (dof + t2), t2 / (dof + t2))
+    if math.isinf(t):
+        return 0.0
+    root = math.sqrt(dof)
+    radius = math.hypot(t, root)
+    sin, cos = abs(t) / radius, root / radius
+    odd = dof % 2
+    term, total = 1.0, 0.0
+    for k in range(dof // 2):
+        total += term
+        term *= cos * cos * (2 * k + 1 + odd) / (2 * k + 2 + odd)
+    if odd:
+        p = 2.0 * (math.atan2(root, abs(t)) - sin * cos * total) / math.pi
+    else:
+        p = 1.0 - sin * total
+    return max(p, 0.0)  # the sums cancel to as low as -1e-15; NaN stays NaN
 
 
 def paired_t_test(a: Sequence[float], b: Sequence[float]) -> float:

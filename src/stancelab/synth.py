@@ -16,6 +16,7 @@ output files.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -98,8 +99,12 @@ class SynthConfig:
         if self.tokens_per_tweet < 0:
             raise ValueError("tokens_per_tweet must be >= 0")
         prior = self.stance_prior
-        if len(prior) != 3 or any(p < 0 for p in prior) or sum(prior) <= 0:
-            raise ValueError(f"invalid stance prior {prior!r}")
+        if (len(prior) != 3 or not all(0 <= p < math.inf for p in prior)
+                or not 0 < sum(prior) < math.inf):
+            raise ValueError(
+                f"invalid stance prior {prior!r}: need three finite weights"
+                " >= 0 with a positive, finite sum"
+            )
 
 
 _COMMUNITY_TAG = {

@@ -4,6 +4,7 @@ import argparse
 import concurrent.futures
 import csv
 import json
+import math
 import os
 import pickle
 import random
@@ -431,6 +432,10 @@ class TestUsageErrors:
         ["--seed", "-1"],
         ["--jobs", "0"],
         ["--jobs", "-1"],
+        ["--C", "nan"],
+        ["--C", "inf"],
+        ["--tol", "nan"],
+        ["--tol", "inf"],
     ])
     def test_bad_experiment_flag(self, corpus, tmp_path, extra, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -446,7 +451,12 @@ class TestUsageErrors:
         (["--max-iter", "0"], "max_iter must be >= 1"),
         (["--selector", "FOO"], "unknown selector flags"),
         (["--seed", "-1"], "--seed: must be >= 0"),
-    ], ids=["C", "tol", "max-iter", "selector", "seed"])
+        (["--C", "nan"], "C must be positive and finite"),
+        (["--C", "inf"], "C must be positive and finite"),
+        (["--tol", "nan"], "tol must be positive and finite"),
+        (["--tol", "inf"], "tol must be positive and finite"),
+    ], ids=["C", "tol", "max-iter", "selector", "seed", "C-nan", "C-inf",
+            "tol-nan", "tol-inf"])
     def test_bad_train_flag(self, tmp_path, extra, message, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--tweets", str(tmp_path / "missing.tsv"),
@@ -466,8 +476,12 @@ class TestUsageErrors:
         (["--topics", "a,a"], "topics need distinct slugs"),
         (["--topics", "a b,ab"], "topics need distinct slugs"),
         (["--seed", "-1"], "--seed: must be >= 0"),
+        (["--prior", "nan,1,1"], "invalid stance prior"),
+        (["--prior", "inf,1,1"], "invalid stance prior"),
+        (["--prior", "1e308,1e308,1"], "invalid stance prior"),
     ], ids=["prior", "homophily", "users-per-topic", "topics", "vocab",
-            "tokens-per-tweet", "repeated-topic", "repeated-slug", "seed"])
+            "tokens-per-tweet", "repeated-topic", "repeated-slug", "seed",
+            "prior-nan", "prior-inf", "prior-sum-overflows"])
     def test_bad_synth_flag(self, tmp_path, extra, message, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["synth", "--out", str(tmp_path / "out"), *extra])
@@ -725,6 +739,15 @@ class TestDataErrors:
             fh.write(f"{index}\t9.5\n")
         err = self.predict_error(bundle, corpus / "test.tsv", capsys)
         assert f"weights_FAVOR.tsv: line {lines + 1}:" in err
+
+    @pytest.mark.parametrize("C", [math.nan, math.inf])
+    def test_non_finite_config_value(self, bundle, corpus, C, capsys):
+        # json writes and reads these as the non-standard NaN and Infinity.
+        meta = json.loads((bundle / "metadata.json").read_text())
+        meta["config"]["C"] = C
+        (bundle / "metadata.json").write_text(json.dumps(meta))
+        err = self.predict_error(bundle, corpus / "test.tsv", capsys)
+        assert "metadata.json" in err and "C must be positive and finite" in err
 
     def test_missing_metadata_key(self, bundle, corpus, capsys):
         meta = json.loads((bundle / "metadata.json").read_text())

@@ -202,6 +202,12 @@ class TestPairedT:
     @given(t=st.floats(-30, 30), dof=st.integers(1, 40))
     @example(t=2**-24, dof=5)
     @example(t=7.44e-9, dof=1)
+    @example(t=0.0, dof=2)
+    @example(t=-0.0, dof=3)
+    @example(t=math.inf, dof=1)
+    @example(t=-math.inf, dof=4)
+    @example(t=1e200, dof=3)  # t * t overflows
+    @example(t=2.2250738585e-313, dof=3)  # sqrt(dof) / t overflows
     def test_t_sf_matches_scipy(self, t, dof):
         # At dof=1, 2 * scipy's t.sf is off by up to 4.7e-9 for |t| from
         # about 1e-9 to 1e-7 (t.sf gives exactly 0.5 at 7.44e-9). Student's
@@ -212,6 +218,17 @@ class TestPairedT:
         else:
             expected = 2.0 * stats.t.sf(abs(t), dof)
         assert student_t_two_sided_p(t, dof) == pytest.approx(expected, abs=1e-9)
+
+    @given(t=st.floats(-40, 40), dof=st.integers(41, 20_000))
+    def test_t_sf_matches_scipy_at_large_dof(self, t, dof):
+        expected = 2.0 * stats.t.sf(abs(t), dof)
+        assert student_t_two_sided_p(t, dof) == pytest.approx(expected, abs=1e-9)
+
+    def test_dof_must_be_a_positive_integer(self):
+        with pytest.raises(TypeError):
+            student_t_two_sided_p(1.0, 2.5)
+        with pytest.raises(ValueError):
+            student_t_two_sided_p(1.0, 0)
 
 
 class TestMannWhitney:
