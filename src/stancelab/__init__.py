@@ -32,7 +32,6 @@ from .linsvm import (
 )
 from .scoring import (
     EvalReport,
-    FoldPlan,
     confusion,
     kfold,
     mann_whitney_u,

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .analysis import user_consistency, write_consistency_csv, write_rankings_csv
 from .corpus import (
-    CorpusError, Dataset, LabeledInstance, StanceLabel, UserNetworkProfile, join,
+    CorpusError, Dataset, LabeledInstance, UserNetworkProfile, join,
     load_network_profiles, load_semeval_tsv, output_file,
 )
 from .experiment import (
@@ -211,25 +211,11 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _fold_scores(
-    topics: Sequence[str],
-    gold: Sequence[StanceLabel],
-    pred: Sequence[StanceLabel],
-    k: int,
-    seed: int,
-) -> list[float]:
-    plan = kfold(len(gold), k, seed)
-    scores = []
-    for fold in range(k):
-        idx = plan.fold_indices(fold)
-        report = score_semeval(
-            [gold[i] for i in idx], [pred[i] for i in idx], [topics[i] for i in idx]
-        )
-        scores.append(report.overall.f_avg)
-    return scores
-
-
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    if sum(map(bool, (args.predictions, args.gold or args.pred_labels,
+                      args.bundles))) > 1:
+        args.parser.error("give only one of --predictions, --gold with "
+                          "--pred-labels, or --bundles")
     if args.predictions or (args.gold and args.pred_labels):
         primary, bundles = args.predictions, None
     elif args.bundles:
@@ -276,17 +262,15 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     significance = ""
     if args.compare:
         cmp_ids, cmp_topics, cmp_gold, cmp_pred = predictions_from(args.compare)
-        if cmp_ids != ids:
-            raise CorpusError("--compare predictions do not align by instance id")
+        if (cmp_ids, cmp_topics) != (ids, topics):
+            raise CorpusError(
+                "--compare predictions do not align by instance id and topic")
+        units = (topics if args.pair_unit == "topic"
+                 else kfold(len(gold), args.folds, args.seed))
+        reports = [score_semeval(gold, pred, units),
+                   score_semeval(cmp_gold, cmp_pred, units)]
+        a, b = ([r.per_topic[u].f_avg for u in sorted(r.per_topic)] for r in reports)
         lines = [f"pair_unit={args.pair_unit}"]
-        if args.pair_unit == "topic":
-            names = sorted(report.per_topic)
-            cmp_report = score_semeval(cmp_gold, cmp_pred, cmp_topics)
-            a = [report.per_topic[t].f_avg for t in names]
-            b = [cmp_report.per_topic[t].f_avg for t in names]
-        else:
-            a = _fold_scores(topics, gold, pred, args.folds, args.seed)
-            b = _fold_scores(cmp_topics, cmp_gold, cmp_pred, args.folds, args.seed)
         lines.append(f"n_units={len(a)}")
         lines.append("f_avg_a=" + ",".join(f"{v:.4f}" for v in a))
         lines.append("f_avg_b=" + ",".join(f"{v:.4f}" for v in b))

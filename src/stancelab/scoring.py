@@ -1,9 +1,10 @@
-"""Official-style scoring, confusion matrices, fold plans, significance tests.
+"""Official-style scoring, confusion matrices, folds, significance tests.
 
 The headline metric is the macro-average of the Favor and Against F1
 scores; None participates in the confusion matrix (and hurts precision when
 mispredicted) but its own F1 is excluded from the average. Overall scores
-pool instances across topics; per-topic scores restrict to one topic.
+pool all instances; the breakdown scores each group that shares a key: a
+topic, or a fold number when `evaluate --compare` pairs systems by fold.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import operator
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -35,22 +36,29 @@ class TopicScores:
 
 @dataclass(frozen=True)
 class EvalReport:
-    per_topic: dict[str, TopicScores]
+    per_topic: dict[Hashable, TopicScores]  # by topic, or by fold
     overall: TopicScores
     confusion: np.ndarray  # 3x3 ints, [gold][pred] in canonical order
-    counts: dict[str, int]
+    counts: dict[Hashable, int]
+
+
+def _label_cube(
+    gold: Sequence[StanceLabel], pred: Sequence[StanceLabel], group: Sequence[int]
+) -> np.ndarray:
+    """[group][gold][pred] counts from one bincount of 9*group + 3*gold + pred."""
+    if not (len(gold) == len(pred) == len(group)):
+        raise ValueError("gold, pred, and keys differ in length")
+    code = np.fromiter((9 * k + 3 * _LABEL_INDEX[g] + _LABEL_INDEX[p]
+                        for k, g, p in zip(group, gold, pred)),
+                       dtype=np.int64, count=len(gold))
+    return np.bincount(code, minlength=9 * max(group, default=0) + 9).reshape(-1, 3, 3)
 
 
 def confusion(
     gold: Sequence[StanceLabel], pred: Sequence[StanceLabel]
 ) -> np.ndarray:
     """3x3 count matrix, [gold][pred], canonical order on both axes."""
-    if len(gold) != len(pred):
-        raise ValueError("gold and pred differ in length")
-    matrix = np.zeros((3, 3), dtype=np.int64)
-    for g, p in zip(gold, pred):
-        matrix[_LABEL_INDEX[g], _LABEL_INDEX[p]] += 1
-    return matrix
+    return _label_cube(gold, pred, [0] * len(gold))[0]
 
 
 def _f1(matrix: np.ndarray, label: StanceLabel) -> float:
@@ -75,27 +83,20 @@ def _scores(matrix: np.ndarray) -> TopicScores:
 def score_semeval(
     gold: Sequence[StanceLabel],
     pred: Sequence[StanceLabel],
-    topics: Sequence[str],
+    topics: Sequence[Hashable],
 ) -> EvalReport:
-    """Score predictions: pooled overall plus per-topic breakdowns."""
-    if not (len(gold) == len(pred) == len(topics)):
-        raise ValueError("gold, pred, and topics differ in length")
-    if not gold:
+    """Score predictions: pooled overall plus a breakdown by key (a topic,
+    or a fold number), each group scored from its own counts alone."""
+    keys: dict[Hashable, int] = {}
+    cube = _label_cube(gold, pred, [keys.setdefault(t, len(keys)) for t in topics])
+    if not keys:
         raise ValueError("nothing to score")
-    pooled = confusion(gold, pred)
-    per_topic: dict[str, TopicScores] = {}
-    counts: dict[str, int] = {}
-    for topic in dict.fromkeys(topics):
-        mask = [t == topic for t in topics]
-        sub_gold = [g for g, m in zip(gold, mask) if m]
-        sub_pred = [p for p, m in zip(pred, mask) if m]
-        per_topic[topic] = _scores(confusion(sub_gold, sub_pred))
-        counts[topic] = len(sub_gold)
+    pooled = cube.sum(axis=0)
     return EvalReport(
-        per_topic=per_topic,
+        per_topic={key: _scores(matrix) for key, matrix in zip(keys, cube)},
         overall=_scores(pooled),
         confusion=pooled,
-        counts=counts,
+        counts={key: int(matrix.sum()) for key, matrix in zip(keys, cube)},
     )
 
 
@@ -109,26 +110,15 @@ def minority_recall_flags(matrix: np.ndarray) -> list[StanceLabel]:
     return collapsed
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    k: int
-    assignments: tuple[int, ...]
-
-    def fold_indices(self, fold: int) -> list[int]:
-        return [i for i, f in enumerate(self.assignments) if f == fold]
-
-
-def kfold(n: int, k: int, seed: int) -> FoldPlan:
-    """Seeded shuffle then round-robin assignment; sizes differ by <= 1."""
+def kfold(n: int, k: int, seed: int) -> tuple[int, ...]:
+    """Fold per instance: seeded shuffle, round-robin; sizes differ by <= 1."""
     if k < 2:
         raise ValueError("k must be >= 2")
     if n < k:
         raise ValueError(f"cannot split {n} instances into {k} folds")
-    order = np.random.default_rng(seed).permutation(n)
-    assignments = [0] * n
-    for pos, idx in enumerate(order):
-        assignments[idx] = pos % k
-    return FoldPlan(k=k, assignments=tuple(assignments))
+    folds = np.empty(n, dtype=np.int64)
+    folds[np.random.default_rng(seed).permutation(n)] = np.arange(n) % k
+    return tuple(folds.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -260,12 +250,14 @@ def write_predictions(
 def read_predictions(
     path: str | Path,
 ) -> tuple[list[str], list[str], list[StanceLabel], list[StanceLabel]]:
-    """Read a predictions TSV; returns (ids, topics, gold, pred)."""
+    """Read a predictions TSV; returns (ids, topics, gold, pred). An ID may
+    appear only once, as in the tweets file the predictions were made for."""
     path = Path(path)
     ids: list[str] = []
     topics: list[str] = []
     gold: list[StanceLabel] = []
     pred: list[StanceLabel] = []
+    seen: set[str] = set()
     with path.open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if lineno == 1:
@@ -283,6 +275,11 @@ def read_predictions(
                 p = StanceLabel.parse(fields[3])
             except CorpusError as exc:
                 raise CorpusError(f"{path}: {exc} at line {lineno}") from None
+            if fields[0] in seen:
+                raise CorpusError(
+                    f"{path}: duplicate ID {fields[0]!r} at line {lineno}"
+                )
+            seen.add(fields[0])
             ids.append(fields[0])
             topics.append(fields[1])
             gold.append(g)

@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -515,6 +516,33 @@ class TestUsageErrors:
         assert "--seed: must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("other", ["bundles", "gold"])
+    def test_evaluate_takes_one_source(self, corpus, tmp_path, other, capsys):
+        # Each pair used to score --predictions alone and ignore the other.
+        test = load_split(corpus, "test.tsv")
+        predictions = tmp_path / "predictions.tsv"
+        write_predictions(predictions, test.instances,
+                          [inst.label for inst in test.instances])
+        labels = tmp_path / "labels.txt"
+        labels.write_text("".join(f"{i.label.value}\n" for i in test.instances),
+                          encoding="utf-8")
+        bundles = tmp_path / "bundles"
+        assert main(["train", "--tweets", str(corpus / "train.tsv"),
+                     "--selector", "TXT", "--mode", "binary",
+                     "--out", str(bundles)]) == EXIT_OK
+        capsys.readouterr()
+        extra = {
+            "bundles": ["--bundles", str(bundles), "--tweets", str(corpus / "test.tsv"),
+                        "--profiles", str(corpus / "profiles.jsonl")],
+            "gold": ["--gold", str(corpus / "test.tsv"), "--pred-labels", str(labels)],
+        }[other]
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--predictions", str(predictions), *extra,
+                  "--out", str(tmp_path / "out")])
+        assert exc.value.code == EXIT_USAGE
+        assert "give only one of --predictions" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("case", ["nothing", "predictions-without-tweets"])
     def test_bad_analyze_flags(self, corpus, tmp_path, case, capsys):
         # With --profiles the overlap files would be the first output.
@@ -858,18 +886,22 @@ class TestDataErrors:
         assert str(predictions) in captured.err and not captured.out
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("compare_rows,extra,message", [
-        (slice(0, 3), ["--pair-unit", "fold", "--folds", "5"],
+    @pytest.mark.parametrize("compare_rows,compare_topic,extra,message", [
+        (slice(0, 3), None, ["--pair-unit", "fold", "--folds", "5"],
          "cannot split 3 instances into 5 folds"),
-        (slice(3, 6), [], "do not align by instance id"),
-    ], ids=["too-few-for-folds", "ids-differ"])
+        (slice(3, 6), None, [], "do not align by instance id and topic"),
+        # The same ids under another Target: the topics would not pair.
+        (slice(0, 3), "zeta", [], "do not align by instance id and topic"),
+    ], ids=["too-few-for-folds", "ids-differ", "topics-differ"])
     def test_compare_checked_before_any_output(
-        self, corpus, tmp_path, compare_rows, extra, message, capsys
+        self, corpus, tmp_path, compare_rows, compare_topic, extra, message, capsys
     ):
         test = load_split(corpus, "test.tsv")
         paths = {}
-        for name, rows in (("a", slice(0, 3)), ("b", compare_rows)):
-            instances = test.instances[rows]
+        for name, rows, topic in (("a", slice(0, 3), None),
+                                  ("b", compare_rows, compare_topic)):
+            instances = [replace(i, topic=topic or i.topic)
+                         for i in test.instances[rows]]
             paths[name] = tmp_path / f"{name}.tsv"
             write_predictions(paths[name], instances, [i.label for i in instances])
         code = main(["evaluate", "--predictions", str(paths["a"]),

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import stats
 
-from stancelab.corpus import CANONICAL_LABELS, StanceLabel
+from stancelab.corpus import CANONICAL_LABELS, CorpusError, StanceLabel
 from stancelab.scoring import (
     confusion,
     kfold,
@@ -99,6 +100,27 @@ class TestScoreSemeval:
         assert np.array_equal(report_a.confusion, report_b.confusion)
 
 
+class TestGroupedScores:
+    @given(gold=LABEL_LISTS, data=st.data())
+    def test_each_group_scores_as_its_subset(self, gold, data):
+        # evaluate --compare pairs by fold through this: one grouped call
+        # must give each fold exactly what scoring the fold alone gives.
+        size = len(gold)
+        pred = data.draw(st.lists(LABELS, min_size=size, max_size=size))
+        keys = data.draw(st.lists(
+            st.one_of(st.integers(0, 4), st.sampled_from(["t1", "t2"])),
+            min_size=size, max_size=size))
+        report = score_semeval(gold, pred, keys)
+        assert list(report.per_topic) == list(dict.fromkeys(keys))
+        for key, scores in report.per_topic.items():
+            idx = [i for i, k in enumerate(keys) if k == key]
+            alone = score_semeval([gold[i] for i in idx], [pred[i] for i in idx],
+                                  [key] * len(idx))
+            assert scores == alone.overall
+            assert report.counts[key] == len(idx)
+        assert np.array_equal(report.confusion, confusion(gold, pred))
+
+
 class TestConfusion:
     def test_single_miss(self):
         matrix = confusion([A], [F])
@@ -122,6 +144,10 @@ class TestConfusion:
         pred = data.draw(st.lists(LABELS, min_size=len(gold), max_size=len(gold)))
         matrix = confusion(gold, pred)
         assert matrix.sum() == len(gold)
+        pairs = list(zip(gold, pred))  # the counting loop, as reference
+        for i, g in enumerate(CANONICAL_LABELS):
+            for j, p in enumerate(CANONICAL_LABELS):
+                assert matrix[i, j] == pairs.count((g, p))
         for i, label in enumerate(CANONICAL_LABELS):
             assert matrix[i, :].sum() == sum(1 for g in gold if g is label)
             assert matrix[:, i].sum() == sum(1 for p in pred if p is label)
@@ -134,17 +160,17 @@ class TestConfusion:
 
 class TestKfold:
     def test_balanced(self):
-        plan = kfold(10, 5, seed=1)
-        sizes = [len(plan.fold_indices(f)) for f in range(5)]
-        assert sizes == [2, 2, 2, 2, 2]
+        folds = kfold(10, 5, seed=1)
+        assert [folds.count(f) for f in range(5)] == [2, 2, 2, 2, 2]
 
     def test_remainder(self):
-        plan = kfold(11, 5, seed=1)
-        sizes = sorted(len(plan.fold_indices(f)) for f in range(5))
-        assert sizes == [2, 2, 2, 2, 3]
+        folds = kfold(11, 5, seed=1)
+        assert sorted(folds.count(f) for f in range(5)) == [2, 2, 2, 2, 3]
 
     def test_deterministic(self):
         assert kfold(20, 4, seed=7) == kfold(20, 4, seed=7)
+        # Frozen: a change here changes every fold-paired significance file.
+        assert kfold(10, 5, seed=1) == (3, 4, 0, 4, 1, 1, 3, 2, 0, 2)
 
     def test_n_less_than_k(self):
         with pytest.raises(ValueError):
@@ -154,12 +180,11 @@ class TestKfold:
 
     @given(n=st.integers(5, 60), k=st.integers(2, 5), seed=st.integers(0, 99))
     def test_partition_properties(self, n, k, seed):
-        plan = kfold(n, k, seed)
-        all_indices = sorted(
-            i for f in range(k) for i in plan.fold_indices(f)
-        )
-        assert all_indices == list(range(n))
-        sizes = [len(plan.fold_indices(f)) for f in range(k)]
+        folds = kfold(n, k, seed)
+        assert len(folds) == n
+        assert all(type(f) is int for f in folds)
+        sizes = [folds.count(f) for f in range(k)]
+        assert sum(sizes) == n
         assert max(sizes) - min(sizes) <= 1
 
 
@@ -313,6 +338,15 @@ class TestPredictionFiles:
         assert topics == ["topic a", "topic b"]
         assert gold == [F, N]
         assert pred == [A, N]
+
+    def test_repeated_id_rejected(self, tmp_path):
+        path = tmp_path / "preds.tsv"
+        path.write_text("ID\tTarget\tGold\tPred\n1\tt\tFAVOR\tFAVOR\n"
+                        "2\tt\tNONE\tNONE\n1\tt\tFAVOR\tAGAINST\n",
+                        encoding="utf-8")
+        with pytest.raises(CorpusError,
+                           match=f"^{re.escape(str(path))}: duplicate ID '1' at line 4$"):
+            read_predictions(path)
 
     def test_label_lines(self, tmp_path):
         path = tmp_path / "labels.txt"
