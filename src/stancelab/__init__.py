@@ -5,8 +5,8 @@ from .corpus import (
     CorpusError,
     Dataset,
     LabeledInstance,
+    ProfileTable,
     StanceLabel,
-    UserNetworkProfile,
     join,
     load_network_profiles,
     load_semeval_tsv,

@@ -10,7 +10,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Dataset, StanceLabel, UserNetworkProfile, write_csv
+from .corpus import NETWORK_FIELDS, Dataset, ProfileTable, StanceLabel, write_csv
 from .linsvm import LinearModel
 
 
@@ -47,25 +47,23 @@ class OverlapDistribution:
         ]
 
 
-def network_overlap(
-    profiles: Mapping[str, UserNetworkProfile],
-    pair: tuple[str, str],
-) -> OverlapDistribution:
+def network_overlap(profiles: ProfileTable, pair: tuple[str, str]) -> OverlapDistribution:
     """Per-user Jaccard similarity between two named profile sets.
 
-    Users with both sets empty are excluded from the distribution and
-    counted separately.
+    Two families of one kind share a vocabulary, so their member ids are
+    compared; families of two kinds are compared by name. Users with both
+    sets empty are excluded from the distribution and counted separately.
     """
     if not profiles:
         raise ValueError("no profiles to analyze")
     field_a, field_b = pair
+    one_kind = NETWORK_FIELDS.get(field_a) == NETWORK_FIELDS.get(field_b)
+    members = profiles.members if one_kind else profiles.member_names
     values: list[float] = []
     excluded = 0
     for user_id in sorted(profiles):
-        profile = profiles[user_id]
-        set_a = profile.set_for(field_a)
-        set_b = profile.set_for(field_b)
-        if not set_a and not set_b:
+        set_a, set_b = members(field_a, user_id), members(field_b, user_id)
+        if not len(set_a) and not len(set_b):
             excluded += 1
             continue
         values.append(jaccard(set_a, set_b))

@@ -16,11 +16,11 @@ import sys
 from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .analysis import user_consistency, write_consistency_csv, write_rankings_csv
 from .corpus import (
-    CorpusError, Dataset, LabeledInstance, UserNetworkProfile, join,
+    CorpusError, Dataset, LabeledInstance, ProfileTable, join,
     load_network_profiles, load_semeval_tsv, output_file,
 )
 from .experiment import (
@@ -98,15 +98,15 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
     return TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
 
 
-def _load_profiles(path: str | None) -> dict[str, UserNetworkProfile]:
+def _load_profiles(path: str | None) -> ProfileTable:
     """Every family of every profile of a --profiles file, or none without
     one. Each command reads the file at most once."""
-    return load_network_profiles(path)[0] if path else {}
+    return load_network_profiles(path)[0] if path else ProfileTable.from_sets({})
 
 
 def _join(
     instances: Sequence[LabeledInstance],
-    profiles: Mapping[str, UserNetworkProfile],
+    profiles: ProfileTable,
     require_profile: bool,
 ) -> Dataset:
     dataset, dropped = join(instances, profiles, require_profile=require_profile)
@@ -124,7 +124,7 @@ def _load_dataset_for(
     """Reads --tweets, then only what the selectors use of --profiles: their
     families, of the tweets' authors."""
     instances = load_semeval_tsv(tweets_path)
-    profiles: dict[str, UserNetworkProfile] = {}
+    profiles = ProfileTable.from_sets({})
     if profiles_path:
         profiles, _ = load_network_profiles(
             profiles_path,
@@ -234,7 +234,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     model_sets = {source: _load_models(source) for source in bundle_dirs}
     selectors = [m.space.selector for ms in model_sets.values() for m in ms.values()]
     _check_profiles_flag(args.parser, selectors, args.profiles)
-    dataset = (_load_dataset_for(selectors, args.tweets, args.profiles, False)
+    dataset = (_load_dataset_for(selectors, args.tweets, args.profiles,
+                                 args.require_profile)
                if model_sets else None)
 
     def predictions_from(source: str | None):
@@ -336,7 +337,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         raise CorpusError(f"{args.profiles}: no profiles")
     models = _load_models(args.bundles) if args.bundles else {}
     if args.predictions:
-        dataset = _join(load_semeval_tsv(args.tweets), profiles, False)
+        dataset = _join(load_semeval_tsv(args.tweets), profiles, args.require_profile)
         ids, _, _, pred = read_predictions(args.predictions)
         if ids != [inst.tweet_id for inst in dataset.instances]:
             raise CorpusError("--predictions do not align with --tweets by instance id")
@@ -432,6 +433,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair-unit", choices=("topic", "fold"), default="topic")
     p.add_argument("--folds", type=_int_at_least(2), default=5)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--require-profile", action="store_true",
+                   help="score bundles on the --tweets whose author has a "
+                   "profile, as predict --require-profile does")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("experiment", help="run the full selector/mode matrix")
@@ -459,6 +463,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tweets")
     p.add_argument("--out", required=True)
     p.add_argument("--top-n", type=_int_at_least(1), default=20)
+    p.add_argument("--require-profile", action="store_true",
+                   help="group --predictions over the --tweets whose author "
+                   "has a profile, as predict --require-profile does")
     p.set_defaults(func=_cmd_analyze)
     return parser
 

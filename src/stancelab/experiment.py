@@ -19,13 +19,13 @@ import tempfile
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .analysis import (
     RankedFeatures, network_overlap, top_features, topn_overlap_curve, user_consistency,
     write_consistency_csv, write_curves_csv, write_overlap_csv, write_rankings_csv,
 )
-from .corpus import Dataset, StanceLabel, UserNetworkProfile, output_file, write_csv
+from .corpus import Dataset, ProfileTable, StanceLabel, output_file, write_csv
 from .features import NETWORK_FLAG_SOURCES, FeatureSetSelector
 from .linsvm import MODE_FITS, LinearModel, TrainConfig, capped_fits, save_bundle
 from .pipeline import run_cell
@@ -213,9 +213,7 @@ def _run_cells(
     return [done[i] for i in range(len(cells))]
 
 
-def write_overlap_csvs(
-    profiles: Mapping[str, UserNetworkProfile], out_dir: Path
-) -> None:
+def write_overlap_csvs(profiles: ProfileTable, out_dir: Path) -> None:
     """Writes overlap__A__B.csv for each pair within a COMPARED_FAMILIES group."""
     for group in COMPARED_FAMILIES:
         for flags in combinations(group, 2):

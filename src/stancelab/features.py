@@ -15,8 +15,11 @@ building namespaced strings:
 * Family blocks. Every prefix is five characters long, so a space splits
   into one dict per family keyed by the name without its prefix. The split
   and the n-gram tables below are built once per space and cached on it.
-* Network families are looked up in their blocks once per author of the
-  batch.
+* Network families map member ids to columns with one ``col_of_id`` array
+  per (space, family): the column of each id of the profile table's
+  vocabulary, -1 for a name the block does not hold. It is built on first
+  use and cached on the space's blocks, and ``np.take`` maps the batch's
+  ids of a family at once.
 * N-grams go through one numpy kernel: character n-grams over the batch's
   lowered texts, word n-grams over its tokens, each sequence a list of
   symbol ranks with a dead rank after every tweet, so no window crosses a
@@ -44,7 +47,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import CorpusError, Dataset, LabeledInstance, UserNetworkProfile
+from .corpus import NETWORK_FIELDS, CorpusError, Dataset, LabeledInstance, ProfileTable
 from .corpus import output_file, utf8_encodable
 
 # Flag name -> (namespace prefix, profile field); TXT is handled separately.
@@ -161,10 +164,11 @@ def char_ngrams(text: str, orders: Iterable[int]) -> set[str]:
 
 def extract_features(
     instance: LabeledInstance,
-    profile: UserNetworkProfile,
+    profiles: ProfileTable,
     selector: FeatureSetSelector,
 ) -> set[str]:
-    """Namespaced feature set for one instance under the given selector."""
+    """Namespaced feature set for one instance under the given selector; its
+    author's member names come from the profile table."""
     features: set[str] = set()
     if selector.uses_text:
         for gram in word_ngrams(tokenize(instance.text), WORD_NGRAM_ORDERS):
@@ -173,7 +177,7 @@ def extract_features(
             features.add("txtc:" + gram)
     for flag in selector.flags - {"TXT"}:
         prefix, field_name = NETWORK_FLAG_SOURCES[flag]
-        for item in getattr(profile, field_name):
+        for item in profiles.member_names(field_name, instance.author_id):
             features.add(prefix + item)
     return features
 
@@ -295,6 +299,7 @@ class FamilyBlocks:
         words = family.pop("txtw:", {})
         chars = family.pop("txtc:", {})
         self.family = family
+        self._col_of_id: dict[str, tuple[tuple[str, ...], np.ndarray]] = {}
 
         tokens = [g.split(" ") for g in words]
         flat = list(chain.from_iterable(tokens))
@@ -316,6 +321,17 @@ class FamilyBlocks:
             self.char_codes.size,
             CHAR_NGRAM_ORDERS,
         )
+
+    def col_of_id(self, prefix: str, vocabulary: tuple[str, ...]) -> np.ndarray:
+        """The column of each name of vocabulary in the prefix's block, -1
+        for a name it does not hold; cached for the last vocabulary."""
+        cached = self._col_of_id.get(prefix)
+        if cached is None or cached[0] is not vocabulary:
+            block = self.family.get(prefix, {})
+            cols = np.fromiter((block.get(name, -1) for name in vocabulary),
+                               np.int64, len(vocabulary))
+            cached = self._col_of_id[prefix] = (vocabulary, cols)
+        return cached[1]
 
     def char_hits(self, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
         """(text number, column) of every character n-gram in lowered texts."""
@@ -364,7 +380,7 @@ def index_rows(
     """Sorted int64 column indices of each instance under space.selector.
 
     Row i equals the sorted columns of ``extract_features(instances[i],
-    dataset.profile_for(author), space.selector)`` that the space holds;
+    dataset.profiles, space.selector)`` that the space holds;
     see the module docstring for how it gets there. Meant for batches of a
     few hundred instances: the kernel's arrays grow with the batch's total
     text length.
@@ -373,36 +389,24 @@ def index_rows(
         return []
     blocks = space.blocks
     selector = space.selector
-    networks = [
-        (blocks.family.get(prefix, {}), field_name)
-        for flag, (prefix, field_name) in NETWORK_FLAG_SOURCES.items()
-        if flag in selector.flags
-    ]
+    table = dataset.profiles
+    parts = [(np.empty(0, np.int64), np.empty(0, np.int64))]  # (owner, column)
+    for flag, (prefix, field_name) in NETWORK_FLAG_SOURCES.items():
+        if flag in selector.flags:
+            members = [table.members(field_name, inst.author_id) for inst in instances]
+            vocabulary = table.vocabulary[NETWORK_FIELDS[field_name]]
+            cols = np.take(blocks.col_of_id(prefix, vocabulary), np.concatenate(members))
+            hit = cols >= 0
+            parts.append((_owners([m.size for m in members])[hit], cols[hit]))
     word_rank = blocks.word_rank if selector.uses_text else {}
-    word_ranks: list[int] = []  # each tweet's token ranks, then a -1
-    word_lengths: list[int] = []
-    by_author: dict[str, list[int]] = {}
-    owners: list[int] = []
-    cols: list[int] = []
-    for i, inst in enumerate(instances):
-        if word_rank:
+    if word_rank:
+        word_ranks: list[int] = []  # each tweet's token ranks, then a -1
+        word_lengths: list[int] = []
+        for inst in instances:
             tokens = tokenize(inst.text)
             word_ranks += [word_rank.get(t, -1) for t in tokens]
             word_ranks.append(-1)
             word_lengths.append(len(tokens) + 1)
-        network = by_author.get(inst.author_id)
-        if network is None:
-            profile = dataset.profile_for(inst.author_id)
-            network = by_author[inst.author_id] = [
-                block[item]
-                for block, field_name in networks
-                for item in getattr(profile, field_name)
-                if item in block
-            ]
-        cols += network
-        owners += [i] * len(network)
-    parts = [(np.array(owners, dtype=np.int64), np.array(cols, dtype=np.int64))]
-    if word_rank:
         parts.append(blocks.words.hits(
             np.array(word_ranks, dtype=np.int64), _owners(word_lengths)
         ))

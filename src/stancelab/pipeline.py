@@ -50,7 +50,7 @@ def train_topic_models(
     for topic in train.topics:
         instances = [i for i in train.instances if i.topic == topic]
         feature_sets = [
-            extract_features(inst, train.profile_for(inst.author_id), selector)
+            extract_features(inst, train.profiles, selector)
             for inst in instances
         ]
         space = build_feature_space(feature_sets, selector, min_df=min_df)

@@ -158,6 +158,13 @@ def paired_t_test(a: Sequence[float], b: Sequence[float]) -> float:
     if n < 2:
         raise ValueError("need at least 2 pairs")
     diffs = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
+    # t does not change with the scale of the differences. Scaling them by a
+    # power of two to at most 1 in magnitude is exact, and keeps their
+    # squares out of the subnormal range: unscaled, differences (0, 0,
+    # 7e-161), whose t is exactly 1, gave p 0.42234 for 0.42265.
+    peak = float(np.abs(diffs).max())
+    if 0.0 < peak < math.inf:
+        diffs = np.ldexp(diffs, -math.frexp(peak)[1])
     sd = float(diffs.std(ddof=1))
     if sd == 0.0:
         raise ValueError("degenerate difference vector")
@@ -230,6 +237,9 @@ def mann_whitney_u(a: Sequence[float], b: Sequence[float]) -> UTestResult:
 # Prediction files and report rendering.
 
 
+PREDICTIONS_HEADER = "ID\tTarget\tGold\tPred"
+
+
 def write_predictions(
     path: str | Path,
     instances: Iterable[LabeledInstance],
@@ -240,7 +250,7 @@ def write_predictions(
     if len(instances) != len(predictions):
         raise ValueError("instances and predictions differ in length")
     with output_file(path) as fh:
-        fh.write("ID\tTarget\tGold\tPred\n")
+        fh.write(PREDICTIONS_HEADER + "\n")
         for inst, pred in zip(instances, predictions):
             fh.write(
                 f"{inst.tweet_id}\t{inst.topic}\t{inst.label.value}\t{pred.value}\n"
@@ -250,8 +260,10 @@ def write_predictions(
 def read_predictions(
     path: str | Path,
 ) -> tuple[list[str], list[str], list[StanceLabel], list[StanceLabel]]:
-    """Read a predictions TSV; returns (ids, topics, gold, pred). An ID may
-    appear only once, as in the tweets file the predictions were made for."""
+    """Read a predictions TSV; returns (ids, topics, gold, pred). Line 1 must
+    be the header write_predictions writes, so that a file without it does
+    not lose its first row. An ID may appear only once, as in the tweets
+    file the predictions were made for."""
     path = Path(path)
     ids: list[str] = []
     topics: list[str] = []
@@ -259,9 +271,13 @@ def read_predictions(
     pred: list[StanceLabel] = []
     seen: set[str] = set()
     with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if lineno == 1:
-                continue
+        header = fh.readline().rstrip("\n")
+        if header != PREDICTIONS_HEADER:
+            raise CorpusError(
+                f"{path}: expected the header {PREDICTIONS_HEADER!r} at line 1, "
+                f"got {header!r}"
+            )
+        for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
                 continue
@@ -288,14 +304,23 @@ def read_predictions(
 
 
 def read_label_lines(path: str | Path) -> list[StanceLabel]:
-    """Parallel predictions-only file: one stance label per line."""
+    """Parallel predictions-only file: one stance label per line, so line n
+    holds the label of the n-th gold instance. Blank lines may only end the
+    file: a blank line before a label would shift every later label."""
     labels: list[StanceLabel] = []
     path = Path(path)
+    blank = 0  # the first blank line since the last label
     with path.open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text:
+                blank = blank or lineno
                 continue
+            if blank:
+                raise CorpusError(
+                    f"{path}: blank line at line {blank}, before the label at "
+                    f"line {lineno}; each line holds the next instance's label"
+                )
             try:
                 labels.append(StanceLabel.parse(text))
             except CorpusError as exc:

@@ -29,8 +29,8 @@ from .corpus import (
     NETWORK_FIELDS,
     Dataset,
     LabeledInstance,
+    ProfileTable,
     StanceLabel,
-    UserNetworkProfile,
     output_file,
     write_network_profiles,
     write_semeval_tsv,
@@ -119,28 +119,28 @@ def _draw_set(
     tag: str | None,
     count: int,
     homophily: float,
-) -> frozenset[str]:
-    """Up to count items of one kind's pools: each from the community pool
-    ``tag`` with probability homophily, else from the shared pool; with no
-    tag, from the shared pool only."""
-    items: set[str] = set()
+) -> list[str]:
+    """count draws from one kind's pools, which the profile table makes a
+    set: each from the community pool ``tag`` with probability homophily,
+    else from the shared pool; with no tag, from the shared pool only."""
     from_community = (
         rng.random(count) < homophily if tag else np.zeros(count, dtype=bool)
     )
+    draws = []
     for take_community in from_community:
         pool = pools[tag] if take_community else pools["shared"]
-        items.add(pool[int(rng.integers(len(pool)))])
-    return frozenset(items)
+        draws.append(pool[int(rng.integers(len(pool)))])
+    return draws
 
 
 def generate(config: SynthConfig) -> tuple[Dataset, Dataset]:
-    """Generate (train, test) datasets; deterministic per config.seed."""
+    """Generate (train, test) datasets; deterministic per config.seed. Both
+    hold one profile table of every user."""
     rng = np.random.default_rng(config.seed)
     vocab = [f"word{i:03d}" for i in range(config.generic_vocab_size)]
     train_instances: list[LabeledInstance] = []
     test_instances: list[LabeledInstance] = []
-    train_profiles: dict[str, UserNetworkProfile] = {}
-    test_profiles: dict[str, UserNetworkProfile] = {}
+    profiles: dict[str, dict[str, list[str]]] = {}
     topics_seen: list[str] = []
     prior = np.asarray(config.stance_prior, dtype=np.float64)
     prior = prior / prior.sum()
@@ -172,15 +172,12 @@ def generate(config: SynthConfig) -> tuple[Dataset, Dataset]:
             stance = CANONICAL_LABELS[int(rng.choice(3, p=prior))]
             silent = bool(rng.random() < config.silent_fraction)
             tag = _COMMUNITY_TAG.get(stance)
-            sets = {
+            profiles[user_id] = {
                 field: _draw_set(rng, pools[NETWORK_FIELDS[field]], tag,
                                  config.items_per_set, config.homophily)
                 for field in _DRAW_ORDER
             }
-            profile = UserNetworkProfile(user_id=user_id, **sets)
             instances = train_instances if in_train[u] else test_instances
-            profiles = train_profiles if in_train[u] else test_profiles
-            profiles[user_id] = profile
             for k in range(config.tweets_per_user):
                 token_ids = rng.integers(len(vocab), size=config.tokens_per_tweet)
                 tokens = [vocab[int(i)] for i in token_ids]
@@ -198,8 +195,9 @@ def generate(config: SynthConfig) -> tuple[Dataset, Dataset]:
                     )
                 )
     topics = tuple(topics_seen)
-    train = Dataset(tuple(train_instances), train_profiles, topics)
-    test = Dataset(tuple(test_instances), test_profiles, topics)
+    table = ProfileTable.from_sets(profiles)
+    train = Dataset(tuple(train_instances), table, topics)
+    test = Dataset(tuple(test_instances), table, topics)
     return train, test
 
 
@@ -216,8 +214,7 @@ def write_corpus(config: SynthConfig, out_dir: str | Path) -> dict[str, Path]:
     }
     write_semeval_tsv(paths["train"], train.instances)
     write_semeval_tsv(paths["test"], test.instances)
-    all_profiles = {**train.profiles, **test.profiles}
-    write_network_profiles(paths["profiles"], all_profiles)
+    write_network_profiles(paths["profiles"], train.profiles)
     truth: dict[tuple[str, str], StanceLabel] = {}
     for inst in train.instances + test.instances:
         truth[(inst.topic, inst.author_id)] = inst.label

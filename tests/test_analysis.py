@@ -14,8 +14,8 @@ from stancelab.analysis import (
 from stancelab.corpus import (
     Dataset,
     LabeledInstance,
+    ProfileTable,
     StanceLabel,
-    UserNetworkProfile,
 )
 from stancelab.features import FeatureSetSelector, FeatureSpace
 from stancelab.linsvm import LinearModel, TrainConfig
@@ -78,7 +78,7 @@ class TestJaccard:
 
 class TestNetworkOverlap:
     def _profiles(self, **kwargs):
-        return {"u1": UserNetworkProfile.from_raw("u1", **kwargs)}
+        return ProfileTable.from_sets({"u1": kwargs})
 
     def test_identical_sets(self):
         dist = network_overlap(
@@ -102,23 +102,26 @@ class TestNetworkOverlap:
         assert dist.values == ()
         assert dist.excluded == 1
 
+    def test_families_of_two_kinds_compare_names(self):
+        # u1's account "a" and domain "b" both have id 0 in their kind.
+        profiles = ProfileTable.from_sets({"u1": {"in_mentions": ["a"], "in_domains": ["b"]},
+                                           "u2": {"in_mentions": ["b"], "in_domains": ["b"]}})
+        dist = network_overlap(profiles, ("in_mentions", "in_domains"))
+        assert dist.values == (0.0, 1.0)
+
     def test_invalid_field(self):
         with pytest.raises(ValueError, match="unknown network field"):
             network_overlap(self._profiles(), ("in_mentions", "nope"))
 
     def test_no_profiles(self):
         with pytest.raises(ValueError):
-            network_overlap({}, ("in_mentions", "pn_mentions"))
+            network_overlap(ProfileTable.from_sets({}), ("in_mentions", "pn_mentions"))
 
     def test_histogram_bins(self):
-        profiles = {
-            "u1": UserNetworkProfile.from_raw(
-                "u1", in_mentions=["a", "b"], pn_mentions=["b", "c"]
-            ),  # 1/3 = 33.3%
-            "u2": UserNetworkProfile.from_raw(
-                "u2", in_mentions=["x"], pn_mentions=["x"]
-            ),  # 100%
-        }
+        profiles = ProfileTable.from_sets({
+            "u1": {"in_mentions": ["a", "b"], "pn_mentions": ["b", "c"]},  # 1/3 = 33.3%
+            "u2": {"in_mentions": ["x"], "pn_mentions": ["x"]},  # 100%
+        })
         dist = network_overlap(profiles, ("in_mentions", "pn_mentions"))
         hist = dist.histogram()
         assert len(hist) == 20
@@ -265,7 +268,7 @@ class TestUserConsistency:
         )
         return Dataset(
             instances,
-            {a: UserNetworkProfile.empty(a) for a in set(authors)},
+            ProfileTable.from_sets({a: {} for a in set(authors)}),
             ("t",),
         )
 
@@ -301,7 +304,7 @@ class TestUserConsistency:
             LabeledInstance("4", "u1", "t2", "", N),
         )
         dataset = Dataset(
-            instances, {"u1": UserNetworkProfile.empty("u1")}, ("t1", "t2")
+            instances, ProfileTable.from_sets({"u1": {}}), ("t1", "t2")
         )
         report = user_consistency(dataset, [F, F, A, A])
         assert report.uniform == 2

@@ -371,6 +371,39 @@ class TestFilteredRead:
         assert filtered == full
 
 
+class TestRequireProfile:
+    """The predictions of predict --require-profile can be evaluated against
+    bundles and analyzed, when those join --tweets the same way."""
+
+    def test_evaluate_and_analyze_join_as_predict_did(self, corpus, tmp_path, capsys):
+        half = tmp_path / "half.jsonl"
+        lines = (corpus / "profiles.jsonl").read_text().splitlines(keepends=True)
+        half.write_text("".join(lines[::2]))
+        test = ["--tweets", str(corpus / "test.tsv"), "--profiles", str(half)]
+        assert main(["train", "--tweets", str(corpus / "train.tsv"),
+                     "--profiles", str(corpus / "profiles.jsonl"), "--selector", "IN_AT",
+                     "--mode", "binary", "--out", str(tmp_path / "bundles")]) == EXIT_OK
+        predictions = tmp_path / "predictions.tsv"
+        assert main(["predict", "--bundles", str(tmp_path / "bundles"), *test,
+                     "--out", str(predictions), "--require-profile"]) == EXIT_OK
+        kept = len(predictions.read_text().splitlines()) - 1
+        assert 0 < kept < len((corpus / "test.tsv").read_text().splitlines()) - 1
+        evaluate = ["evaluate", "--predictions", str(predictions),
+                    "--compare", str(tmp_path / "bundles"), *test]
+        analyze = ["analyze", "--predictions", str(predictions), *test]
+        # Joined over every tweet, neither lines up with the predictions.
+        assert main([*evaluate, "--out", str(tmp_path / "v0")]) == EXIT_DATA
+        assert main([*analyze, "--out", str(tmp_path / "a0")]) == EXIT_DATA
+        capsys.readouterr()
+        assert main([*evaluate, "--out", str(tmp_path / "v"),
+                     "--require-profile"]) == EXIT_OK
+        assert "t_test_p=" in (tmp_path / "v" / "significance.txt").read_text()
+        confusion = (tmp_path / "v" / "confusion.csv").read_text().splitlines()[1:]
+        assert sum(int(v) for row in confusion for v in row.split(",")[1:]) == kept
+        assert main([*analyze, "--out", str(tmp_path / "a"), "--require-profile"]) == EXIT_OK
+        assert (tmp_path / "a" / "user_consistency.csv").exists()
+
+
 def test_experiment_notes_authors_in_both_splits(corpus, tmp_path, capsys):
     note = "pairs are in both --tweets and --test"
     argv = ["experiment", "--tweets", str(corpus / "train.tsv"),
@@ -668,6 +701,7 @@ PARSER_CONTRACT = {
         (("--pair-unit",), "PAIR_UNIT", "topic", None, ["topic", "fold"], False),
         (("--folds",), "FOLDS", 5, "int>=2", None, False),
         (("--seed",), "SEED", 0, "int>=0", None, False),
+        (("--require-profile",), None, False, None, None, False),
     ],
     "experiment": [
         (("--tweets",), "TWEETS", None, None, None, True),
@@ -694,6 +728,7 @@ PARSER_CONTRACT = {
         (("--tweets",), "TWEETS", None, None, None, False),
         (("--out",), "OUT", None, None, None, True),
         (("--top-n",), "TOP_N", 20, "int>=1", None, False),
+        (("--require-profile",), None, False, None, None, False),
     ],
 }
 

@@ -1,7 +1,7 @@
 import json
 import re
 import tempfile
-from dataclasses import replace
+import tracemalloc
 import unicodedata
 from pathlib import Path
 
@@ -13,9 +13,9 @@ from stancelab.corpus import (
     CorpusError,
     LabeledInstance,
     NETWORK_FIELDS,
+    ProfileTable,
     StanceLabel,
     UnreadFamilyError,
-    UserNetworkProfile,
     join,
     load_network_profiles,
     load_semeval_tsv,
@@ -30,6 +30,9 @@ from stancelab.features import (
     extract_features,
     index_rows,
 )
+from stancelab.synth import SynthConfig, write_corpus
+
+from profile_reference import load_profile_sets, reference_sets, table_sets
 
 
 def write(tmp_path, name, text):
@@ -249,7 +252,7 @@ class TestNormalization:
 
 
 # Each field's normalizer, written out field by field: the oracle for the
-# table-driven from_raw.
+# table-driven normalization of ProfileTable.from_sets.
 PER_FIELD_NORMALIZER = {
     "in_mentions": normalize_account,
     "in_domains": normalize_domain,
@@ -266,18 +269,31 @@ RAW_MEMBERS = st.one_of(
 
 
 class TestFromRaw:
+    """Raw members as the loader normalizes them, and tables built by hand."""
+
     @given(st.dictionaries(st.sampled_from(sorted(PER_FIELD_NORMALIZER)),
                            st.lists(RAW_MEMBERS, max_size=5)))
     def test_matches_the_per_field_normalizers(self, sets):
-        profile = UserNetworkProfile.from_raw("u1", **sets)
-        assert profile.user_id == "u1"
-        for name, normalize in PER_FIELD_NORMALIZER.items():
-            expected = {normalize(v) for v in sets.get(name, [])} - {""}
-            assert profile.set_for(name) == expected
+        expected = {name: {normalize(v) for v in sets.get(name, [])} - {""}
+                    for name, normalize in PER_FIELD_NORMALIZER.items()}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "p.jsonl"
+            path.write_text(json.dumps({"user_id": "u1", **sets}) + "\n", encoding="utf-8")
+            if any(unicodedata.category(ch) in ("Cc", "Cs")
+                   for members in expected.values() for member in members for ch in member):
+                with pytest.raises(CorpusError, match="control character"):
+                    load_network_profiles(path)
+                return
+            table, _ = load_network_profiles(path)
+        assert list(table) == ["u1"]
+        for name in PER_FIELD_NORMALIZER:
+            ids = table.members(name, "u1").tolist()
+            assert ids == sorted(set(ids))
+            assert set(table.member_names(name, "u1")) == expected[name]
 
     def test_unknown_field_is_a_type_error(self):
         with pytest.raises(TypeError, match="in_mention"):
-            UserNetworkProfile.from_raw("u1", in_mention=["a"])
+            ProfileTable.from_sets({"u1": {"in_mention": ["a"]}})
 
 
 class TestLoadProfiles:
@@ -289,14 +305,15 @@ class TestLoadProfiles:
         )
         profiles, dupes = load_network_profiles(path)
         assert dupes == 0
-        assert profiles["u1"].in_mentions == {"foxnews"}
-        assert profiles["u1"].in_domains == {"bbc.co.uk"}
-        assert profiles["u1"].cn_friends == frozenset()
+        assert profiles.member_names("in_mentions", "u1") == ["foxnews"]
+        assert profiles.member_names("in_domains", "u1") == ["bbc.co.uk"]
+        assert profiles.members("cn_friends", "u1").size == 0
 
     def test_empty_file(self, tmp_path):
         path = write(tmp_path, "p.jsonl", "")
         profiles, dupes = load_network_profiles(path)
-        assert profiles == {} and dupes == 0
+        assert len(profiles) == 0 and dupes == 0
+        assert profiles == ProfileTable.from_sets({})
 
     def test_duplicate_user_last_wins_and_counted(self, tmp_path):
         path = write(
@@ -306,7 +323,8 @@ class TestLoadProfiles:
         )
         profiles, dupes = load_network_profiles(path)
         assert dupes == 1
-        assert profiles["u1"].in_mentions == {"b"}
+        assert list(profiles) == ["u1"]
+        assert profiles.member_names("in_mentions", "u1") == ["b"]
 
     def test_unparseable_line_names_line(self, tmp_path):
         path = write(tmp_path, "p.jsonl", '{"user_id": "u1"}\nnot json\n')
@@ -368,7 +386,7 @@ class TestLoadProfiles:
                     load_network_profiles(path)
             else:
                 profiles, _ = load_network_profiles(path)
-                assert profiles["u1"].in_mentions == {
+                assert set(profiles.member_names("in_mentions", "u1")) == {
                     normalize_account(m) for m in members
                 } - {""}
 
@@ -379,40 +397,58 @@ class TestLoadProfiles:
             '"in_domains": ["https://x.example/a\\nb"]}\n',
         )
         profiles, _ = load_network_profiles(path)
-        assert profiles["u1"].in_mentions == {"a"}
-        assert profiles["u1"].in_domains == {"x.example"}
+        assert profiles.member_names("in_mentions", "u1") == ["a"]
+        assert profiles.member_names("in_domains", "u1") == ["x.example"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(records=st.lists(st.dictionaries(
+               st.sampled_from(sorted(NETWORK_FIELDS)),
+               st.lists(st.lists(st.sampled_from(
+                   ["a", "B", " ", "-", ".x", "www.", "wWw.", "@", "/", ":"]),
+                   max_size=4).map("".join), max_size=2)),
+               min_size=1, max_size=4),
+           extra=st.sampled_from(["", ', "note": {"a": 1}', ', "user_id": "u:9"']))
+    @example(records=[{"in_mentions": [" @A"]}], extra="")
+    @example(records=[{"in_domains": ["a/b"]}], extra="")
+    @example(records=[{"in_domains": ["a:b"]}], extra="")
+    @example(records=[{"pn_domains": ["WwW.a"]}], extra="")
+    def test_members_read_as_the_normalizers_give_them(self, records, extra):
+        # A line whose members hold no "@", "/", ":" or "www." is read with
+        # strip() and lower() in place of the normalizers, to the same sets.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "p.jsonl"
+            path.write_text("".join(
+                json.dumps({"user_id": f"u{i}", **record})[:-1] + extra + "}\n"
+                for i, record in enumerate(records)), encoding="utf-8")
+            table, duplicates = load_network_profiles(path)
+            sets, reference_duplicates = load_profile_sets(path)
+        assert duplicates == reference_duplicates
+        assert table_sets(table) == reference_sets(sets)
 
     def test_round_trip(self, tmp_path):
-        profiles = {
-            "u1": UserNetworkProfile.from_raw(
-                "u1", in_mentions=["@A", "b"], pn_domains=["x.example"]
-            ),
-            "u2": UserNetworkProfile.empty("u2"),
-        }
+        profiles = ProfileTable.from_sets({
+            "u1": {"in_mentions": ["a", "b"], "pn_domains": ["x.example"]},
+            "u2": {},
+        })
         path = tmp_path / "out.jsonl"
         write_network_profiles(path, profiles)
         loaded, _ = load_network_profiles(path)
         assert loaded == profiles
 
-    @pytest.mark.parametrize("key, profile, field", [
-        ("u", UserNetworkProfile.from_raw("u", in_mentions=["a\x01b"]),
-         "in_mentions"),
-        ("u", UserNetworkProfile("u", in_mentions=frozenset({"@A"})),
-         "in_mentions"),
-        ("u", UserNetworkProfile("u", pn_domains=frozenset({"www.x.example"})),
-         "pn_domains"),
-        ("u", UserNetworkProfile("u", cn_followers=frozenset({""})),
-         "cn_followers"),
-        ("x", UserNetworkProfile("y"), "user_id"),
-        ("", UserNetworkProfile(""), "user_id"),
-        ("a\ud800", UserNetworkProfile("a\ud800"), "user_id"),
+    @pytest.mark.parametrize("key, sets, field", [
+        ("u", {"in_mentions": ["a\x01b"]}, "in_mentions"),
+        ("u", {"in_mentions": ["@A"]}, "in_mentions"),
+        ("u", {"pn_domains": ["www.x.example"]}, "pn_domains"),
+        ("u", {"cn_followers": [""]}, "cn_followers"),
+        ("", {}, "user_id"),
+        ("a\ud800", {}, "user_id"),
     ], ids=["control", "unnormalized-account", "unnormalized-domain", "empty",
-            "other-key", "empty-id", "surrogate-id"])
+            "empty-id", "surrogate-id"])
     def test_write_refuses_what_load_reads_back_differently(
-        self, tmp_path, key, profile, field
+        self, tmp_path, key, sets, field
     ):
         path = tmp_path / "out.jsonl"
-        profiles = {"a": UserNetworkProfile.empty("a"), key: profile}
+        profiles = ProfileTable.from_sets({"a": {}, key: sets})
         message = re.escape(f"user {key!r}: field {field!r}")
         with pytest.raises(CorpusError, match=message):
             write_network_profiles(path, profiles)
@@ -422,18 +458,14 @@ class TestLoadProfiles:
     @given(data=st.data())
     def test_written_profiles_read_back_equal_or_are_refused(self, data):
         clean = st.lists(st.sampled_from(["a", "b", "b.example", "x.b.example"]),
-                         max_size=3).map(frozenset)
+                         max_size=3)
         keys = data.draw(st.lists(st.sampled_from(["u", "v", " u", "İ"]),
                                   min_size=1, max_size=3, unique=True))
-        profiles = {
-            key: UserNetworkProfile(key, **{
-                name: data.draw(clean) for name in NETWORK_FIELDS
-            })
-            for key in keys
-        }
+        sets = {key: {name: data.draw(clean) for name in NETWORK_FIELDS}
+                for key in keys}
         # At most one change, which may or may not stop a read-back.
         key = data.draw(st.sampled_from(keys))
-        change = data.draw(st.sampled_from(["none", "member", "user_id", "key"]))
+        change = data.draw(st.sampled_from(["none", "member", "key"]))
         event(change)
         if change == "member":
             name = data.draw(st.sampled_from(sorted(NETWORK_FIELDS)))
@@ -442,15 +474,11 @@ class TestLoadProfiles:
                 st.sampled_from(["", "@a", "A", " a", "www.b.example",
                                  "b.example/x", "a\x01", "\ud800", "a", "b.example"]),
             ))
-            profiles[key] = replace(
-                profiles[key], **{name: getattr(profiles[key], name) | {member}}
-            )
-        elif change == "user_id":
-            user_id = data.draw(st.sampled_from(["u", "w", "", "u\ud800"]))
-            profiles[key] = replace(profiles[key], user_id=user_id)
+            sets[key][name] = sets[key][name] + [member]
         elif change == "key":
             new_key = data.draw(st.sampled_from(["w", "", "u\ud800"]))
-            profiles[new_key] = replace(profiles.pop(key), user_id=new_key)
+            sets[new_key] = sets.pop(key)
+        profiles = ProfileTable.from_sets(sets)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "p.jsonl"
             try:
@@ -461,6 +489,63 @@ class TestLoadProfiles:
                 return
             event("written")
             assert load_network_profiles(path) == (profiles, 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sets=st.dictionaries(
+            st.sampled_from(["u", "v", "w", "İ", "x y"]),
+            st.dictionaries(st.sampled_from(sorted(NETWORK_FIELDS)),
+                            st.lists(st.one_of(
+                                st.sampled_from(["a", "b", "b.example", "é.example"]),
+                                st.text(st.characters(), min_size=1, max_size=5)),
+                                max_size=4)),
+            max_size=4),
+        fields=st.none() | st.sets(st.sampled_from(sorted(NETWORK_FIELDS))),
+        authors=st.none() | st.sets(st.sampled_from(["u", "v", "w", "z"])),
+    )
+    def test_filtered_read_back_equals_the_filtered_table(self, sets, fields, authors):
+        profiles = ProfileTable.from_sets(sets)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "p.jsonl"
+            try:
+                write_network_profiles(path, profiles)
+            except CorpusError:
+                event("refused")
+                return
+            event("written")
+            assert load_network_profiles(path) == (profiles, 0)
+            kept, duplicates = load_network_profiles(path, fields=fields, authors=authors)
+        read = sorted(NETWORK_FIELDS if fields is None else fields)
+        assert duplicates == 0
+        assert table_sets(kept, read) == {
+            user: members for user, members in table_sets(profiles, read).items()
+            if authors is None or user in authors
+        }
+        for name in NETWORK_FIELDS.keys() - set(read):
+            with pytest.raises(UnreadFamilyError):
+                kept.members(name, "u")
+
+    def test_held_table_is_a_quarter_of_the_frozenset_layout(self, tmp_path):
+        # On a fixed synth corpus (600 users, 12 draws per family), all six
+        # families and the two of IN_AT+IN_DM.
+        paths = write_corpus(SynthConfig(topics=("a", "b", "c"), users_per_topic=200,
+                                         seed=3), tmp_path)
+
+        def held(load, **kwargs):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                loaded = load(paths["profiles"], **kwargs)
+                return tracemalloc.get_traced_memory()[0] - before, loaded
+            finally:
+                tracemalloc.stop()
+
+        for fields in (None, {"in_mentions", "in_domains"}):
+            table_bytes, (table, _) = held(load_network_profiles, fields=fields)
+            sets_bytes, (sets, _) = held(load_profile_sets, fields=fields)
+            read = NETWORK_FIELDS if fields is None else fields
+            assert table_sets(table, read) == reference_sets(sets, read)
+            assert table_bytes * 4 <= sets_bytes, (fields, table_bytes, sets_bytes)
 
 
 # Members that pass the screen unseen, members that trip it (a backslash
@@ -504,62 +589,65 @@ class TestFilteredLoad:
     )
     def test_filters_change_no_outcome(self, lines, fields, authors):
         # Both loads accept the file or both raise the same message; the
-        # filtered one keeps the filtered authors and families of the full one.
+        # filtered one keeps the filtered authors and families of the full
+        # one. The frozenset loader it replaced gives the same outcomes.
         outcomes = []
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "p.jsonl"
             path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
             for kwargs in ({}, {"fields": fields, "authors": authors}):
-                try:
-                    outcomes.append(load_network_profiles(path, **kwargs))
-                except CorpusError as exc:
-                    outcomes.append(str(exc))
-        full, filtered = outcomes
+                for load in (load_network_profiles, load_profile_sets):
+                    try:
+                        outcomes.append(load(path, **kwargs))
+                    except CorpusError as exc:
+                        outcomes.append(str(exc))
+        full, full_sets, filtered, filtered_sets = outcomes
         if isinstance(full, str):
             event("rejected")
-            assert filtered == full
+            assert filtered == full_sets == filtered_sets == full
             return
         event("accepted")
         (every, duplicates), (kept, kept_duplicates) = full, filtered
-        assert kept_duplicates == duplicates
+        assert kept_duplicates == duplicates == full_sets[1] == filtered_sets[1]
         assert sorted(kept) == sorted(
             u for u in every if authors is None or u in authors)
-        for user_id, profile in kept.items():
-            assert profile.user_id == user_id
-            for name in NETWORK_FIELDS:
-                if fields is None or name in fields:
-                    assert profile.set_for(name) == every[user_id].set_for(name)
-                else:
-                    with pytest.raises(UnreadFamilyError):
-                        profile.set_for(name)
+        read = sorted(NETWORK_FIELDS if fields is None else fields)
+        assert table_sets(every) == reference_sets(full_sets[0])
+        assert table_sets(kept, read) == reference_sets(filtered_sets[0], read)
+        for user_id in kept:
+            for name in read:
+                assert (sorted(kept.member_names(name, user_id))
+                        == sorted(every.member_names(name, user_id)))
+            for name in NETWORK_FIELDS.keys() - set(read):
+                with pytest.raises(UnreadFamilyError):
+                    kept.members(name, user_id)
 
     def test_unread_family_raises_when_used(self, tmp_path):
         path = write(tmp_path, "p.jsonl",
                      '{"user_id": "u1", "in_mentions": ["a"], "pn_mentions": ["b"]}\n')
         profiles, _ = load_network_profiles(path, fields={"in_mentions"})
-        profile = profiles["u1"]
         inst = LabeledInstance("t1", "u1", "A", "", StanceLabel.NONE)
         dataset, _ = join([inst], profiles)
         read, both = FeatureSetSelector.of("IN_AT"), FeatureSetSelector.of("IN_AT", "PN_AT")
         space = FeatureSpace({"inat:a": 0, "pnat:b": 1}, both)
         # The family that was read works as usual.
-        assert profile.set_for("in_mentions") == {"a"}
-        assert extract_features(inst, profile, read) == {"inat:a"}
+        assert profiles.member_names("in_mentions", "u1") == ["a"]
+        assert extract_features(inst, profiles, read) == {"inat:a"}
         assert [r.tolist() for r in index_rows(FeatureSpace({"inat:a": 0}, read),
                                                [inst], dataset)] == [[0]]
-        # The unread one never passes for an empty set.
+        # An author the file does not hold has no members of it.
+        assert profiles.members("in_mentions", "u2").size == 0
+        # The unread one never passes for an empty set, whoever the author.
         message = "was not read from the profiles file"
-        for use in (lambda: profile.set_for("pn_mentions"),
-                    lambda: len(profile.pn_mentions),
-                    lambda: "b" in profile.pn_mentions,
-                    lambda: extract_features(inst, profile, both),
+        for use in (lambda: profiles.members("pn_mentions", "u1"),
+                    lambda: profiles.members("pn_mentions", "u2"),
+                    lambda: profiles.member_names("pn_mentions", "u1"),
+                    lambda: extract_features(inst, profiles, both),
                     lambda: index_rows(space, [inst], dataset),
                     lambda: write_network_profiles(tmp_path / "out.jsonl", profiles)):
             with pytest.raises(UnreadFamilyError, match=message):
                 use()
         assert not (tmp_path / "out.jsonl").exists()
-        # An author the file does not hold still has empty sets.
-        assert dataset.profile_for("u2").set_for("pn_mentions") == frozenset()
 
     def test_unknown_field_rejected(self, tmp_path):
         path = write(tmp_path, "p.jsonl", "")
@@ -575,10 +663,7 @@ class TestJoin:
         ]
 
     def _profiles(self):
-        return {
-            "u0": UserNetworkProfile.empty("u0"),
-            "u1": UserNetworkProfile.empty("u1"),
-        }
+        return ProfileTable.from_sets({"u0": {}, "u1": {}})
 
     def test_require_profile_drops_and_counts(self):
         dataset, dropped = join(self._instances(), self._profiles(),
@@ -592,9 +677,8 @@ class TestJoin:
                                 require_profile=False)
         assert len(dataset.instances) == 3
         assert dropped == 0
-        profile = dataset.profile_for("u2")
-        assert profile.user_id == "u2"
-        assert all(not getattr(profile, f) for f in (
+        assert "u2" not in dataset.profiles
+        assert all(dataset.profiles.members(f, "u2").size == 0 for f in (
             "in_mentions", "in_domains", "pn_mentions", "pn_domains",
             "cn_friends", "cn_followers"))
 
@@ -606,7 +690,7 @@ class TestJoin:
         assert sorted(profiles) == ["u0", "u1"]
 
     def test_empty_input(self):
-        dataset, dropped = join([], {}, require_profile=True)
+        dataset, dropped = join([], ProfileTable.from_sets({}), require_profile=True)
         assert dataset.instances == ()
         assert dataset.topics == ()
         assert dropped == 0
@@ -617,7 +701,7 @@ class TestJoin:
             LabeledInstance("2", "u2", "A", "", StanceLabel.NONE),
             LabeledInstance("3", "u3", "B", "", StanceLabel.NONE),
         ]
-        dataset, _ = join(instances, {})
+        dataset, _ = join(instances, ProfileTable.from_sets({}))
         assert dataset.topics == ("B", "A")
 
     def test_load_join_deterministic(self, tmp_path):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stancelab.corpus import CorpusError, LabeledInstance, StanceLabel, UserNetworkProfile
+from stancelab.corpus import CorpusError, LabeledInstance, ProfileTable, StanceLabel
 from stancelab.features import (
     FeatureSetSelector,
     build_feature_space,
@@ -21,6 +21,11 @@ TOKENS = st.lists(st.sampled_from(["a", "bb", "ccc", "@x", "#y"]), max_size=8)
 
 def instance(text):
     return LabeledInstance("1", "u1", "A", text, StanceLabel.NONE)
+
+
+def profile_table(user_id, **sets):
+    """A table of one user's sets."""
+    return ProfileTable.from_sets({user_id: sets})
 
 
 class TestSelector:
@@ -113,21 +118,21 @@ class TestNgrams:
 
 class TestExtractFeatures:
     def test_network_family_passthrough(self):
-        profile = UserNetworkProfile.from_raw("u1", in_mentions=["foxnews"])
+        profile = profile_table("u1", in_mentions=["foxnews"])
         out = extract_features(
             instance("ignored"), profile, FeatureSetSelector.of("IN_AT")
         )
         assert out == {"inat:foxnews"}
 
     def test_empty_text_contributes_nothing(self):
-        profile = UserNetworkProfile.from_raw("u1", in_mentions=["cnn"])
+        profile = profile_table("u1", in_mentions=["cnn"])
         out = extract_features(
             instance(""), profile, FeatureSetSelector.parse("TXT+IN_AT")
         )
         assert out == {"inat:cnn"}
 
     def test_namespaces_keep_families_distinct(self):
-        profile = UserNetworkProfile.from_raw(
+        profile = profile_table(
             "u1", cn_friends=["a"], cn_followers=["a"]
         )
         out = extract_features(
@@ -137,7 +142,7 @@ class TestExtractFeatures:
 
     def test_txt_combines_word_and_char_grams(self):
         out = extract_features(
-            instance("hi yo"), UserNetworkProfile.empty("u1"),
+            instance("hi yo"), profile_table("u1"),
             FeatureSetSelector.of("TXT"),
         )
         assert "txtw:hi" in out
@@ -146,7 +151,7 @@ class TestExtractFeatures:
         assert all(f.startswith(("txtw:", "txtc:")) for f in out)
 
     def test_pure_function(self):
-        profile = UserNetworkProfile.from_raw("u1", pn_domains=["x.example"])
+        profile = profile_table("u1", pn_domains=["x.example"])
         sel = FeatureSetSelector.parse("TXT+PN_DM")
         inst = instance("same text @here")
         assert extract_features(inst, profile, sel) == extract_features(
@@ -155,7 +160,7 @@ class TestExtractFeatures:
 
     def test_namespacing_injectivity_across_families(self):
         # The same raw string lands in disjoint namespaced features.
-        profile = UserNetworkProfile.from_raw(
+        profile = profile_table(
             "u1",
             in_mentions=["same"], pn_mentions=["same"],
             cn_friends=["same"], cn_followers=["same"],
@@ -169,7 +174,7 @@ class TestExtractFeatures:
 
     def test_network_only_constant_per_author(self):
         # Identical profiles give identical features whatever the text.
-        profile = UserNetworkProfile.from_raw("u1", cn_friends=["a", "b"])
+        profile = profile_table("u1", cn_friends=["a", "b"])
         sel = FeatureSetSelector.of("CN_FR")
         texts = ["first tweet", "second!", ""]
         outs = [extract_features(instance(t), profile, sel) for t in texts]

@@ -1,12 +1,17 @@
 """The batch vectorizer against the set-based oracle, row for row."""
 
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stancelab import pipeline
-from stancelab.corpus import Dataset, LabeledInstance, StanceLabel, UserNetworkProfile
+from stancelab.corpus import Dataset, LabeledInstance, ProfileTable, StanceLabel
+from stancelab.corpus import load_network_profiles
 from stancelab.features import (
     ALL_FLAGS,
     NETWORK_FLAG_SOURCES,
@@ -19,6 +24,7 @@ from stancelab.features import (
 )
 from stancelab.linsvm import LinearModel, TrainConfig, predict
 
+from profile_reference import load_profile_sets
 from vectorize_reference import reference_tokenize, vectorize
 
 # A few characters that collide often, plus the awkward ones: NUL, a
@@ -39,12 +45,10 @@ SELECTORS = st.sets(st.sampled_from(ALL_FLAGS), min_size=1).map(
 
 @st.composite
 def datasets(draw, max_size=12):
-    profiles = {
-        user: UserNetworkProfile.from_raw(
-            user, **{field: draw(ITEMS) for _, field in NETWORK_FLAG_SOURCES.values()}
-        )
+    profiles = ProfileTable.from_sets({
+        user: {field: draw(ITEMS) for _, field in NETWORK_FLAG_SOURCES.values()}
         for user in ("u1", "u2", "u3")
-    }
+    })
     instances = tuple(
         LabeledInstance(str(i), draw(AUTHORS), "A", draw(TEXTS), StanceLabel.NONE)
         for i in range(draw(st.integers(1, max_size)))
@@ -54,7 +58,7 @@ def datasets(draw, max_size=12):
 
 def features_of(dataset, selector):
     return [
-        extract_features(inst, dataset.profile_for(inst.author_id), selector)
+        extract_features(inst, dataset.profiles, selector)
         for inst in dataset.instances
     ]
 
@@ -100,7 +104,7 @@ def assert_rows_match(space, dataset, instances):
     rows = index_rows(space, instances, dataset)
     assert len(rows) == len(instances)
     for inst, row in zip(instances, rows):
-        features = extract_features(inst, dataset.profile_for(inst.author_id), space.selector)
+        features = extract_features(inst, dataset.profiles, space.selector)
         expected = vectorize(features, space)
         assert row.dtype == expected.dtype == np.int64
         assert np.array_equal(row, expected), inst.text
@@ -137,7 +141,7 @@ class TestIndexRows:
         space = FeatureSpace({"txtc:ab": 0, "txtc:ba": 1}, FeatureSetSelector.of("TXT"))
         dataset = Dataset(
             (LabeledInstance("1", "u", "A", "ab", StanceLabel.NONE),
-             LabeledInstance("2", "u", "A", "ab", StanceLabel.NONE)), {}, ("A",))
+             LabeledInstance("2", "u", "A", "ab", StanceLabel.NONE)), ProfileTable.from_sets({}), ("A",))
         rows = index_rows(space, dataset.instances, dataset)
         assert [r.tolist() for r in rows] == [[0], [0]]
 
@@ -145,16 +149,60 @@ class TestIndexRows:
         space = FeatureSpace({"txtc:abcde": 0, "txtc:x": 1, "txtc:abcdef": 2},
                              FeatureSetSelector.of("TXT"))
         dataset = Dataset(
-            (LabeledInstance("1", "u", "A", "xABCDEF", StanceLabel.NONE),), {}, ("A",))
+            (LabeledInstance("1", "u", "A", "xABCDEF", StanceLabel.NONE),), ProfileTable.from_sets({}), ("A",))
         assert [r.tolist() for r in index_rows(space, dataset.instances, dataset)] == [[0]]
 
     def test_empty_batch_and_empty_space(self):
         space = FeatureSpace({}, FeatureSetSelector.of("TXT"))
         inst = LabeledInstance("1", "u", "A", "text", StanceLabel.NONE)
-        dataset = Dataset((inst,), {}, ("A",))
+        dataset = Dataset((inst,), ProfileTable.from_sets({}), ("A",))
         assert index_rows(space, [], dataset) == []
         (row,) = index_rows(space, [inst], dataset)
         assert row.dtype == np.int64 and row.size == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_network_columns_match_the_frozenset_profiles(self, data):
+        # Rows from the table's ids equal the set-based rows of the
+        # frozenset profiles loaded from the same file, with members the
+        # space does not hold and authors the file does not hold.
+        members = st.lists(st.sampled_from(["a", "@B", "b", "ab", "x.example",
+                                            "https://www.y.example/z", ""]), max_size=4)
+        records = [{"user_id": user, **{field: data.draw(members)
+                                        for _, field in NETWORK_FLAG_SOURCES.values()}}
+                   for user in data.draw(st.lists(st.sampled_from(["u1", "u2", "u3"])))]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "p.jsonl"
+            path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+            table, _ = load_network_profiles(path)
+            sets, _ = load_profile_sets(path)
+        names = data.draw(st.sets(st.sampled_from([
+            prefix + name for prefix, _ in NETWORK_FLAG_SOURCES.values()
+            for name in ["a", "b", "ab", "x.example", "y.example", "zz"]])))
+        flags = data.draw(st.sets(st.sampled_from(sorted(NETWORK_FLAG_SOURCES)), min_size=1))
+        space = FeatureSpace({name: i for i, name in enumerate(data.draw(
+            st.permutations(sorted(names))))}, FeatureSetSelector(frozenset(flags)))
+        instances = tuple(
+            LabeledInstance(str(i), data.draw(AUTHORS), "A", "", StanceLabel.NONE)
+            for i in range(data.draw(st.integers(1, 12))))
+        rows = index_rows(space, instances, Dataset(instances, table, ("A",)))
+        for inst, row in zip(instances, rows):
+            profile = sets.get(inst.author_id)
+            expected = vectorize({
+                prefix + member
+                for prefix, field in map(NETWORK_FLAG_SOURCES.get, flags)
+                for member in (getattr(profile, field) if profile else ())
+            }, space)
+            assert np.array_equal(row, expected), inst.author_id
+
+    def test_columns_follow_each_tables_ids(self):
+        # One space with two tables that number the same names apart.
+        space = FeatureSpace({"inat:a": 0, "inat:b": 1}, FeatureSetSelector.of("IN_AT"))
+        inst = LabeledInstance("1", "u", "A", "", StanceLabel.NONE)
+        for names, expected in ((["a", "b", "c"], [0, 1]), (["c", "b"], [1]), (["a"], [0])):
+            table = ProfileTable.from_sets({"u": {"in_mentions": names}})
+            (row,) = index_rows(space, [inst], Dataset((inst,), table, ("A",)))
+            assert row.tolist() == expected
 
     def test_blocks_are_built_once_per_space(self):
         space = FeatureSpace({"txtc:ab": 0}, FeatureSetSelector.of("TXT"))
@@ -193,7 +241,7 @@ class TestPredictDataset:
             )
         expected = [
             predict(models[inst.topic], [vectorize(extract_features(
-                inst, dataset.profile_for(inst.author_id), models[inst.topic].space.selector,
+                inst, dataset.profiles, models[inst.topic].space.selector,
             ), models[inst.topic].space)])[0]
             for inst in dataset.instances
         ]
@@ -204,4 +252,4 @@ class TestPredictDataset:
     def test_missing_topic_is_named(self):
         inst = LabeledInstance("1", "u", "B", "text", StanceLabel.NONE)
         with pytest.raises(ValueError, match="'B'"):
-            pipeline.predict_dataset({}, Dataset((inst,), {}, ("B",)))
+            pipeline.predict_dataset({}, Dataset((inst,), ProfileTable.from_sets({}), ("B",)))

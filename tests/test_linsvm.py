@@ -12,8 +12,8 @@ from stancelab.corpus import (
     CorpusError,
     Dataset,
     LabeledInstance,
+    ProfileTable,
     StanceLabel,
-    UserNetworkProfile,
 )
 from stancelab.features import (
     ALL_FLAGS,
@@ -605,13 +605,11 @@ TEXTS = {
 def extracted_bundles(draw):
     """A model over every feature name the extractor emits for some data."""
     text = TEXTS[draw(st.sampled_from(sorted(TEXTS)))]
-    profiles = {
-        user: UserNetworkProfile.from_raw(user, **{
-            field: draw(st.lists(text, max_size=3))
-            for _, field in NETWORK_FLAG_SOURCES.values()
-        })
+    profiles = ProfileTable.from_sets({
+        user: {field: draw(st.lists(text, max_size=3))
+               for _, field in NETWORK_FLAG_SOURCES.values()}
         for user in ("u1", "u2")
-    }
+    })
     instances = tuple(
         LabeledInstance(str(i), draw(st.sampled_from(["u1", "u2"])), "A",
                         draw(text), StanceLabel.NONE)
@@ -619,8 +617,7 @@ def extracted_bundles(draw):
     )
     dataset = Dataset(instances, profiles, ("A",))
     selector = FeatureSetSelector(frozenset(ALL_FLAGS))
-    sets = [extract_features(inst, dataset.profile_for(inst.author_id), selector)
-            for inst in instances]
+    sets = [extract_features(inst, profiles, selector) for inst in instances]
     sets.append({"txtw:x"})  # never empty
     space = build_feature_space(sets, selector)
     mode = draw(st.sampled_from(sorted(MODE_CLASSES)))

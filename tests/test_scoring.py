@@ -216,12 +216,19 @@ class TestPairedT:
         ),
         base=st.lists(st.floats(-5, 5, allow_nan=False), min_size=12, max_size=12),
     )
+    @example(diffs=[0.0, 0.0, 7.020478540921222e-161], base=[0.0] * 12)
     def test_matches_scipy_within_1e6(self, diffs, base):
         a = [b + d for b, d in zip(base, diffs)]
         b = base[: len(diffs)]
-        if np.std(np.asarray(a) - np.asarray(b), ddof=1) == 0:
+        d = np.asarray(a) - np.asarray(b)
+        if np.std(d, ddof=1) == 0:
             return
-        expected = stats.ttest_rel(a, b).pvalue
+        # scipy squares the differences as they are, and squares of ones
+        # near 1e-161 are subnormal (it gave p 0.42292 where t is exactly 1
+        # and p 0.42265). t does not change when the differences are scaled
+        # by a power of two, which is exact, so scipy is given them scaled.
+        scaled = np.ldexp(d, -math.frexp(float(np.abs(d).max()))[1])
+        expected = stats.ttest_rel(scaled, np.zeros_like(scaled)).pvalue
         assert paired_t_test(a, b) == pytest.approx(expected, abs=1e-6)
 
     @given(t=st.floats(-30, 30), dof=st.integers(1, 40))
@@ -348,7 +355,27 @@ class TestPredictionFiles:
                            match=f"^{re.escape(str(path))}: duplicate ID '1' at line 4$"):
             read_predictions(path)
 
+    @pytest.mark.parametrize("header", ["", "1\tt\tNONE\tFAVOR\n",
+                                        "ID\tTarget\tGold\tPred\tExtra\n",
+                                        "id\ttarget\tgold\tpred\n"])
+    def test_header_required(self, tmp_path, header):
+        # Without the header check a file without one loses its first row.
+        path = tmp_path / "preds.tsv"
+        path.write_text(header + "2\tt\tFAVOR\tFAVOR\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: expected the "
+                           r"header 'ID\\tTarget\\tGold\\tPred' at line 1"):
+            read_predictions(path)
+
     def test_label_lines(self, tmp_path):
+        # Line n holds the n-th label; blank lines may only end the file.
         path = tmp_path / "labels.txt"
-        path.write_text("FAVOR\nagainst\n\nNONE\n", encoding="utf-8")
+        path.write_text("FAVOR\nagainst\nNONE\n\n \n", encoding="utf-8")
         assert read_label_lines(path) == [F, A, N]
+
+    def test_blank_line_before_a_label_rejected(self, tmp_path):
+        # Skipping it would score every later label against the wrong tweet.
+        path = tmp_path / "labels.txt"
+        path.write_text("FAVOR\nagainst\n\n\nNONE\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: blank line at "
+                           "line 3, before the label at line 5"):
+            read_label_lines(path)

@@ -11,11 +11,11 @@ from stancelab.synth import SynthConfig, generate, write_corpus
 A, F, N = StanceLabel.AGAINST, StanceLabel.FAVOR, StanceLabel.NONE
 
 
-def profile_union(profile):
+def profile_union(profiles, user_id):
     return {
         f"{field}:{item}"
         for field in NETWORK_FIELDS
-        for item in getattr(profile, field)
+        for item in profiles.member_names(field, user_id)
     }
 
 
@@ -90,7 +90,7 @@ class TestGenerate:
         train, _ = generate(config)
         assert all(i.text == "" for i in train.instances)
         assert all(
-            profile_union(train.profiles[i.author_id])
+            profile_union(train.profiles, i.author_id)
             for i in train.instances
         )
 
@@ -102,26 +102,25 @@ class TestGenerate:
         # With full homophily, polarized users draw only community items.
         config = small_config(homophily=1.0)
         train, test = generate(config)
-        merged = dict(train.profiles)
-        merged.update(test.profiles)
+        assert test.profiles is train.profiles
         label_of = {
             i.author_id: i.label for i in train.instances + test.instances
         }
         favor_items = set()
         against_items = set()
-        for user_id, profile in merged.items():
+        for user_id in train.profiles:
             if label_of[user_id] is F:
-                favor_items |= profile_union(profile)
+                favor_items |= profile_union(train.profiles, user_id)
             elif label_of[user_id] is A:
-                against_items |= profile_union(profile)
+                against_items |= profile_union(train.profiles, user_id)
         assert favor_items
         assert against_items
         assert favor_items.isdisjoint(against_items)
 
     def test_h0_draws_only_shared_pool(self):
         train, _ = generate(small_config(homophily=0.0))
-        for profile in train.profiles.values():
-            assert all("shared" in item for item in profile_union(profile))
+        for user_id in train.profiles:
+            assert all("shared" in item for item in profile_union(train.profiles, user_id))
 
     def test_one_nearest_neighbor_ceiling_at_h1(self):
         # Independent of the SVM path: with h=1 and disjoint pools a 1-NN
@@ -139,10 +138,10 @@ class TestGenerate:
                 if i.topic == topic
             }
             for user_id, expected in test_users:
-                target = profile_union(test.profiles[user_id])
+                target = profile_union(test.profiles, user_id)
                 best = max(
                     train_users,
-                    key=lambda u: jaccard(target, profile_union(train.profiles[u])),
+                    key=lambda u: jaccard(target, profile_union(train.profiles, u)),
                 )
                 assert label_of[best] is expected
 
