@@ -144,6 +144,16 @@ def _check_profiles_flag(
         parser.error("network selectors require --profiles")
 
 
+def _align(flag: str, path: str, rows: Sequence, name: str, ref: Sequence) -> None:
+    """The one check of a paired input: its rows, (id, topic) pairs or
+    positions, are ref's in order, or the error names the first that differs."""
+    if rows != ref:
+        n = next((n for n, (a, b) in enumerate(zip(rows, ref)) if a != b), None)
+        raise CorpusError(f"{flag} {path}: " + (
+            f"{len(rows)} rows, where {name} has {len(ref)}" if n is None
+            else f"row {n + 1} is {rows[n]}, where {name} has {ref[n]}"))
+
+
 def _load_models(bundles_dir: str) -> dict[str, LinearModel]:
     root = Path(bundles_dir)
     models: dict[str, LinearModel] = {}
@@ -236,19 +246,17 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     _check_profiles_flag(args.parser, selectors, args.profiles)
     dataset = (_load_dataset_for(selectors, args.tweets, args.profiles,
                                  args.require_profile)
-               if model_sets else None)
+               if args.tweets else None)
 
     def predictions_from(source: str | None):
-        """Aligned (ids, topics, gold, pred) from a predictions TSV, from a
-        bundles directory scored on --tweets and --profiles, or, for no
-        source, from --gold and --pred-labels."""
+        """(ids, topics, gold, pred) from a predictions TSV, from a bundles
+        directory scored on --tweets and --profiles, or, for no source, from
+        --gold and --pred-labels, which pair by position."""
         if source is None:
             instances = load_semeval_tsv(args.gold)
             pred = read_label_lines(args.pred_labels)
-            if len(pred) != len(instances):
-                raise CorpusError(
-                    f"{len(pred)} predicted labels for {len(instances)} gold instances"
-                )
+            _align("--pred-labels", args.pred_labels, range(len(pred)), "--gold",
+                   range(len(instances)))
         elif source in model_sets:
             instances = dataset.instances
             pred = predict_dataset(model_sets[source], dataset)
@@ -257,22 +265,24 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         return ([i.tweet_id for i in instances], [i.topic for i in instances],
                 [i.label for i in instances], pred)
 
+    # Each side aligns with the joined --tweets or, without it, the first side.
+    first = "--bundles" if bundles else "--predictions" if primary else "--gold"
     ids, topics, gold, pred = predictions_from(primary)
+    reference = (("--tweets", [(i.tweet_id, i.topic) for i in dataset.instances])
+                 if dataset else (first, list(zip(ids, topics))))
+    _align(first, primary or args.gold, list(zip(ids, topics)), *reference)
     report = score_semeval(gold, pred, topics)
     # Everything that can fail comes before the first file is written.
     significance = ""
     if args.compare:
         cmp_ids, cmp_topics, cmp_gold, cmp_pred = predictions_from(args.compare)
-        if (cmp_ids, cmp_topics) != (ids, topics):
-            raise CorpusError(
-                "--compare predictions do not align by instance id and topic")
+        _align("--compare", args.compare, list(zip(cmp_ids, cmp_topics)), *reference)
         units = (topics if args.pair_unit == "topic"
                  else kfold(len(gold), args.folds, args.seed))
         reports = [score_semeval(gold, pred, units),
                    score_semeval(cmp_gold, cmp_pred, units)]
         a, b = ([r.per_topic[u].f_avg for u in sorted(r.per_topic)] for r in reports)
-        lines = [f"pair_unit={args.pair_unit}"]
-        lines.append(f"n_units={len(a)}")
+        lines = [f"pair_unit={args.pair_unit}", f"n_units={len(a)}"]
         lines.append("f_avg_a=" + ",".join(f"{v:.4f}" for v in a))
         lines.append("f_avg_b=" + ",".join(f"{v:.4f}" for v in b))
         try:
@@ -338,9 +348,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     models = _load_models(args.bundles) if args.bundles else {}
     if args.predictions:
         dataset = _join(load_semeval_tsv(args.tweets), profiles, args.require_profile)
-        ids, _, _, pred = read_predictions(args.predictions)
-        if ids != [inst.tweet_id for inst in dataset.instances]:
-            raise CorpusError("--predictions do not align with --tweets by instance id")
+        ids, topics, _, pred = read_predictions(args.predictions)
+        _align("--predictions", args.predictions, list(zip(ids, topics)), "--tweets",
+               [(i.tweet_id, i.topic) for i in dataset.instances])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if profiles:
@@ -425,7 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gold", help="gold tweets TSV (with --pred-labels)")
     p.add_argument("--pred-labels", help="one predicted label per line")
     p.add_argument("--bundles", help="bundle directory to score (with --tweets)")
-    p.add_argument("--tweets")
+    p.add_argument("--tweets", help="tweets the --bundles are scored on and every "
+                   "other side is aligned with")
     p.add_argument("--profiles")
     p.add_argument("--out", required=True)
     p.add_argument("--compare",
@@ -474,6 +485,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.parser = parser
+    if getattr(args, "require_profile", False) and not args.profiles:
+        parser.error("--require-profile needs --profiles")
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:

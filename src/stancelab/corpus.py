@@ -2,7 +2,7 @@
 
 Two file formats are owned by this module:
 
-* Tweets file: UTF-8 TSV with a header line and columns
+* Tweets file: UTF-8 TSV whose header line must name the columns
   ``ID, Target, Tweet, Stance[, AuthorID]``.  Tabs and line breaks inside a
   field are not supported (they end the field or the line), and the writer
   refuses them.  When the optional AuthorID column is absent each tweet is
@@ -49,6 +49,9 @@ import numpy as np
 class CorpusError(ValueError):
     """Raised for malformed corpus files or inconsistent records."""
 
+
+# Line 1 of a tweets TSV, optionally followed by "\tAuthorID".
+TWEETS_HEADER = "ID\tTarget\tTweet\tStance"
 
 # Unicode category Cc. Feature strings are written one per line into
 # tab-separated bundle files, so a set member holding one cannot be read back.
@@ -334,17 +337,20 @@ class Dataset:
 def load_semeval_tsv(path: str | Path) -> list[LabeledInstance]:
     """Read a tweets TSV into instances.
 
-    The first line is a header. Each data line must have 4 or 5
-    tab-separated fields: ID, Target, Tweet, Stance[, AuthorID]. When the
-    author column is absent the tweet id doubles as the author id.
+    Line 1 must be the header ID, Target, Tweet, Stance[, AuthorID], so
+    that a file without it does not lose its first tweet. Each data line
+    must have 4 or 5 tab-separated fields in that order. When the author
+    column is absent the tweet id doubles as the author id.
     """
     path = Path(path)
     instances: list[LabeledInstance] = []
     seen_ids: set[str] = set()
     with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if lineno == 1:
-                continue
+        header = fh.readline().rstrip("\n").rstrip("\r")
+        if header not in (TWEETS_HEADER, TWEETS_HEADER + "\tAuthorID"):
+            raise CorpusError(f"{path}: expected the header {TWEETS_HEADER!r}, "
+                              f"optionally with AuthorID, at line 1, got {header!r}")
+        for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n").rstrip("\r")
             if not line:
                 continue
@@ -571,7 +577,7 @@ def write_semeval_tsv(path: str | Path, instances: Iterable[LabeledInstance]) ->
     non-empty ID (it would read back as the ID); a repeated ID; or a
     character UTF-8 cannot encode.
     """
-    lines = ["ID\tTarget\tTweet\tStance\tAuthorID\n"]
+    lines = [TWEETS_HEADER + "\tAuthorID\n"]
     seen_ids: set[str] = set()
     for inst in instances:
         line = (f"{inst.tweet_id}\t{inst.topic}\t{inst.text}\t"

@@ -371,6 +371,72 @@ class TestFilteredRead:
         assert filtered == full
 
 
+class TestAligner:
+    """Each paired input is checked against its reference in one place:
+    evaluate aligns every side but a bundles directory with the joined
+    --tweets or, without it, --compare with the first side; --pred-labels
+    pairs with --gold by position; analyze aligns --predictions with
+    --tweets. A file cut short, reordered or made for another Target exits
+    2 before any output and names the first row that differs or the
+    counts."""
+
+    @pytest.mark.parametrize("case", [
+        "cut", "reordered", "other-target", "labels-short", "compare",
+        "analyze-other-target"])
+    def test_misaligned_input_refused(self, corpus, tmp_path, case, capsys):
+        tweets = corpus / "test.tsv"
+        instances = list(load_split(corpus, "test.tsv").instances)
+        keys = [(i.tweet_id, i.topic) for i in instances]
+        n = len(instances)
+        good, bad = tmp_path / "good.tsv", tmp_path / "bad.tsv"
+        write_predictions(good, instances, [i.label for i in instances])
+        rows = {
+            "cut": instances[:19],
+            "reordered": instances[:3] + [instances[4], instances[3]] + instances[5:],
+            "other-target": [replace(i, topic="zeta") for i in instances],
+        }
+        rows["compare"] = rows["reordered"]
+        rows["analyze-other-target"] = rows["other-target"]
+        if case in rows:
+            write_predictions(bad, rows[case], [i.label for i in rows[case]])
+        labels = tmp_path / "labels.txt"
+        labels.write_text("".join(f"{i.label.value}\n" for i in instances[:-1]))
+        evaluate = ["evaluate", "--predictions", str(bad), "--tweets", str(tweets)]
+        argv, message = {
+            "cut": (evaluate, f"--predictions {bad}: 19 rows, where --tweets has {n}"),
+            "reordered": (evaluate, f"--predictions {bad}: row 4 is {keys[4]}, "
+                          f"where --tweets has {keys[3]}"),
+            "other-target": (evaluate, f"--predictions {bad}: row 1 is "
+                             f"{(keys[0][0], 'zeta')}, where --tweets has {keys[0]}"),
+            "labels-short": (["evaluate", "--gold", str(tweets),
+                              "--pred-labels", str(labels)],
+                             f"--pred-labels {labels}: {n - 1} rows, where --gold "
+                             f"has {n}"),
+            "compare": (["evaluate", "--predictions", str(good), "--compare", str(bad)],
+                        f"--compare {bad}: row 4 is {keys[4]}, where --predictions "
+                        f"has {keys[3]}"),
+            "analyze-other-target": (
+                ["analyze", "--predictions", str(bad), "--tweets", str(tweets)],
+                f"--predictions {bad}: row 1 is {(keys[0][0], 'zeta')}, where "
+                f"--tweets has {keys[0]}"),
+        }[case]
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr() == ("", f"stancelab: {message}\n")
+        assert not out.exists()
+
+    def test_aligned_sides_score_as_without_tweets(self, corpus, tmp_path, capsys):
+        instances = load_split(corpus, "test.tsv").instances
+        predictions = tmp_path / "predictions.tsv"
+        write_predictions(predictions, instances, [i.label for i in instances])
+        argv = ["evaluate", "--predictions", str(predictions),
+                "--compare", str(predictions)]
+        assert main([*argv, "--out", str(tmp_path / "a")]) == EXIT_OK
+        assert main([*argv, "--tweets", str(corpus / "test.tsv"),
+                     "--out", str(tmp_path / "b")]) == EXIT_OK
+        assert tree(tmp_path / "a") == tree(tmp_path / "b")
+
+
 class TestRequireProfile:
     """The predictions of predict --require-profile can be evaluated against
     bundles and analyzed, when those join --tweets the same way."""
@@ -402,6 +468,16 @@ class TestRequireProfile:
         assert sum(int(v) for row in confusion for v in row.split(",")[1:]) == kept
         assert main([*analyze, "--out", str(tmp_path / "a"), "--require-profile"]) == EXIT_OK
         assert (tmp_path / "a" / "user_consistency.csv").exists()
+        # --predictions alone is aligned with --tweets joined the same way.
+        evaluate = ["evaluate", "--predictions", str(predictions), *test]
+        capsys.readouterr()
+        assert main([*evaluate, "--out", str(tmp_path / "p0")]) == EXIT_DATA
+        assert f"--predictions {predictions}: row " in capsys.readouterr().err
+        assert not (tmp_path / "p0").exists()
+        assert main([*evaluate, "--out", str(tmp_path / "p"),
+                     "--require-profile"]) == EXIT_OK
+        assert ((tmp_path / "p" / "report.csv").read_bytes()
+                == (tmp_path / "v" / "report.csv").read_bytes())
 
 
 def test_experiment_notes_authors_in_both_splits(corpus, tmp_path, capsys):
@@ -600,6 +676,38 @@ class TestUsageErrors:
                   "--out", str(tmp_path / "out")])
         assert exc.value.code == EXIT_USAGE
         assert "network selectors require --profiles" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", [
+        "train", "predict", "evaluate", "analyze", "experiment"])
+    def test_require_profile_needs_profiles(self, corpus, tmp_path, command, capsys):
+        # Without profiles every author lacks one: predict wrote a header
+        # only, train found no instances and experiment failed every cell.
+        train, test = str(corpus / "train.tsv"), str(corpus / "test.tsv")
+        instances = load_split(corpus, "test.tsv").instances
+        predictions = tmp_path / "predictions.tsv"
+        write_predictions(predictions, instances, [i.label for i in instances])
+        bundles = str(tmp_path / "bundles")
+        if command == "predict":
+            assert main(["train", "--tweets", train, "--selector", "TXT",
+                         "--mode", "binary", "--out", bundles]) == EXIT_OK
+        argv = {
+            "train": ["train", "--tweets", train, "--selector", "TXT",
+                      "--mode", "binary"],
+            "predict": ["predict", "--bundles", bundles, "--tweets", test],
+            "evaluate": ["evaluate", "--predictions", str(predictions),
+                         "--tweets", test],
+            "analyze": ["analyze", "--predictions", str(predictions), "--tweets", test],
+            "experiment": ["experiment", "--tweets", train, "--test", test,
+                           "--selectors", "TXT", "--modes", "binary"],
+        }[command]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--require-profile", "--out", str(tmp_path / "out")])
+        assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.endswith("--require-profile needs --profiles\n")
+        assert not captured.out
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
@@ -924,9 +1032,9 @@ class TestDataErrors:
     @pytest.mark.parametrize("compare_rows,compare_topic,extra,message", [
         (slice(0, 3), None, ["--pair-unit", "fold", "--folds", "5"],
          "cannot split 3 instances into 5 folds"),
-        (slice(3, 6), None, [], "do not align by instance id and topic"),
+        (slice(3, 6), None, [], "b.tsv: row 1 is ("),
         # The same ids under another Target: the topics would not pair.
-        (slice(0, 3), "zeta", [], "do not align by instance id and topic"),
+        (slice(0, 3), "zeta", [], "'zeta'), where --predictions has ("),
     ], ids=["too-few-for-folds", "ids-differ", "topics-differ"])
     def test_compare_checked_before_any_output(
         self, corpus, tmp_path, compare_rows, compare_topic, extra, message, capsys
@@ -1070,8 +1178,12 @@ class TestDataErrors:
         code = main(["analyze", "--predictions", str(predictions),
                      "--tweets", str(corpus / "test.tsv"), "--out", str(out)])
         assert code == EXIT_DATA
+        tweets = load_split(corpus, "test.tsv").instances
+        row = next(n for n, (a, b) in enumerate(zip(instances, tweets)) if a != b)
         assert capsys.readouterr().err == (
-            "stancelab: --predictions do not align with --tweets by instance id\n")
+            f"stancelab: --predictions {predictions}: row {row + 1} is "
+            f"{(instances[row].tweet_id, instances[row].topic)}, where --tweets has "
+            f"{(tweets[row].tweet_id, tweets[row].topic)}\n")
         assert not out.exists()
 
     def test_program_bug_is_not_a_data_error(self, tmp_path, monkeypatch):

@@ -82,6 +82,20 @@ class TestLoadTweets:
         path = write(tmp_path, "t.tsv", "ID\tTarget\tTweet\tStance\n")
         assert load_semeval_tsv(path) == []
 
+    @pytest.mark.parametrize("header", [
+        "",  # missing: the first tweet would be skipped as the header
+        "ID\tTweet\tTarget\tStance\n",
+        "ID\tTarget\tTweet\tStance\tUserID\n",
+        "ID\tTarget\tTweet\tStance\tAuthorID\tExtra\n",
+    ], ids=["missing", "reordered", "wrong-fifth", "sixth"])
+    def test_tweets_header_required(self, tmp_path, header):
+        path = write(tmp_path, "t.tsv",
+                     header + "1\tA\thi\tNONE\tu1\n2\tA\tyo\tFAVOR\tu2\n")
+        with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: expected the "
+                           r"header 'ID\\tTarget\\tTweet\\tStance', optionally with "
+                           "AuthorID, at line 1, got"):
+            load_semeval_tsv(path)
+
     def test_unknown_stance_names_value_and_line(self, tmp_path):
         path = write(
             tmp_path, "t.tsv",
