@@ -94,7 +94,7 @@ def top_features(
     cols = list(model.space.index_of.values())
     if any(a > b for a, b in zip(names, names[1:])):
         names, cols = map(list, zip(*sorted(zip(names, cols))))
-    weights = model.weights[model.classes.index(cls)][cols]
+    weights = model.class_rows()[0][model.classes.index(cls)][cols]
     top = np.argsort(-weights, kind="stable")[:n]
     entries = zip([names[i] for i in top.tolist()], weights[top].tolist())
     return RankedFeatures(label=cls, topic=topic, entries=tuple(entries))

@@ -19,12 +19,17 @@ all of them meets it. Its iterates equal those of the plain loop in
 
 ``train_ovr`` is the one fit entry point: one-vs-rest over the canonical
 class order, or in binary mode a single Against-vs-Favor separator, fit
-without the None class, whose margin sign picks the class. A model keeps
-the solver epochs of each fit, and ``capped_fits`` names the fits that
-stopped at the epoch cap instead of the tolerance.
-``decision_values`` and ``predict`` score a batch of rows. Each of the
-three checks its batch once: every row strictly increasing, inside the
-space.
+without the None class, whose margin sign picks the class. A model holds
+one weight row, one bias and the solver epochs of each fit, and
+``capped_fits`` names the fits that stopped at the epoch cap instead of
+the tolerance. ``decision_values`` and ``predict`` score a batch of rows.
+Each of the three checks its batch once: every row strictly increasing,
+inside the space.
+
+A bundle is a directory holding ``metadata.json``, ``space.tsv`` and one
+``weights_<CLASS>.tsv`` per fit: a binary bundle has ``weights_FAVOR.tsv``
+only. Binary bundles written before that also hold ``weights_AGAINST.tsv``;
+they still load if that file is the exact negation of the Favor one.
 """
 
 from __future__ import annotations
@@ -69,8 +74,14 @@ class TrainConfig:
             raise ValueError("C must be positive and finite")
         if not 0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
+        if type(self.max_iter) is not int:
+            raise ValueError(f"max_iter must be an integer, not {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
+        if type(self.seed) is not int:
+            raise ValueError(f"seed must be an integer, not {self.seed!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.loss not in LOSSES:
             raise ValueError(f"loss must be one of {LOSSES}")
 
@@ -216,17 +227,30 @@ def dual_coordinate_descent(
 
 @dataclass(frozen=True)
 class LinearModel:
-    """Per-class weights over a frozen feature space."""
+    """One weight row and one bias per solver fit over a frozen feature
+    space; rows, biases and epochs align with MODE_FITS[mode]. A bundle of
+    it holds metadata.json, space.tsv and one weights file per fit; an
+    older binary bundle, with a negated Against file as well, still loads."""
 
-    classes: tuple[StanceLabel, ...]
-    weights: np.ndarray  # shape (len(classes), space.size)
-    biases: np.ndarray  # shape (len(classes),)
+    weights: np.ndarray  # shape (len(MODE_FITS[mode]), space.size)
+    biases: np.ndarray  # shape (len(MODE_FITS[mode]),)
     mode: str  # "ternary" | "binary"
     space: FeatureSpace
     config: TrainConfig
-    # Solver epochs of each fit, aligned with MODE_FITS[mode]; empty for a
-    # model loaded from a bundle that does not record them.
+    # Solver epochs of each fit; empty for a model loaded from a bundle
+    # that does not record them.
     epochs: tuple[int, ...] = ()
+
+    @property
+    def classes(self) -> tuple[StanceLabel, ...]:
+        return MODE_CLASSES[self.mode]
+
+    def class_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Weights and biases per class: binary (w, b) gives [-w, w], [-b, b]."""
+        w, b = self.weights, self.biases
+        if self.mode == "binary":
+            return np.vstack([-w, w]), np.concatenate([-b, b])
+        return w, b
 
 
 def capped_fits(model: LinearModel) -> list[tuple[StanceLabel, int]]:
@@ -275,11 +299,7 @@ def train_ovr(
         weights[ci] = w[:dim]
         biases[ci] = w[dim]
         epochs.append(fit_epochs)
-    if mode == "binary":
-        weights = np.vstack([-weights, weights])
-        biases = np.concatenate([-biases, biases])
     return LinearModel(
-        classes=classes,
         weights=weights,
         biases=biases,
         mode=mode,
@@ -292,7 +312,7 @@ def train_ovr(
 def decision_values(model: LinearModel, rows: Sequence[np.ndarray]) -> np.ndarray:
     """Per-class scores <w_c, x> + b_c of each row in model.space, shape
     (len(rows), len(model.classes)), columns aligned with model.classes."""
-    weights, biases = model.weights, model.biases
+    weights, biases = model.class_rows()
     _check_rows(rows, model.space.size)
     scores = np.empty((len(rows), len(model.classes)), dtype=np.float64)
     for i, idx in enumerate(rows):
@@ -322,8 +342,11 @@ def _weights_file(cls: StanceLabel) -> str:
 
 
 def save_bundle(model: LinearModel, path: str | Path, topic: str = "") -> None:
-    """Write the feature space, the per-class weight files and, last, the
-    metadata, so that a directory holding metadata.json is a whole bundle.
+    """Write the feature space, one weights file per fit and, last, the
+    metadata, so that a directory holding metadata.json is a whole bundle:
+    metadata.json, space.tsv and weights_<CLASS>.tsv for each class of
+    MODE_FITS[mode]. A binary bundle holds weights_FAVOR.tsv only; the
+    weights_AGAINST.tsv of an older binary bundle there is removed.
 
     A feature name the space file cannot hold raises CorpusError before any
     file in the directory changes (see write_feature_space).
@@ -331,9 +354,12 @@ def save_bundle(model: LinearModel, path: str | Path, topic: str = "") -> None:
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     write_feature_space(path / _SPACE, model.space)  # first: it may refuse
-    # An earlier bundle's metadata must not vouch for this one's weights.
+    # An earlier bundle's metadata must not vouch for these weights, nor an
+    # older binary bundle's Against file be checked against them.
     (path / _METADATA).unlink(missing_ok=True)
-    for ci, cls in enumerate(model.classes):
+    if model.mode == "binary":
+        (path / _weights_file(StanceLabel.AGAINST)).unlink(missing_ok=True)
+    for ci, cls in enumerate(MODE_FITS[model.mode]):
         row = model.weights[ci]
         nz = np.flatnonzero(row)
         with output_file(path / _weights_file(cls)) as fh:
@@ -358,8 +384,52 @@ def save_bundle(model: LinearModel, path: str | Path, topic: str = "") -> None:
         fh.write(json.dumps(meta, indent=2) + "\n")
 
 
+def _read_weights(weights_path: Path, dim: int) -> tuple[np.ndarray, float]:
+    """One weights file's row over dim columns, and its bias."""
+    row = np.zeros(dim, dtype=np.float64)
+    seen: set[int] = set()
+    bias = None
+    with weights_path.open(encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            key, _, value = line.partition("\t")
+            try:
+                number = float(value)
+                idx = None if key == "bias" else int(key)
+            except ValueError:
+                idx = -1
+            if idx is not None and not 0 <= idx < dim:
+                raise CorpusError(
+                    f"{weights_path}: line {line_no}: expected an index "
+                    f"in 0..{dim - 1} or 'bias', a tab and a weight"
+                )
+            if not math.isfinite(number):
+                raise CorpusError(
+                    f"{weights_path}: line {line_no}: weight {value} "
+                    "is not finite"
+                )
+            if bias is not None:
+                raise CorpusError(f"{weights_path}: line {line_no}: follows "
+                                  "the bias line, which must be the last")
+            if idx in seen:
+                raise CorpusError(
+                    f"{weights_path}: line {line_no}: index {idx} appears twice"
+                )
+            if idx is None:
+                bias = number
+            else:
+                seen.add(idx)
+                row[idx] = number
+    if bias is None:
+        raise CorpusError(f"{weights_path}: no bias line; the file may be cut short")
+    return row, bias
+
+
 def load_bundle(path: str | Path) -> tuple[LinearModel, dict]:
-    """Load a bundle directory; returns the model and its metadata.
+    """Load a bundle directory (metadata.json, space.tsv and one weights
+    file per fit); returns the model and its metadata.
 
     Metadata that is not JSON, lacks a key or holds a bad value (such as a
     selector that is not a flag string, a topic that is not a string, an
@@ -371,7 +441,9 @@ def load_bundle(path: str | Path) -> tuple[LinearModel, dict]:
     tab and a finite number, an index on two lines, and a weights file
     whose last line is not its one bias line (as a write cut short leaves
     it), raise CorpusError naming the file and, where there is one, the
-    line.
+    line. An older binary bundle also holds weights_AGAINST.tsv; it loads
+    if that file is the exact negation of weights_FAVOR.tsv, and raises
+    CorpusError naming it otherwise.
     """
     path = Path(path)
     meta_path = path / _METADATA
@@ -409,52 +481,15 @@ def load_bundle(path: str | Path) -> tuple[LinearModel, dict]:
             f"bundle {path}: space has {dim} features, "
             f"metadata says {dimension}"
         )
-    weights = np.zeros((len(classes), dim), dtype=np.float64)
-    biases = np.zeros(len(classes), dtype=np.float64)
-    for ci, cls in enumerate(classes):
-        weights_path = path / _weights_file(cls)
-        seen: set[int] = set()
-        bias = None
-        with weights_path.open(encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                key, _, value = line.partition("\t")
-                try:
-                    number = float(value)
-                    idx = None if key == "bias" else int(key)
-                except ValueError:
-                    idx = -1
-                if idx is not None and not 0 <= idx < dim:
-                    raise CorpusError(
-                        f"{weights_path}: line {line_no}: expected an index "
-                        f"in 0..{dim - 1} or 'bias', a tab and a weight"
-                    )
-                if not math.isfinite(number):
-                    raise CorpusError(
-                        f"{weights_path}: line {line_no}: weight {value} "
-                        "is not finite"
-                    )
-                if bias is not None:
-                    raise CorpusError(f"{weights_path}: line {line_no}: follows "
-                                      "the bias line, which must be the last")
-                if idx in seen:
-                    raise CorpusError(
-                        f"{weights_path}: line {line_no}: index {idx} appears twice"
-                    )
-                if idx is None:
-                    bias = number
-                else:
-                    seen.add(idx)
-                    weights[ci, idx] = number
-        if bias is None:
-            raise CorpusError(f"{weights_path}: no bias line; the file may be cut short")
-        biases[ci] = bias
+    fits = [_read_weights(path / _weights_file(cls), dim) for cls in MODE_FITS[mode]]
+    older = path / _weights_file(StanceLabel.AGAINST)
+    if mode == "binary" and older.exists():
+        against, bias = _read_weights(older, dim)
+        if not (np.array_equal(against, -fits[0][0]) and bias == -fits[0][1]):
+            raise CorpusError(f"{older}: not the negation of the Favor weights")
     model = LinearModel(
-        classes=classes,
-        weights=weights,
-        biases=biases,
+        weights=np.array([row for row, _ in fits]),
+        biases=np.array([bias for _, bias in fits]),
         mode=mode,
         space=space,
         config=config,

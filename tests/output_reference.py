@@ -4,7 +4,10 @@
 every column, and a sort of all of them, as ``analysis.top_features`` did;
 ``write_weights`` writes one bundle weights file element by element, as
 ``linsvm.save_bundle`` did. The program's versions must give the same
-rankings, float bits included, and the same bytes.
+rankings, float bits included, and the same bytes. A binary model's
+Against weights are its Favor row negated, as ``train_ovr`` once stored
+them, and ``add_against_file`` writes them as binary bundles once held
+them.
 """
 
 from __future__ import annotations
@@ -15,14 +18,17 @@ import numpy as np
 
 from stancelab.analysis import RankedFeatures
 from stancelab.corpus import StanceLabel
-from stancelab.linsvm import LinearModel
+from stancelab.linsvm import MODE_FITS, LinearModel, load_bundle
 
 
 def class_weights(model: LinearModel, cls: StanceLabel) -> dict[str, float]:
     """Feature-string -> weight map for one class."""
     if cls not in model.classes:
         raise ValueError(f"class {cls.value} not in model classes")
-    row = model.weights[model.classes.index(cls)]
+    if model.mode == "binary" and cls is StanceLabel.AGAINST:
+        row = -model.weights[0]
+    else:
+        row = model.weights[MODE_FITS[model.mode].index(cls)]
     return {name: float(row[idx]) for name, idx in model.space.index_of.items()}
 
 
@@ -43,3 +49,10 @@ def write_weights(path: Path, row: np.ndarray, bias: float) -> None:
         for idx in np.nonzero(row)[0]:
             fh.write(f"{int(idx)}\t{float(row[idx])!r}\n")
         fh.write(f"bias\t{float(bias)!r}\n")
+
+
+def add_against_file(bundle: Path) -> None:
+    """Add the weights_AGAINST.tsv a binary bundle held before a model kept
+    one row per fit: the Favor row and bias negated."""
+    model, _ = load_bundle(bundle)
+    write_weights(bundle / "weights_AGAINST.tsv", -model.weights[0], -model.biases[0])

@@ -32,15 +32,11 @@ def model_from_weights(named_weights, mode="ternary"):
     )
     w = np.array([named_weights[name] for name in names], dtype=np.float64)
     if mode == "binary":
-        classes = (A, F)
-        weights = np.vstack([-w, w])
-        biases = np.zeros(2)
+        weights = w[None, :]
     else:
-        classes = (A, F, N)
         weights = np.vstack([np.zeros_like(w), w, np.zeros_like(w)])
-        biases = np.zeros(3)
     return LinearModel(
-        classes=classes, weights=weights, biases=biases, mode=mode,
+        weights=weights, biases=np.zeros(len(weights)), mode=mode,
         space=space, config=TrainConfig(),
     )
 

@@ -28,6 +28,8 @@ from stancelab.pipeline import run_cell
 from stancelab.scoring import write_predictions, write_report_csv
 from stancelab.synth import SynthConfig
 
+from output_reference import add_against_file
+
 SELECTORS = "TXT,IN_AT,IN_DM,PN_AT,PN_DM,CN_FR,CN_FL,TXT+IN_AT+IN_DM"
 
 
@@ -140,6 +142,21 @@ class TestExperiment:
         with (out / "analysis" / "topn_curves__ternary.csv").open(newline="") as fh:
             rows = [row for row in csv.reader(fh) if row[1] in expected]
         assert rows == [row for pair in sorted(expected) for row in expected[pair]]
+
+    def test_analyze_ranks_bundles_as_the_experiment_did(self, tmp_path, capsys):
+        # Few users leave zero weights in the top 30, whose Against sign
+        # (-0.0) a bundle must give back.
+        corpus = tmp_path / "corpus"
+        assert main(["synth", "--out", str(corpus), "--users-per-topic", "5"]) == EXIT_OK
+        out = tmp_path / "out"
+        assert experiment(corpus, out, 1, "--modes", "binary",
+                          selectors="IN_AT,TXT") == EXIT_OK
+        assert not list((out / "bundles").rglob("weights_AGAINST.tsv"))
+        assert main(["analyze", "--bundles", str(out / "bundles" / "IN_AT__binary"),
+                     "--out", str(tmp_path / "a")]) == EXIT_OK
+        ranked = (out / "analysis" / "top_features__IN_AT__binary.csv").read_bytes()
+        assert b"-0.000000" in ranked
+        assert (tmp_path / "a" / "top_features.csv").read_bytes() == ranked
 
     @pytest.mark.parametrize("selectors, curves", [
         ("IN_AT,PN_AT,CN_FR,IN_DM,PN_DM",
@@ -962,6 +979,39 @@ class TestDataErrors:
         err = self.predict_error(bundle, corpus / "test.tsv", capsys)
         assert "metadata.json" in err and "epochs" in err
 
+    @pytest.mark.parametrize("field, value", [("max_iter", 2.5), ("seed", "x"),
+                                              ("seed", -1)])
+    def test_config_value_of_wrong_type(self, bundle, corpus, field, value, capsys):
+        meta = json.loads((bundle / "metadata.json").read_text())
+        meta["config"][field] = value
+        (bundle / "metadata.json").write_text(json.dumps(meta))
+        err = self.predict_error(bundle, corpus / "test.tsv", capsys)
+        assert "metadata.json" in err and field in err
+
+    def test_older_binary_bundles_predict_alike(self, bundle, corpus, capsys):
+        # Binary bundles once held weights_AGAINST.tsv too.
+        bundles = bundle.parent
+        out = bundles.parent / "predictions.tsv"
+        args = ["predict", "--bundles", str(bundles), "--tweets",
+                str(corpus / "test.tsv"), "--out", str(out)]
+        assert main(args) == EXIT_OK
+        expected = out.read_bytes()
+        for each in bundles.iterdir():
+            assert not (each / "weights_AGAINST.tsv").exists()
+            add_against_file(each)
+        assert main(args) == EXIT_OK
+        assert out.read_bytes() == expected
+
+    def test_older_binary_bundle_whose_files_disagree(self, bundle, corpus, capsys):
+        add_against_file(bundle)
+        against = bundle / "weights_AGAINST.tsv"
+        lines = against.read_text().splitlines()
+        index, weight = lines[0].split("\t")
+        lines[0] = f"{index}\t{float(weight) * 2!r}"
+        against.write_text("\n".join(lines) + "\n")
+        err = self.predict_error(bundle, corpus / "test.tsv", capsys)
+        assert f"{against}: not the negation" in err
+
     def test_bundle_without_epochs_loads_and_predicts(self, bundle, corpus,
                                                       capsys):
         # Bundles written before the solver epochs were recorded.
@@ -1095,6 +1145,8 @@ class TestDataErrors:
         ("weights_AGAINST.tsv", "1\t-inf"),
     ])
     def test_weight_not_finite(self, bundle, corpus, weights_file, line, capsys):
+        # An older binary bundle's Against file goes through the same parser.
+        add_against_file(bundle)
         weights = bundle / weights_file
         lines = weights.read_text().count("\n")
         with weights.open("a") as fh:
@@ -1119,12 +1171,17 @@ class TestDataErrors:
         assert "weights_FAVOR.tsv" in err and expected in err
 
     def test_repeated_weight_index(self, bundle, corpus, capsys):
-        weights = bundle / "weights_AGAINST.tsv"
-        lines = weights.read_text().splitlines()
-        index = lines[0].split("\t")[0]
-        weights.write_text("\n".join([lines[0], f"{index}\t0.25", *lines[1:]]) + "\n")
-        err = self.predict_error(bundle, corpus / "test.tsv", capsys)
-        assert f"weights_AGAINST.tsv: line 2: index {index} appears twice" in err
+        # The Favor file, and an older binary bundle's Against file.
+        add_against_file(bundle)
+        for name in ("weights_FAVOR.tsv", "weights_AGAINST.tsv"):
+            weights = bundle / name
+            original = weights.read_text()
+            lines = original.splitlines()
+            index = lines[0].split("\t")[0]
+            weights.write_text("\n".join([lines[0], f"{index}\t0.25", *lines[1:]]) + "\n")
+            err = self.predict_error(bundle, corpus / "test.tsv", capsys)
+            assert f"{name}: line 2: index {index} appears twice" in err
+            weights.write_text(original)
 
     @pytest.mark.parametrize("case", ["header-only", "no-profiles"])
     def test_empty_training_set(self, corpus, tmp_path, case, capsys):

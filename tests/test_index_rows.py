@@ -235,7 +235,6 @@ class TestPredictDataset:
             rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
             weights = rng.integers(-3, 4, size=(3, space.size)).astype(np.float64)
             models[topic] = LinearModel(
-                classes=(StanceLabel.AGAINST, StanceLabel.FAVOR, StanceLabel.NONE),
                 weights=weights, biases=np.zeros(3), mode="ternary",
                 space=space, config=TrainConfig(),
             )

@@ -39,7 +39,7 @@ from stancelab.linsvm import (
 )
 
 from dcd_reference import reference_dcd
-from output_reference import class_weights
+from output_reference import add_against_file, class_weights
 from qp_oracle import dual_objective, gram_matrix, random_problem, solve_svm_dual
 
 TIGHT = TrainConfig(C=1.0, tol=1e-10, max_iter=20000)
@@ -59,19 +59,27 @@ def fit_binary(rows, y, dim, config):
     weights and bias."""
     labels = [StanceLabel.FAVOR if v > 0 else StanceLabel.AGAINST for v in y]
     model = train_ovr(rows, labels, "binary", config, toy_space(dim))
-    return model.weights[1], float(model.biases[1])
+    return model.weights[0], float(model.biases[0])
 
 
-def make_model(weights, biases, mode, classes):
+def make_model(weights, biases, mode):
     weights = np.asarray(weights, dtype=np.float64)
     return LinearModel(
-        classes=classes,
         weights=weights,
         biases=np.asarray(biases, dtype=np.float64),
         mode=mode,
         space=toy_space(weights.shape[1]),
         config=TrainConfig(),
     )
+
+
+def two_row_reference(model):
+    """Per-class weights and biases as train_ovr stored them before a model
+    held one row per fit: a binary fit (w, b) as [-w, w] and [-b, b]."""
+    w, b = model.weights, model.biases
+    if model.mode == "binary":
+        return np.vstack([-w, w]), np.concatenate([-b, b])
+    return w, b
 
 
 class TestTrainBinary:
@@ -153,6 +161,12 @@ class TestTrainBinary:
             TrainConfig(max_iter=0)
         with pytest.raises(ValueError):
             TrainConfig(loss="logistic")
+        for field, value in [("max_iter", 2.5), ("max_iter", True), ("seed", "x"),
+                             ("seed", 1.5), ("seed", False)]:
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                TrainConfig(**{field: value})
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            TrainConfig(seed=-1)
 
 
 @st.composite
@@ -377,50 +391,51 @@ class TestTrainOvr:
 
 class TestDecisionAndPredict:
     def test_zero_everything_scores_zero(self):
-        model = make_model(
-            np.zeros((3, 2)), np.zeros(3), "ternary",
-            (StanceLabel.AGAINST, StanceLabel.FAVOR, StanceLabel.NONE),
-        )
+        model = make_model(np.zeros((3, 2)), np.zeros(3), "ternary")
         scores = decision_values(model, [row([])])
         assert np.array_equal(scores, np.zeros((1, 3)))
 
     def test_dot_product(self):
-        model = make_model(
-            [[2.0, 0.0]], [0.0], "ternary", (StanceLabel.AGAINST,)
-        )
+        model = make_model([[2.0, 0.0], [0.0, 0.0], [0.0, 0.0]], np.zeros(3),
+                           "ternary")
         assert decision_values(model, [row([0])])[0, 0] == 2.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 40))
+    def test_binary_equals_the_two_row_sum_to_the_bit(self, data, dim):
+        # A one-row gather or a 1-D reduce would round differently from the
+        # two-row sum that binary scores were computed with before.
+        floats = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=True)
+        w = np.array(data.draw(st.lists(floats, min_size=dim, max_size=dim)))
+        b = data.draw(floats)
+        rows = data.draw(st.lists(
+            st.one_of(st.just([]), st.integers(0, dim - 1).map(lambda i: [i]),
+                      st.sets(st.integers(0, dim - 1)).map(sorted)).map(row),
+            min_size=1, max_size=10,
+        ))
+        model = make_model([w], [b], "binary")
+        weights, biases = two_row_reference(model)
+        expected = np.array([weights[:, idx].sum(axis=1) + biases for idx in rows])
+        assert decision_values(model, rows).tobytes() == expected.tobytes()
 
     def test_binary_sign_convention(self):
         # Single margin s: Favor score +s, Against score -s.
-        w = np.array([1.0, -2.0])
-        model = make_model(
-            np.vstack([-w, w]), [1.5, -1.5], "binary",
-            (StanceLabel.AGAINST, StanceLabel.FAVOR),
-        )
+        model = make_model([[1.0, -2.0]], [-1.5], "binary")
         [scores] = decision_values(model, [row([1])])
         assert scores[0] == pytest.approx(3.5)  # Against = -s
         assert scores[1] == pytest.approx(-3.5)
         assert predict(model, [row([1])]) == [StanceLabel.AGAINST]
 
     def test_tie_breaks_to_against(self):
-        model = make_model(
-            np.zeros((3, 2)), np.zeros(3), "ternary",
-            (StanceLabel.AGAINST, StanceLabel.FAVOR, StanceLabel.NONE),
-        )
+        model = make_model(np.zeros((3, 2)), np.zeros(3), "ternary")
         assert predict(model, [row([0, 1])]) == [StanceLabel.AGAINST]
 
     def test_argmax(self):
-        model = make_model(
-            np.zeros((3, 2)), [0.2, 0.9, 0.1], "ternary",
-            (StanceLabel.AGAINST, StanceLabel.FAVOR, StanceLabel.NONE),
-        )
+        model = make_model(np.zeros((3, 2)), [0.2, 0.9, 0.1], "ternary")
         assert predict(model, [row([])]) == [StanceLabel.FAVOR]
 
     def test_dimension_mismatch(self):
-        model = make_model(
-            np.zeros((3, 2)), np.zeros(3), "ternary",
-            (StanceLabel.AGAINST, StanceLabel.FAVOR, StanceLabel.NONE),
-        )
+        model = make_model(np.zeros((3, 2)), np.zeros(3), "ternary")
         with pytest.raises(ValueError, match="out of range"):
             decision_values(model, [row([0]), row([4])])
 
@@ -432,13 +447,12 @@ class TestDecisionAndPredict:
     )
     @example(scores=[-5e-324, 0.0, 0.0], scale=0.5)
     def test_argmax_invariant_under_positive_rescaling(self, scores, scale):
-        classes = (StanceLabel.AGAINST, StanceLabel.FAVOR, StanceLabel.NONE)
         scaled = [s * scale for s in scores]
         # Rounding (or underflow to 0) can turn two distinct scores into an
         # exact tie, which predict resolves to the earlier class by design.
         assume(len(set(scaled)) == len(set(scores)))
-        model_a = make_model(np.zeros((3, 2)), scores, "ternary", classes)
-        model_b = make_model(np.zeros((3, 2)), scaled, "ternary", classes)
+        model_a = make_model(np.zeros((3, 2)), scores, "ternary")
+        model_b = make_model(np.zeros((3, 2)), scaled, "ternary")
         x = [row([])]
         assert predict(model_a, x) == predict(model_b, x)
 
@@ -500,15 +514,15 @@ class TestRowCheck:
         ))
         # Small integer weights, so exact ties between classes are common.
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        fits = len(MODE_FITS[mode])
         model = make_model(
-            rng.integers(-2, 3, size=(len(classes), dim)),
-            rng.integers(-1, 2, size=len(classes)), mode, classes,
+            rng.integers(-2, 3, size=(fits, dim)), rng.integers(-1, 2, size=fits), mode
         )
         scores = decision_values(model, rows)
         assert scores.shape == (len(rows), len(classes))
+        weights, biases = two_row_reference(model)
         expected = [
-            classes[int(np.argmax(model.weights[:, r].sum(axis=1) + model.biases))]
-            for r in rows
+            classes[int(np.argmax(weights[:, r].sum(axis=1) + biases))] for r in rows
         ]
         assert predict(model, rows) == expected
         assert predict(model, []) == []
@@ -520,9 +534,8 @@ class TestClassWeights:
             {"txtw:a": 0, "txtw:b": 1}, FeatureSetSelector.of("TXT")
         )
         model = LinearModel(
-            classes=(StanceLabel.AGAINST,),
-            weights=np.array([[0.5, -0.9]]),
-            biases=np.zeros(1),
+            weights=np.array([[0.5, -0.9], [0.0, 0.0], [0.0, 0.0]]),
+            biases=np.zeros(3),
             mode="ternary",
             space=space,
             config=TrainConfig(),
@@ -533,11 +546,7 @@ class TestClassWeights:
         }
 
     def test_binary_maps_are_sign_flipped(self):
-        w = np.array([0.3, -0.7, 0.1])
-        model = make_model(
-            np.vstack([-w, w]), [-0.2, 0.2], "binary",
-            (StanceLabel.AGAINST, StanceLabel.FAVOR),
-        )
+        model = make_model([[0.3, -0.7, 0.1]], [0.2], "binary")
         favor = class_weights(model, StanceLabel.FAVOR)
         against = class_weights(model, StanceLabel.AGAINST)
         assert set(favor) == set(against)
@@ -545,10 +554,7 @@ class TestClassWeights:
             assert against[name] == -favor[name]
 
     def test_unknown_class_rejected(self):
-        model = make_model(
-            np.zeros((2, 2)), np.zeros(2), "binary",
-            (StanceLabel.AGAINST, StanceLabel.FAVOR),
-        )
+        model = make_model(np.zeros((1, 2)), np.zeros(1), "binary")
         with pytest.raises(ValueError, match="NONE"):
             class_weights(model, StanceLabel.NONE)
 
@@ -590,6 +596,39 @@ class TestBundle:
         loaded, _ = load_bundle(tmp_path / "b")
         assert loaded.config == model.config
 
+    def _older_binary_bundle(self, path):
+        """A binary bundle as written when it also held the Against row."""
+        model, dim = self._trained_model("binary")
+        save_bundle(model, path)
+        add_against_file(path)
+        return model, dim
+
+    def test_older_binary_bundle_loads_and_scores_alike(self, tmp_path):
+        model, dim = self._older_binary_bundle(tmp_path / "b")
+        loaded, _ = load_bundle(tmp_path / "b")
+        assert np.array_equal(loaded.weights, model.weights)
+        assert np.array_equal(loaded.biases, model.biases)
+        rng = np.random.default_rng(4)
+        rows = [np.flatnonzero(rng.random(dim) < 0.5) for _ in range(100)]
+        assert np.array_equal(decision_values(loaded, rows), decision_values(model, rows))
+
+    def test_older_binary_bundle_with_another_bias_is_refused(self, tmp_path):
+        # test_cli.py edits a weight of the Against file.
+        model, _ = self._older_binary_bundle(tmp_path / "b")
+        against = tmp_path / "b" / "weights_AGAINST.tsv"
+        lines = against.read_text().splitlines()
+        lines[-1] = f"bias\t{-model.biases[0] + 0.5!r}"
+        against.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorpusError, match="weights_AGAINST.tsv"):
+            load_bundle(tmp_path / "b")
+
+    def test_save_over_older_binary_bundle_removes_its_against_file(self, tmp_path):
+        model, _ = self._older_binary_bundle(tmp_path / "b")
+        retrained = replace(model, weights=model.weights + 1.0)
+        save_bundle(retrained, tmp_path / "b")
+        assert not (tmp_path / "b" / "weights_AGAINST.tsv").exists()
+        assert np.array_equal(load_bundle(tmp_path / "b")[0].weights, retrained.weights)
+
 
 # Text and set members as they reach the extractor from memory: any
 # character, or any with line breaks, tabs and lone surrogates mixed in.
@@ -621,15 +660,15 @@ def extracted_bundles(draw):
     sets.append({"txtw:x"})  # never empty
     space = build_feature_space(sets, selector)
     mode = draw(st.sampled_from(sorted(MODE_CLASSES)))
-    classes = MODE_CLASSES[mode]
+    fits = len(MODE_FITS[mode])
     # Weights of every magnitude, from a drawn seed (drawing each one
     # would make large spaces slow to generate).
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    shape = (len(classes), space.size)
+    shape = (fits, space.size)
     weights = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
     weights[rng.random(shape) < 0.3] = 0.0
-    biases = rng.normal(size=len(classes))
-    model = LinearModel(classes, weights, biases, mode, space, TrainConfig())
+    biases = rng.normal(size=fits)
+    model = LinearModel(weights, biases, mode, space, TrainConfig())
     return model, dataset
 
 

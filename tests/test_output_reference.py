@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from stancelab.analysis import top_features
 from stancelab.corpus import StanceLabel
 from stancelab.features import FeatureSetSelector, FeatureSpace
-from stancelab.linsvm import MODE_CLASSES, LinearModel, TrainConfig, save_bundle
+from stancelab.linsvm import (
+    MODE_CLASSES, MODE_FITS, LinearModel, TrainConfig, save_bundle,
+)
 
 import output_reference as reference
 
@@ -29,7 +31,6 @@ NAMES = st.text(alphabet="ab:é\t ", min_size=1, max_size=4).map("txtw:".__add__
 
 def make_model(index_of, weights, biases, mode):
     return LinearModel(
-        classes=MODE_CLASSES[mode],
         weights=np.array(weights, dtype=np.float64),
         biases=np.array(biases, dtype=np.float64),
         mode=mode,
@@ -48,7 +49,7 @@ def models(draw):
     cols = draw(st.permutations(range(dim))) if shuffled else range(dim)
     inserted = draw(st.permutations(range(dim))) if shuffled else range(dim)
     mode = draw(st.sampled_from(sorted(MODE_CLASSES)))
-    k = len(MODE_CLASSES[mode])
+    k = len(MODE_FITS[mode])
     row = st.lists(WEIGHTS, min_size=dim, max_size=dim)
     return make_model(
         {names[i]: cols[i] for i in inserted},
@@ -62,11 +63,12 @@ def bits(entries):
     return [(name, type(w), struct.pack("<d", w)) for name, w in entries]
 
 
-# Names out of column order, a three-way tie and both zeros.
+# Names out of column order, a three-way tie and both zeros: the Favor
+# row, whose negation the Against ranking reads.
 TIES = make_model(
     {"txtw:c": 0, "txtw:a": 1, "txtw:d": 2, "txtw:b": 3, "txtw:e": 4},
-    [[0.5, 0.5, -0.0, 0.5, 0.0], [0.0, -0.0, 0.0, -0.0, 1.0]],
-    [-0.0, 0.0],
+    [[-0.5, -0.5, 0.0, -0.5, -0.0]],
+    [0.0],
     "binary",
 )
 
@@ -99,8 +101,8 @@ class TestTopFeatures:
             ("txtw:d", -0.0), ("txtw:e", 0.0),
         ])
         assert bits(top_features(TIES, F, "t", 5).entries) == bits([
-            ("txtw:e", 1.0), ("txtw:a", -0.0), ("txtw:b", -0.0),
-            ("txtw:c", 0.0), ("txtw:d", 0.0),
+            ("txtw:d", 0.0), ("txtw:e", -0.0), ("txtw:a", -0.5),
+            ("txtw:b", -0.5), ("txtw:c", -0.5),
         ])
 
 
@@ -113,7 +115,10 @@ class TestWeightsFiles:
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             save_bundle(model, tmp / "bundle")
-            for ci, cls in enumerate(model.classes):
+            fits = MODE_FITS[model.mode]
+            assert sorted(p.name for p in (tmp / "bundle").glob("weights_*.tsv")) == (
+                sorted(f"weights_{cls.value}.tsv" for cls in fits))
+            for ci, cls in enumerate(fits):
                 expected = tmp / f"expected_{cls.value}.tsv"
                 reference.write_weights(expected, model.weights[ci], model.biases[ci])
                 written = tmp / "bundle" / f"weights_{cls.value}.tsv"
