@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -105,45 +104,34 @@ def _strip_namespace(feature: str) -> str:
 
 
 def topn_overlap_curve(
-    ranked_a: RankedFeatures,
-    ranked_b: RankedFeatures,
-    ranked_c: RankedFeatures | None = None,
-    n_max: int = 1000,
+    ranked_a: RankedFeatures, ranked_b: RankedFeatures, n_max: int = 1000
 ) -> list[tuple[int, float]]:
-    """Jaccard of top-N feature sets for N = 1..n_max.
+    """Jaccard of the two rankings' top-N feature sets for N = 1..n_max.
 
     Feature namespaces are stripped first, so rankings from different
-    families compare raw account/domain strings. With three rankings the
-    value is the mean of the three pairwise similarities.
+    families compare raw account/domain strings.
 
-    The top-N sets grow by one entry per ranking per step and each pair
-    keeps its intersection count, so the cost is O(n_max) per ranking.
+    The top-N sets grow by one entry per ranking per step and keep their
+    intersection count, so the cost is O(n_max).
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    rankings = [ranked_a, ranked_b] + ([ranked_c] if ranked_c else [])
-    if any(not r.entries for r in rankings):
+    if not ranked_a.entries or not ranked_b.entries:
         raise ValueError("empty ranking")
-    names = [[_strip_namespace(f) for f, _ in r.entries] for r in rankings]
-    tops: list[set[str]] = [set() for _ in rankings]
-    pairs = list(combinations(range(len(rankings)), 2))
-    inter = [0] * len(pairs)
+    names_a, names_b = ([_strip_namespace(f) for f, _ in r.entries]
+                        for r in (ranked_a, ranked_b))
+    top_a: set[str] = set()
+    top_b: set[str] = set()
+    inter = 0
     curve: list[tuple[int, float]] = []
     for n in range(1, n_max + 1):
-        for i, ranked_names in enumerate(names):
-            if n > len(ranked_names) or ranked_names[n - 1] in tops[i]:
-                continue
-            name = ranked_names[n - 1]
-            tops[i].add(name)
-            for p, (a, b) in enumerate(pairs):
-                if (a == i and name in tops[b]) or (b == i and name in tops[a]):
-                    inter[p] += 1
-        sims = [
-            inter[p] / (len(tops[a]) + len(tops[b]) - inter[p])
-            for p, (a, b) in enumerate(pairs)
-        ]
-        value = sims[0] if len(sims) == 1 else (sims[0] + sims[1] + sims[2]) / 3.0
-        curve.append((n, value))
+        if n <= len(names_a) and names_a[n - 1] not in top_a:
+            top_a.add(names_a[n - 1])
+            inter += names_a[n - 1] in top_b
+        if n <= len(names_b) and names_b[n - 1] not in top_b:
+            top_b.add(names_b[n - 1])
+            inter += names_b[n - 1] in top_a
+        curve.append((n, inter / (len(top_a) + len(top_b) - inter)))
     return curve
 
 

@@ -310,6 +310,12 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     profiles = _load_profiles(args.profiles)
     train = _join(load_semeval_tsv(args.tweets), profiles, args.require_profile)
     test = _join(load_semeval_tsv(args.test), profiles, args.require_profile)
+    # Every cell would fail on a test topic with no model. Without any
+    # training tweets they fail as they are, with "no training instances".
+    missing = [t for t in test.topics if t not in train.topics]
+    if train.topics and missing:
+        raise CorpusError(f"--test {args.test}: topic {missing[0]!r} has no "
+                          f"tweets in --tweets {args.tweets}")
     # A network row depends only on its author, so a network cell can
     # memorize an author whose tweets are on both sides.
     shared = ({(i.author_id, i.topic) for i in train.instances}
@@ -384,7 +390,9 @@ def _int_at_least(low: int) -> Callable[[str], int]:
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--C", type=float, default=TrainConfig.C, help="SVM cost parameter")
     parser.add_argument("--tol", type=float, default=TrainConfig.tol,
-                        help="dual stopping tolerance")
+                        help="dual stopping tolerance: bounds the projected "
+                        "gradients seen during the final epoch, not the "
+                        "violation at the returned model")
     parser.add_argument("--max-iter", type=int, default=TrainConfig.max_iter,
                         help="epoch cap")
     parser.add_argument("--loss", choices=LOSSES, default=TrainConfig.loss)
@@ -431,7 +439,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("evaluate", help="score predictions the official way")
-    p.add_argument("--predictions", help="TSV with ID, Target, Gold, Pred")
+    p.add_argument("--predictions", help="TSV with ID, Target, Gold, Pred; "
+                   "without --tweets, a file cut at a line boundary is "
+                   "scored as it stands")
     p.add_argument("--gold", help="gold tweets TSV (with --pred-labels)")
     p.add_argument("--pred-labels", help="one predicted label per line")
     p.add_argument("--bundles", help="bundle directory to score (with --tweets)")

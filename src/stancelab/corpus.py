@@ -345,7 +345,7 @@ def load_semeval_tsv(path: str | Path) -> list[LabeledInstance]:
     path = Path(path)
     instances: list[LabeledInstance] = []
     seen_ids: set[str] = set()
-    with path.open(encoding="utf-8") as fh:
+    with input_file(path) as fh:
         header = fh.readline().rstrip("\n").rstrip("\r")
         if header not in (TWEETS_HEADER, TWEETS_HEADER + "\tAuthorID"):
             raise CorpusError(f"{path}: expected the header {TWEETS_HEADER!r}, "
@@ -417,7 +417,8 @@ def load_network_profiles(
     Returns the profile table plus the number of duplicate user_id records
     in the file (last record wins). A set member that holds a control
     character or a lone surrogate (neither can be written to a bundle's
-    feature space) after normalization is rejected.
+    feature space) after normalization is rejected, and so is a user id
+    that holds a lone surrogate (UTF-8 cannot write it back).
 
     Two filters leave out what the caller does not use. ``fields`` names the
     families to read (all six by default); the table raises
@@ -438,7 +439,7 @@ def load_network_profiles(
     builder = _TableBuilder(name for name in NETWORK_FIELDS if name in wanted)
     skipped: set[str] = set()
     duplicates = 0
-    with path.open(encoding="utf-8") as fh:
+    with input_file(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -473,6 +474,10 @@ def load_network_profiles(
             # line with none of these needs no scan of its members.
             screened = "\\" in line or "\x7f" in line or not line.isascii()
             if screened:
+                if not utf8_encodable(user_id):
+                    raise CorpusError(
+                        f"{path}: field 'user_id' at line {lineno} holds a lone surrogate"
+                    )
                 _reject_unwritable_chars(sets, path, lineno)
             if user_id in builder.record_of or user_id in skipped:
                 duplicates += 1
@@ -506,6 +511,26 @@ def join(
             kept.append(inst)
     topics = tuple(dict.fromkeys(inst.topic for inst in kept))
     return Dataset(tuple(kept), profiles, topics), dropped
+
+
+@contextmanager
+def input_file(path: str | Path) -> Iterator[TextIO]:
+    """Opens path for UTF-8 text with universal newlines, the reading twin
+    of output_file: bytes that are not UTF-8 raise CorpusError naming path
+    and the first line that holds them."""
+    path = Path(path)
+    try:
+        with path.open(encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        # The text reader decodes ahead of the line it yields, so the line
+        # is found again from the bytes, split as universal newlines split.
+        for lineno, raw in enumerate(path.read_bytes().splitlines(), start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise CorpusError(f"{path}: line {lineno} is not UTF-8") from None
+        raise
 
 
 @contextmanager

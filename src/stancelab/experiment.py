@@ -6,7 +6,8 @@ tree under CellContext.out, where NAME is SELECTOR__MODE:
   ``predictions.tsv``; ``bundles/NAME/SLUG/``: one bundle per topic;
 - ``analysis/``: ``top_features__NAME.csv`` per cell, ``overlap__A__B.csv``
   per pair of COMPARED_FAMILIES (with profiles), ``user_consistency.csv``
-  and ``topn_curves__MODE.csv``;
+  and ``topn_curves__MODE.csv``, whose joint curve of a group of three
+  families is the mean of the group's pairwise curves at each N;
 - ``master.csv``: one row per cell, with its status and scores. A failed
   cell writes nothing else.
 """
@@ -257,14 +258,15 @@ def _experiment_curves(
                           for f in group if (f, mode) in results]
                 if len(ranked) < len(group) or not all(r and r.entries for _, r in ranked):
                     continue
-                if len(group) == 3:
-                    key = f"{'+'.join(group)} | {cls.value} | {topic}"
-                    curves[key] = topn_overlap_curve(
-                        *(r for _, r in ranked), n_max=n_max
-                    )
+                pairwise = []
                 for (name_l, left), (name_r, right) in combinations(ranked, 2):
                     key = f"{name_l} vs {name_r} | {cls.value} | {topic}"
                     curves[key] = topn_overlap_curve(left, right, n_max=n_max)
+                    pairwise.append(curves[key])
+                if len(group) == 3:
+                    key = f"{'+'.join(group)} | {cls.value} | {topic}"
+                    curves[key] = [(n, (ab + ac + bc) / 3.0)
+                                   for (n, ab), (_, ac), (_, bc) in zip(*pairwise)]
     return curves
 
 

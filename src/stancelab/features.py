@@ -48,7 +48,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import NETWORK_FIELDS, CorpusError, Dataset, LabeledInstance, ProfileTable
-from .corpus import output_file, utf8_encodable
+from .corpus import input_file, output_file, utf8_encodable
 
 # Flag name -> (namespace prefix, profile field); TXT is handled separately.
 NETWORK_FLAG_SOURCES: dict[str, tuple[str, str]] = {
@@ -447,7 +447,7 @@ def read_feature_space(path: str | Path, selector: FeatureSetSelector) -> Featur
     raise CorpusError naming the file and the line.
     """
     index_of: dict[str, int] = {}
-    with Path(path).open(encoding="utf-8") as fh:
+    with input_file(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:

@@ -19,7 +19,7 @@ from typing import Hashable, Iterable, Sequence
 import numpy as np
 
 from .corpus import CANONICAL_LABELS, CorpusError, LabeledInstance, StanceLabel
-from .corpus import output_file, write_csv
+from .corpus import input_file, output_file, write_csv
 
 _LABEL_INDEX = {label: i for i, label in enumerate(CANONICAL_LABELS)}
 
@@ -270,7 +270,7 @@ def read_predictions(
     gold: list[StanceLabel] = []
     pred: list[StanceLabel] = []
     seen: set[str] = set()
-    with path.open(encoding="utf-8") as fh:
+    with input_file(path) as fh:
         header = fh.readline().rstrip("\n")
         if header != PREDICTIONS_HEADER:
             raise CorpusError(
@@ -310,7 +310,7 @@ def read_label_lines(path: str | Path) -> list[StanceLabel]:
     labels: list[StanceLabel] = []
     path = Path(path)
     blank = 0  # the first blank line since the last label
-    with path.open(encoding="utf-8") as fh:
+    with input_file(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text:

@@ -18,6 +18,7 @@ from typing import Collection, Container
 
 from stancelab.corpus import (
     _UNWRITABLE_CHAR, NETWORK_FIELDS, NORMALIZERS, CorpusError, ProfileTable,
+    utf8_encodable,
 )
 
 
@@ -70,6 +71,10 @@ def load_profile_sets(
                         f"{path}: field {name!r} at line {lineno} is not an array of strings"
                     )
                 sets[name] = values
+            if not utf8_encodable(user_id):
+                raise CorpusError(
+                    f"{path}: field 'user_id' at line {lineno} holds a lone surrogate"
+                )
             for name, kind in NETWORK_FIELDS.items():
                 bad = [v for v in _normalized(sets[name], kind) if _UNWRITABLE_CHAR.search(v)]
                 if bad:

@@ -17,6 +17,7 @@ from stancelab.corpus import (
     ProfileTable,
     StanceLabel,
 )
+from stancelab.experiment import CellResult, _experiment_curves
 from stancelab.features import FeatureSetSelector, FeatureSpace
 from stancelab.linsvm import LinearModel, TrainConfig
 
@@ -171,24 +172,15 @@ def ranked(topic, *features):
     )
 
 
-def bruteforce_topn_curve(ranked_a, ranked_b, ranked_c=None, n_max=1000):
-    """Oracle: rebuild every top-N set anew for each N."""
-    rankings = [ranked_a, ranked_b] + ([ranked_c] if ranked_c else [])
+def bruteforce_topn_curve(ranked_a, ranked_b, n_max=1000):
+    """Oracle: rebuild both top-N sets anew for each N."""
     curve = []
     for n in range(1, n_max + 1):
-        tops = [
+        top_a, top_b = (
             {f.split(":", 1)[1] if ":" in f else f for f, _ in r.entries[:n]}
-            for r in rankings
-        ]
-        if len(tops) == 2:
-            value = jaccard(tops[0], tops[1])
-        else:
-            value = (
-                jaccard(tops[0], tops[1])
-                + jaccard(tops[0], tops[2])
-                + jaccard(tops[1], tops[2])
-            ) / 3.0
-        curve.append((n, value))
+            for r in (ranked_a, ranked_b)
+        )
+        curve.append((n, jaccard(top_a, top_b)))
     return curve
 
 
@@ -220,10 +212,19 @@ class TestTopnOverlapCurve:
         assert curve[1] == (2, pytest.approx(1 / 3))
 
     def test_three_way_is_mean_of_pairwise(self):
-        a = ranked("t", "inat:x", "inat:y")
-        b = ranked("t", "pnat:y", "pnat:z")
-        c = ranked("t", "cnfr:x", "cnfr:y")
-        curve = topn_overlap_curve(a, b, c, n_max=2)
+        # The experiment's joint curve of a group of three families.
+        rankings = {
+            "IN_AT": ranked("t", "inat:x", "inat:y"),
+            "PN_AT": ranked("t", "pnat:y", "pnat:z"),
+            "CN_FR": ranked("t", "cnfr:x", "cnfr:y"),
+        }
+        results = {
+            (name, "binary"): CellResult(FeatureSetSelector.of(name), "binary",
+                                         rankings={("t", F): ranking})
+            for name, ranking in rankings.items()
+        }
+        curves = _experiment_curves(results, "binary", ["t"], n_max=2)
+        curve = curves[f"IN_AT+PN_AT+CN_FR | {F.value} | t"]
         expected = (1 / 3 + 1.0 + 1 / 3) / 3
         assert curve[1][1] == pytest.approx(expected)
 
@@ -242,18 +243,16 @@ class TestTopnOverlapCurve:
         for _, value in topn_overlap_curve(a, b, n_max=n_max):
             assert 0.0 <= value <= 1.0
 
-    @given(
-        features=st.lists(RANKING_FEATURES, min_size=2, max_size=3),
-        n_max=st.integers(1, 16),
-    )
-    @example(features=[["inat:x", "pnat:x", "inat:y"], ["cnfr:y", "cnfr:x"]],
+    @given(features_a=RANKING_FEATURES, features_b=RANKING_FEATURES,
+           n_max=st.integers(1, 16))
+    @example(features_a=["inat:x", "pnat:x", "inat:y"], features_b=["cnfr:y", "cnfr:x"],
              n_max=5)
-    @example(features=[["inat:x", "pnat:x"], ["pnat:y", "inat:x"], ["cnfr:x"]],
+    @example(features_a=["inat:x", "pnat:x"], features_b=["pnat:y", "inat:x"],
              n_max=4)
-    def test_matches_bruteforce_oracle(self, features, n_max):
-        rankings = [ranked("t", *names) for names in features]
-        expected = bruteforce_topn_curve(*rankings, n_max=n_max)
-        assert topn_overlap_curve(*rankings, n_max=n_max) == expected
+    def test_matches_bruteforce_oracle(self, features_a, features_b, n_max):
+        a, b = ranked("t", *features_a), ranked("t", *features_b)
+        expected = bruteforce_topn_curve(a, b, n_max=n_max)
+        assert topn_overlap_curve(a, b, n_max=n_max) == expected
 
 
 class TestUserConsistency:

@@ -126,19 +126,25 @@ class TestExperiment:
             written = out / "analysis" / f"top_features__{cell.name}.csv"
             assert written.read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
+        # The curves rebuilt from the bundles: IN_AT vs PN_AT, and the joint
+        # curve as the mean of the three pairwise curves at each N.
         expected = {}
         for topic in topics:
             for cls in (StanceLabel.FAVOR, StanceLabel.AGAINST):
-                left, right = (
+                in_at, pn_at, cn_fr = (
                     top_features(models[f"{flag}__ternary", topic], cls, topic,
                                  curve_max)
-                    for flag in ("IN_AT", "PN_AT")
+                    for flag in ("IN_AT", "PN_AT", "CN_FR")
                 )
-                pair = f"IN_AT vs PN_AT | {cls.value} | {topic}"
-                expected[pair] = [
-                    [str(n), pair, f"{value:.6f}"]
-                    for n, value in topn_overlap_curve(left, right, n_max=curve_max)
-                ]
+                ab, ac, bc = (topn_overlap_curve(left, right, n_max=curve_max)
+                              for left, right in ((in_at, pn_at), (in_at, cn_fr),
+                                                  (pn_at, cn_fr)))
+                joint = [(n, (x + y + z) / 3.0)
+                         for (n, x), (_, y), (_, z) in zip(ab, ac, bc)]
+                for name, curve in (("IN_AT vs PN_AT", ab), ("IN_AT+PN_AT+CN_FR", joint)):
+                    pair = f"{name} | {cls.value} | {topic}"
+                    expected[pair] = [[str(n), pair, f"{value:.6f}"]
+                                      for n, value in curve]
         with (out / "analysis" / "topn_curves__ternary.csv").open(newline="") as fh:
             rows = [row for row in csv.reader(fh) if row[1] in expected]
         assert rows == [row for pair in sorted(expected) for row in expected[pair]]
@@ -195,6 +201,35 @@ class TestExperiment:
                      "--modes", "binary", "--out", str(out)]) == EXIT_OK
         assert (out / "analysis" / "user_consistency.csv").exists()
         assert not list((out / "analysis").glob("overlap__*"))
+
+    @pytest.mark.parametrize("case", ["not-in-file", "dropped"])
+    def test_test_topic_without_training_tweets(self, corpus, tmp_path, case, capsys):
+        # No cell could score such a topic: the run stops before any output,
+        # also when --require-profile drops the topic's training tweets.
+        train, profiles = tmp_path / "train.tsv", tmp_path / "profiles.jsonl"
+        lines = (corpus / "train.tsv").read_text().splitlines(keepends=True)
+        gamma_authors = {line.rstrip("\n").split("\t")[4] for line in lines[1:]
+                         if line.split("\t")[1] == "gamma"}
+        extra = []
+        if case == "not-in-file":
+            train.write_text("".join(line for line in lines
+                                     if line.split("\t")[1] != "gamma"))
+            profiles.write_bytes((corpus / "profiles.jsonl").read_bytes())
+        else:
+            train.write_text("".join(lines))
+            profiles.write_text("".join(
+                line for line in (corpus / "profiles.jsonl").read_text().splitlines(True)
+                if json.loads(line)["user_id"] not in gamma_authors))
+            extra = ["--require-profile"]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["experiment", "--tweets", str(train),
+                     "--test", str(corpus / "test.tsv"), "--profiles", str(profiles),
+                     "--selectors", "TXT,IN_AT", "--out", str(out), *extra]) == EXIT_DATA
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"stancelab: --test {corpus / 'test.tsv'}: topic 'gamma' has no "
+            f"tweets in --tweets {train}")
+        assert not out.exists()
 
     @pytest.mark.parametrize("prior", [None, "1,0,0"], ids=["ok", "failing"])
     def test_engine_runs_in_process(self, corpus, tmp_path, prior, capsys):

@@ -29,7 +29,10 @@ from stancelab.features import (
     FeatureSpace,
     extract_features,
     index_rows,
+    read_feature_space,
 )
+from stancelab.linsvm import _read_weights
+from stancelab.scoring import read_label_lines, read_predictions
 from stancelab.synth import SynthConfig, write_corpus
 
 from profile_reference import load_profile_sets, reference_sets, table_sets
@@ -350,6 +353,15 @@ class TestLoadProfiles:
         with pytest.raises(CorpusError, match="user_id"):
             load_network_profiles(path)
 
+    @pytest.mark.parametrize("authors", [None, {"u1"}], ids=["all", "filtered-out"])
+    def test_lone_surrogate_user_id_rejected(self, tmp_path, authors):
+        # write_network_profiles could not write such an id back.
+        path = write(tmp_path, "p.jsonl",
+                     '{"user_id": "u1"}\n{"user_id": "\\ud800", "in_mentions": ["a"]}\n')
+        with pytest.raises(CorpusError, match=re.escape(
+                f"{path}: field 'user_id' at line 2 holds a lone surrogate")):
+            load_network_profiles(path, authors=authors)
+
     def test_bad_field_type(self, tmp_path):
         path = write(
             tmp_path, "p.jsonl", '{"user_id": "u1", "in_mentions": "a"}\n'
@@ -584,7 +596,7 @@ def profile_lines(draw):
     if draw(st.integers(0, 39)):
         record["user_id"] = draw(st.sampled_from(FILTER_USERS))
     else:
-        record["user_id"] = draw(st.sampled_from([5, "", None]))
+        record["user_id"] = draw(st.sampled_from([5, "", None, "u\ud800"]))
     for name in NETWORK_FIELDS:
         if draw(st.booleans()):
             record[name] = draw(st.lists(FILTER_MEMBERS, max_size=3))
@@ -667,6 +679,32 @@ class TestFilteredLoad:
         path = write(tmp_path, "p.jsonl", "")
         with pytest.raises(ValueError, match="in_mention"):
             load_network_profiles(path, fields={"in_mention"})
+
+
+# Each reader of a text file, with lines it reads. The lines end in "\n",
+# "\r\n" and "\r", which a universal-newline reader all counts as line ends.
+READERS = {
+    "tweets": (load_semeval_tsv,
+               ["ID\tTarget\tTweet\tStance\n", "1\tA\thi\tNONE\r\n", "2\tA\tyo\tFAVOR\r"]),
+    "profiles": (load_network_profiles,
+                 ['{"user_id": "u1"}\n', '{"user_id": "u2"}\r\n', '{"user_id": "u3"}\r']),
+    "predictions": (read_predictions,
+                    ["ID\tTarget\tGold\tPred\n", "1\tA\tNONE\tNONE\r\n",
+                     "2\tA\tFAVOR\tNONE\r"]),
+    "labels": (read_label_lines, ["FAVOR\n", "NONE\r\n", "AGAINST\r"]),
+    "space": (lambda path: read_feature_space(path, FeatureSetSelector.of("IN_AT")),
+              ["inat:a\t0\n", "inat:b\t1\r\n", "inat:c\t2\r"]),
+    "weights": (lambda path: _read_weights(path, 4), ["0\t0.5\n", "1\t0.25\r\n", "2\t1\r"]),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_input_that_is_not_utf8_names_file_and_line(tmp_path, reader):
+    load, lines = READERS[reader]
+    path = tmp_path / "input"
+    path.write_bytes("".join(lines).encode() + b"3\t\xff\n" + "".join(lines).encode())
+    with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: line 4 is not UTF-8$"):
+        load(path)
 
 
 class TestJoin:
