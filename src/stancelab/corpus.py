@@ -13,14 +13,15 @@ Two file formats are owned by this module:
   Absent keys mean empty sets.
 
 ``load_network_profiles`` reads the profiles into one ``ProfileTable``. A
-member is an integer id into one vocabulary per kind, whose names are kept
-once in first-seen order; each read family is a CSR pair over the authors
-(int64 offsets, then int32 ids sorted and distinct per author). The loader
-numbers each member with one dict ``setdefault`` as it reads and sorts
-each family once at the end. ``ProfileTable.members(family, author)`` is
-the one accessor: it gives the author's ids, none for an author the table
-does not hold, and raises UnreadFamilyError for a family that was not
-read, so that one never passes for an empty set.
+member is an integer id into one vocabulary, every name once in first-seen
+order whatever family uses it (kinds only pick the normalizer); each read
+family is a CSR pair over the authors (int64 offsets, then int32 ids sorted
+and distinct per author). The loader numbers each member with one dict
+``setdefault`` as it reads and sorts each family once at the end.
+``ProfileTable.members(family, author)`` is the one accessor: it gives the
+author's ids, none for an author the table does not hold, and raises
+UnreadFamilyError for a family that was not read, so that one never passes
+for an empty set.
 
 The loader can leave out what a command does not use: ``fields`` names the
 families to read and ``authors`` the users to keep. Every line is still
@@ -155,18 +156,18 @@ class ProfileTable:
     """Network profiles: the members of each read family for each author, as
     integer ids.
 
-    ``vocabulary[kind]`` holds the names of one kind (account or domain) in
-    first-seen order, and a name's id is its position there. The families of
-    one kind share the vocabulary, so their ids compare. Each read family is
-    one CSR pair over the authors in order of first appearance: ``indptr``
-    (int64) and ``ids`` (int32), each author's ids sorted and distinct.
+    ``vocabulary`` holds every member name once, in first-seen order, and a
+    name's id is its position there, whatever family uses it, so the ids of
+    any two families compare. Each read family is one CSR pair over the
+    authors in order of first appearance: ``indptr`` (int64) and ``ids``
+    (int32), each author's ids sorted and distinct.
     ``len``, ``in`` and iteration go over the authors.
     """
 
     def __init__(
         self,
         rows: dict[str, int],
-        vocabulary: dict[str, tuple[str, ...]],
+        vocabulary: tuple[str, ...],
         families: dict[str, tuple[np.ndarray, np.ndarray]],
     ) -> None:
         self._rows = rows
@@ -216,25 +217,25 @@ class ProfileTable:
 
     def member_names(self, family: str, author: str) -> list[str]:
         """The names of author's members of family, in id order."""
-        ids = self.members(family, author).tolist()
-        vocabulary = self.vocabulary[NETWORK_FIELDS[family]]
-        return [vocabulary[i] for i in ids]
+        return list(map(self.vocabulary.__getitem__, self.members(family, author).tolist()))
 
-    def _sorted_names(self, family: str) -> dict[str, list[str]]:
-        """Each author's member names of family, sorted; the writer's bulk
-        form of member_names. The names are ranked once, and one sort of
-        (row << 32 | rank) keys orders every author's members."""
-        indptr, ids = self._csr(family)
-        vocabulary = self.vocabulary[NETWORK_FIELDS[family]]
+    def _sorted_names(self) -> Iterator[tuple[str, dict[str, list[str]]]]:
+        """(family, author -> member names sorted) for all six families; the
+        writer's bulk form of member_names. The vocabulary is ranked once,
+        and one sort of (row << 32 | rank) keys per family orders every
+        author's members."""
+        csrs = {family: self._csr(family) for family in NETWORK_FIELDS}
+        vocabulary = self.vocabulary
         by_name = sorted(range(len(vocabulary)), key=vocabulary.__getitem__)
         rank = np.empty(len(by_name), dtype=np.int64)
         rank[by_name] = np.arange(len(by_name))
-        rows = np.repeat(np.arange(len(self._rows), dtype=np.int64), np.diff(indptr))
-        ranks = np.sort(rows << 32 | rank[ids]) & 0xFFFFFFFF
-        names = [vocabulary[by_name[r]] for r in ranks.tolist()]
-        bounds = indptr.tolist()
-        return {author: names[bounds[row]:bounds[row + 1]]
-                for author, row in self._rows.items()}
+        for family, (indptr, ids) in csrs.items():
+            rows = np.repeat(np.arange(len(self._rows), dtype=np.int64), np.diff(indptr))
+            ranks = np.sort(rows << 32 | rank[ids]) & 0xFFFFFFFF
+            names = [vocabulary[by_name[r]] for r in ranks.tolist()]
+            bounds = indptr.tolist()
+            yield family, {author: names[bounds[row]:bounds[row + 1]]
+                           for author, row in self._rows.items()}
 
     def _sets(self) -> dict[str, dict[str, frozenset[str]]]:
         return {family: {author: frozenset(self.member_names(family, author))
@@ -256,22 +257,20 @@ class ProfileTable:
 class _TableBuilder:
     """Gathers profiles one record at a time into a ProfileTable.
 
-    A member is first numbered by the position, among the members of its
-    kind, at which its name was first seen: ``setdefault`` on a name ->
-    position dict, with the next value of a counter as the default, is one
-    C call per member under ``map``. The numbers go into a list per family
+    A member is first numbered by the position, among all members, at which
+    its name was first seen: ``setdefault`` on the one name -> position
+    dict, with the next value of a counter as the default, is one C call
+    per member under ``map``. The numbers go into a list per family
     (on a corpus of 95% distinct members, extending an array('i') from the
     map took 12% longer), with one length per record; table() renumbers
     them densely in first-seen order. A repeated author's last record wins.
     """
 
     def __init__(self, families: Iterable[str]) -> None:
-        self.seen: dict[str, tuple[dict[str, int], Iterator[int]]] = {}  # by kind
-        self.families = {}
-        for family in families:
-            kind = NETWORK_FIELDS[family]
-            first, counter = self.seen.setdefault(kind, ({}, count()))
-            self.families[family] = (NORMALIZERS[kind], first.setdefault, counter, [], [])
+        self.first: dict[str, int] = {}  # name -> the position it was first seen at
+        self.counter = count()
+        self.families = {family: (NORMALIZERS[NETWORK_FIELDS[family]], [], [])
+                         for family in families}
         self.record_of: dict[str, int] = {}  # author -> its last record
         self.records = 0
 
@@ -283,13 +282,13 @@ class _TableBuilder:
         _plain)."""
         self.record_of[user_id] = self.records
         self.records += 1
-        for family, (normalizer, first, counter, ids, lengths) in self.families.items():
+        for family, (normalizer, ids, lengths) in self.families.items():
             values = sets.get(family, ())
             if normalize:
                 values = filter(None, map(str.lower, map(str.strip, values)) if plain
                                 else map(normalizer, values))
             start = len(ids)
-            ids.extend(map(first, values, counter))
+            ids.extend(map(self.first.setdefault, values, self.counter))
             lengths.append(len(ids) - start)
 
     def table(self) -> ProfileTable:
@@ -297,19 +296,16 @@ class _TableBuilder:
         of (row << 32 | id) keys, which took 0.5 ms where a two-key lexsort
         took 8 ms on 57,600 members; the records that a later one replaced
         are dropped."""
-        vocabulary, dense = {}, {}
-        for kind, (first, counter) in self.seen.items():
-            vocabulary[kind] = tuple(first)
-            dense[kind] = np.empty(next(counter), dtype=np.int32)
-            dense[kind][np.fromiter(first.values(), np.int64, len(first))] = np.arange(
-                len(first), dtype=np.int32)
+        dense = np.empty(next(self.counter), dtype=np.int32)
+        dense[np.fromiter(self.first.values(), np.int64, len(self.first))] = np.arange(
+            len(self.first), dtype=np.int32)
         n = len(self.record_of)
         row_of_record = np.full(self.records, -1, dtype=np.int64)
         row_of_record[np.fromiter(self.record_of.values(), np.int64, n)] = np.arange(n)
         families = {}
-        for family, (_, _, _, ids, lengths) in self.families.items():
+        for family, (_, ids, lengths) in self.families.items():
             rows = np.repeat(row_of_record, np.array(lengths, dtype=np.int64))
-            keys = rows << 32 | dense[NETWORK_FIELDS[family]][np.array(ids, dtype=np.int64)]
+            keys = rows << 32 | dense[np.array(ids, dtype=np.int64)]
             if n < self.records:
                 keys = keys[rows >= 0]
             keys = np.sort(keys)
@@ -320,7 +316,7 @@ class _TableBuilder:
             np.cumsum(np.bincount(keys >> 32, minlength=n), out=indptr[1:])
             families[family] = (indptr, (keys & 0xFFFFFFFF).astype(np.int32))
         rows_of = {author: row for row, author in enumerate(self.record_of)}
-        return ProfileTable(rows_of, vocabulary, families)
+        return ProfileTable(rows_of, tuple(self.first), families)
 
 
 @dataclass(frozen=True)
@@ -346,12 +342,12 @@ def load_semeval_tsv(path: str | Path) -> list[LabeledInstance]:
     instances: list[LabeledInstance] = []
     seen_ids: set[str] = set()
     with input_file(path) as fh:
-        header = fh.readline().rstrip("\n").rstrip("\r")
+        header = fh.readline().rstrip("\n")
         if header not in (TWEETS_HEADER, TWEETS_HEADER + "\tAuthorID"):
             raise CorpusError(f"{path}: expected the header {TWEETS_HEADER!r}, "
                               f"optionally with AuthorID, at line 1, got {header!r}")
         for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n").rstrip("\r")
+            line = line.rstrip("\n")
             if not line:
                 continue
             fields = line.split("\t")
@@ -640,11 +636,11 @@ def write_network_profiles(path: str | Path, profiles: ProfileTable) -> None:
     read back equal: an empty user id or one UTF-8 cannot encode; a set
     member that is empty, holds a control character or a lone surrogate,
     or is not already normalized for its field's kind (such as "@A" for an
-    account, read back as "a"). Each name of the vocabulary is checked once.
+    account, read back as "a"). Each vocabulary name is checked once per kind.
     """
-    bad = {kind: {name for name in vocabulary if _unreadable_member(name, kind)}
-           for kind, vocabulary in profiles.vocabulary.items()}
-    sorted_names = {name: profiles._sorted_names(name) for name in NETWORK_FIELDS}
+    sorted_names = dict(profiles._sorted_names())
+    bad = {kind: {name for name in profiles.vocabulary if _unreadable_member(name, kind)}
+           for kind in NORMALIZERS}
     lines = []
     for user_id in sorted(profiles):
         problem = ""

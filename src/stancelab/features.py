@@ -47,7 +47,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import NETWORK_FIELDS, CorpusError, Dataset, LabeledInstance, ProfileTable
+from .corpus import CorpusError, Dataset, LabeledInstance, ProfileTable
 from .corpus import input_file, output_file, utf8_encodable
 
 # Flag name -> (namespace prefix, profile field); TXT is handled separately.
@@ -329,7 +329,7 @@ class FamilyBlocks:
         if cached is None or cached[0] is not vocabulary:
             block = self.family.get(prefix, {})
             cols = np.fromiter((block.get(name, -1) for name in vocabulary),
-                               np.int64, len(vocabulary))
+                               np.int32, len(vocabulary))
             cached = self._col_of_id[prefix] = (vocabulary, cols)
         return cached[1]
 
@@ -394,8 +394,7 @@ def index_rows(
     for flag, (prefix, field_name) in NETWORK_FLAG_SOURCES.items():
         if flag in selector.flags:
             members = [table.members(field_name, inst.author_id) for inst in instances]
-            vocabulary = table.vocabulary[NETWORK_FIELDS[field_name]]
-            cols = np.take(blocks.col_of_id(prefix, vocabulary), np.concatenate(members))
+            cols = np.take(blocks.col_of_id(prefix, table.vocabulary), np.concatenate(members))
             hit = cols >= 0
             parts.append((_owners([m.size for m in members])[hit], cols[hit]))
     word_rank = blocks.word_rank if selector.uses_text else {}

@@ -353,9 +353,15 @@ def save_bundle(model: LinearModel, path: str | Path, topic: str = "") -> None:
     MODE_FITS[mode]. A binary bundle holds weights_FAVOR.tsv only; the
     weights_AGAINST.tsv of an older binary bundle there is removed.
 
-    A feature name the space file cannot hold raises CorpusError before any
-    file in the directory changes (see write_feature_space).
+    A weight or bias that is not finite raises CorpusError naming its class
+    before the directory is touched, since load_bundle refuses it. A feature
+    name the space file cannot hold raises CorpusError before any file in
+    the directory changes (see write_feature_space).
     """
+    for cls, row, bias in zip(MODE_FITS[model.mode], model.weights, model.biases):
+        if not (np.isfinite(row).all() and math.isfinite(bias)):
+            raise CorpusError(f"class {cls.value}: cannot write a weight or bias that is "
+                              "not finite; load_bundle could not read it back")
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     write_feature_space(path / _SPACE, model.space)  # first: it may refuse

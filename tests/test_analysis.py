@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -12,6 +14,7 @@ from stancelab.analysis import (
     RankedFeatures,
 )
 from stancelab.corpus import (
+    NETWORK_FIELDS,
     Dataset,
     LabeledInstance,
     ProfileTable,
@@ -24,6 +27,17 @@ from stancelab.linsvm import LinearModel, TrainConfig
 A, F, N = StanceLabel.AGAINST, StanceLabel.FAVOR, StanceLabel.NONE
 
 SMALL_SETS = st.sets(st.integers(0, 12), max_size=8)
+
+# Profiles of up to four users drawn from a few names, so that families of
+# both kinds share names; user "both" always holds "a" as an account and as
+# a domain.
+PROFILES = st.dictionaries(
+    st.sampled_from(["u1", "u2", "u3", "u4"]),
+    st.fixed_dictionaries({
+        field: st.lists(st.sampled_from(["a", "b", "c", "x.example"]), max_size=3)
+        for field in NETWORK_FIELDS
+    }),
+).map(lambda sets: {**sets, "both": {"cn_followers": ["a"], "pn_domains": ["a", "b"]}})
 
 
 def model_from_weights(named_weights, mode="ternary"):
@@ -100,11 +114,24 @@ class TestNetworkOverlap:
         assert dist.excluded == 1
 
     def test_families_of_two_kinds_compare_names(self):
-        # u1's account "a" and domain "b" both have id 0 in their kind.
+        # "b" is u2's account and domain alike: one name, one id.
         profiles = ProfileTable.from_sets({"u1": {"in_mentions": ["a"], "in_domains": ["b"]},
                                            "u2": {"in_mentions": ["b"], "in_domains": ["b"]}})
         dist = network_overlap(profiles, ("in_mentions", "in_domains"))
         assert dist.values == (0.0, 1.0)
+
+    @given(PROFILES)
+    def test_ids_give_the_jaccard_of_the_names(self, profiles):
+        table = ProfileTable.from_sets(profiles)
+        for user, sets in profiles.items():
+            for field in NETWORK_FIELDS:
+                assert set(table.member_names(field, user)) == set(sets.get(field, ()))
+        for pair in product(NETWORK_FIELDS, repeat=2):
+            names = [[table.member_names(field, user) for field in pair]
+                     for user in sorted(profiles)]
+            dist = network_overlap(table, pair)
+            assert dist.values == tuple(jaccard(a, b) for a, b in names if a or b)
+            assert dist.excluded == sum(1 for a, b in names if not a and not b)
 
     def test_invalid_field(self):
         with pytest.raises(ValueError, match="unknown network field"):

@@ -629,6 +629,22 @@ class TestBundle:
         assert not (tmp_path / "b" / "weights_AGAINST.tsv").exists()
         assert np.array_equal(load_bundle(tmp_path / "b")[0].weights, retrained.weights)
 
+    @pytest.mark.parametrize("mode,cls", [("binary", "FAVOR"), ("ternary", "NONE")])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["weight", "bias"])
+    def test_non_finite_weights_are_refused_before_the_directory(
+        self, tmp_path, mode, cls, bad, where
+    ):
+        model, _ = self._trained_model(mode)
+        weights, biases = model.weights.copy(), model.biases.copy()
+        if where == "weight":
+            weights[-1, 0] = bad
+        else:
+            biases[-1] = bad
+        with pytest.raises(CorpusError, match=f"class {cls}: .* not finite"):
+            save_bundle(replace(model, weights=weights, biases=biases), tmp_path / "b")
+        assert not (tmp_path / "b").exists()
+
 
 # Text and set members as they reach the extractor from memory: any
 # character, or any with line breaks, tabs and lone surrogates mixed in.
