@@ -215,6 +215,12 @@ class ProfileTable:
             return _NO_IDS
         return ids[indptr[row]:indptr[row + 1]]
 
+    def held_ids(self, family: str) -> np.ndarray:
+        """The distinct ids of family's members over all authors, sorted."""
+        held = np.zeros(len(self.vocabulary), dtype=bool)
+        held[self._csr(family)[1]] = True
+        return np.flatnonzero(held)
+
     def member_names(self, family: str, author: str) -> list[str]:
         """The names of author's members of family, in id order."""
         return list(map(self.vocabulary.__getitem__, self.members(family, author).tolist()))

@@ -7,19 +7,22 @@ namespaced strings seen in training data to dense column indices; a row
 is a sorted int64 array of column indices with presence/absence semantics
 only, the one row type from here through ``linsvm`` training and scoring.
 
-``extract_features`` builds the string set of one instance; training uses
-it to find the vocabulary. ``index_rows`` maps a batch of instances straight
-to column indices, for training rows and for prediction alike, without
-building namespaced strings:
+``extract_features`` builds the string set of one instance; training reads
+those sets into ``build_feature_space`` one at a time to find the
+vocabulary, so it holds one instance's strings at once. ``index_rows`` maps
+a batch of instances straight to column indices, for training rows and for
+prediction alike, without building namespaced strings:
 
 * Family blocks. Every prefix is five characters long, so a space splits
   into one dict per family keyed by the name without its prefix. The split
   and the n-gram tables below are built once per space and cached on it.
 * Network families map member ids to columns with one ``col_of_id`` array
   per (space, family): the column of each id of the profile table's
-  vocabulary, -1 for a name the block does not hold. It is built on first
-  use and cached on the space's blocks, and ``np.take`` maps the batch's
-  ids of a family at once.
+  vocabulary, -1 for a name the block does not hold. Only the ids the
+  family holds in the table (``ProfileTable.held_ids``) are looked up; the
+  rest stay -1, since no member of the family carries them. It is built on
+  first use and cached on the space's blocks, and ``np.take`` maps the
+  batch's ids of a family at once.
 * N-grams go through one numpy kernel: character n-grams over the batch's
   lowered texts, word n-grams over its tokens, each sequence a list of
   symbol ranks with a dead rank after every tweet, so no window crosses a
@@ -41,7 +44,7 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -299,7 +302,7 @@ class FamilyBlocks:
         words = family.pop("txtw:", {})
         chars = family.pop("txtc:", {})
         self.family = family
-        self._col_of_id: dict[str, tuple[tuple[str, ...], np.ndarray]] = {}
+        self._col_of_id: dict[str, tuple[ProfileTable, np.ndarray]] = {}
 
         tokens = [g.split(" ") for g in words]
         flat = list(chain.from_iterable(tokens))
@@ -322,15 +325,19 @@ class FamilyBlocks:
             CHAR_NGRAM_ORDERS,
         )
 
-    def col_of_id(self, prefix: str, vocabulary: tuple[str, ...]) -> np.ndarray:
-        """The column of each name of vocabulary in the prefix's block, -1
-        for a name it does not hold; cached for the last vocabulary."""
+    def col_of_id(self, prefix: str, table: ProfileTable, family: str) -> np.ndarray:
+        """The column in the prefix's block of each id of table's vocabulary
+        that family holds, -1 for a name the block does not hold and for
+        every id family does not hold (no member of family carries one);
+        cached for the last table."""
         cached = self._col_of_id.get(prefix)
-        if cached is None or cached[0] is not vocabulary:
+        if cached is None or cached[0] is not table:
             block = self.family.get(prefix, {})
-            cols = np.fromiter((block.get(name, -1) for name in vocabulary),
-                               np.int32, len(vocabulary))
-            cached = self._col_of_id[prefix] = (vocabulary, cols)
+            held = table.held_ids(family)
+            names = map(table.vocabulary.__getitem__, memoryview(held))
+            cols = np.full(len(table.vocabulary), -1, dtype=np.int32)
+            cols[held] = np.fromiter(map(block.get, names, repeat(-1)), np.int32, held.size)
+            cached = self._col_of_id[prefix] = (table, cols)
         return cached[1]
 
     def char_hits(self, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -345,27 +352,32 @@ class FamilyBlocks:
 
 
 def build_feature_space(
-    train_feature_sets: Sequence[set[str]],
+    train_feature_sets: Iterable[set[str]],
     selector: FeatureSetSelector,
     min_df: int = 1,
 ) -> FeatureSpace:
     """Index every feature appearing in at least min_df training sets.
 
-    Columns are assigned in lexicographic order of the namespaced string,
-    so the space is deterministic across runs.
+    The sets are read once, one at a time, so a generator of them is never
+    held whole; min_df is checked before the first is read. Columns are
+    assigned in lexicographic order of the namespaced string, so the space
+    is deterministic across runs.
     """
-    if not train_feature_sets:
-        raise ValueError("no training feature sets")
     if min_df < 1:
         raise ValueError("min_df must be >= 1")
+    read = 0
     if min_df == 1:
-        vocabulary = set().union(*train_feature_sets)
+        vocabulary: set[str] = set()
+        for read, feature_set in enumerate(train_feature_sets, start=1):
+            vocabulary |= feature_set
     else:
         counts: dict[str, int] = {}
-        for feature_set in train_feature_sets:
+        for read, feature_set in enumerate(train_feature_sets, start=1):
             for feature in feature_set:
                 counts[feature] = counts.get(feature, 0) + 1
         vocabulary = {f for f, c in counts.items() if c >= min_df}
+    if not read:
+        raise ValueError("no training feature sets")
     if not vocabulary:
         raise ValueError("empty feature space")
     index_of = {name: idx for idx, name in enumerate(sorted(vocabulary))}
@@ -394,7 +406,7 @@ def index_rows(
     for flag, (prefix, field_name) in NETWORK_FLAG_SOURCES.items():
         if flag in selector.flags:
             members = [table.members(field_name, inst.author_id) for inst in instances]
-            cols = np.take(blocks.col_of_id(prefix, table.vocabulary), np.concatenate(members))
+            cols = np.take(blocks.col_of_id(prefix, table, field_name), np.concatenate(members))
             hit = cols >= 0
             parts.append((_owners([m.size for m in members])[hit], cols[hit]))
     word_rank = blocks.word_rank if selector.uses_text else {}

@@ -103,7 +103,7 @@ def _check_rows(rows: Sequence[np.ndarray], dim: int) -> None:
     row_start = np.zeros(flat.size, dtype=bool)
     starts = np.cumsum(np.fromiter(map(len, rows[:-1]), np.int64, len(rows) - 1))
     row_start[starts[starts < flat.size]] = True
-    if not np.all((np.diff(flat) > 0) | row_start[1:]):
+    if not np.all((flat[1:] > flat[:-1]) | row_start[1:]):
         raise ValueError("row indices must be strictly increasing")
 
 

@@ -2,10 +2,11 @@
 
 Training and prediction build index rows with the same batch vectorizer,
 ``features.index_rows``, BATCH_SIZE instances at a time, and pass them
-straight to ``linsvm.train_ovr`` and ``linsvm.predict``. Training still
-extracts feature strings once per instance to find the vocabulary;
-prediction never builds them. Prediction groups instances by topic and
-predicts each batch with one call, so predictions equal those of
+straight to ``linsvm.train_ovr`` and ``linsvm.predict``. Training finds
+each topic's vocabulary from the feature strings of its instances, read one
+instance at a time, and drops the topic's rows once its model is fit;
+prediction never builds feature strings. Prediction groups instances by
+topic and predicts each batch with one call, so predictions equal those of
 ``predict`` on the set-based rows of ``tests/vectorize_reference.py``,
 instance for instance. The batch size bounds the character kernel's
 arrays, which grow with the batch's total text length.
@@ -49,17 +50,17 @@ def train_topic_models(
     models: dict[str, LinearModel] = {}
     for topic in train.topics:
         instances = [i for i in train.instances if i.topic == topic]
-        feature_sets = [
-            extract_features(inst, train.profiles, selector)
-            for inst in instances
-        ]
-        space = build_feature_space(feature_sets, selector, min_df=min_df)
-        del feature_sets
+        space = build_feature_space(
+            (extract_features(inst, train.profiles, selector) for inst in instances),
+            selector,
+            min_df=min_df,
+        )
         rows = [
             row for batch in _batches(instances) for row in index_rows(space, batch, train)
         ]
         labels = [inst.label for inst in instances]
         models[topic] = train_ovr(rows, labels, mode, config, space, topic=topic)
+        del rows
     return models
 
 

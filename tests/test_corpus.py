@@ -461,6 +461,15 @@ class TestLoadProfiles:
         loaded, _ = load_network_profiles(path)
         assert loaded == profiles
 
+    def test_held_ids_are_the_distinct_ids_a_family_holds(self):
+        table = ProfileTable.from_sets({
+            "u1": {"in_mentions": ["a", "b"], "cn_followers": ["z", "a"]},
+            "u2": {"in_mentions": ["c", "b"]},
+        })
+        for family in ("in_mentions", "cn_followers", "pn_domains"):
+            ids = {i for author in table for i in table.members(family, author).tolist()}
+            assert table.held_ids(family).tolist() == sorted(ids)
+
     @pytest.mark.parametrize("key, sets, field", [
         ("u", {"in_mentions": ["a\x01b"]}, "in_mentions"),
         ("u", {"in_mentions": ["@A"]}, "in_mentions"),

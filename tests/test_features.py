@@ -199,8 +199,34 @@ class TestFeatureSpace:
             build_feature_space([set()], FeatureSetSelector.of("TXT"))
 
     def test_no_sets_is_an_error(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no training feature sets"):
             build_feature_space([], FeatureSetSelector.of("TXT"))
+        with pytest.raises(ValueError, match="no training feature sets"):
+            build_feature_space(iter([]), FeatureSetSelector.of("TXT"))
+
+    def test_min_df_is_checked_before_a_set_is_read(self):
+        sets = iter([{"a"}, {"b"}])
+        with pytest.raises(ValueError, match="min_df"):
+            build_feature_space(sets, FeatureSetSelector.of("TXT"), min_df=0)
+        assert next(sets) == {"a"}
+
+    @given(
+        sets=st.lists(
+            st.sets(st.text(alphabet="abcdef", min_size=1, max_size=3)),
+            max_size=6,
+        ),
+        min_df=st.integers(1, 3),
+    )
+    def test_a_one_shot_iterator_gives_the_space_of_the_list(self, sets, min_df):
+        selector = FeatureSetSelector.of("TXT")
+
+        def build(feature_sets):
+            try:
+                return build_feature_space(feature_sets, selector, min_df=min_df)
+            except ValueError as exc:
+                return str(exc)
+
+        assert build(iter(sets)) == build(sets)
 
     @given(
         sets=st.lists(

@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from stancelab.features import (
     tokenize,
 )
 from stancelab.linsvm import LinearModel, TrainConfig, predict
+from stancelab.synth import SynthConfig, generate
 
 from profile_reference import load_profile_sets
 from vectorize_reference import reference_tokenize, vectorize
@@ -204,6 +206,33 @@ class TestIndexRows:
             (row,) = index_rows(space, [inst], Dataset((inst,), table, ("A",)))
             assert row.tolist() == expected
 
+    @pytest.mark.parametrize("train_sets, predict_sets", [
+        # The vocabulary is mostly cn_followers names, far more than the few
+        # ids in_mentions holds, and some in_mentions names are also followers.
+        ({"t": {"in_mentions": ["m0", "f1"], "cn_followers": ["f0", "m1"]}},
+         {**{f"u{i}": {"in_mentions": [f"m{i % 3}", f"f{i}"],
+                       "cn_followers": [f"f{j}" for j in range(i, 2000, 7)]}
+             for i in range(6)}, "u9": {"cn_followers": ["m0"]}}),
+        # The space's inat: block holds "a" and "b"; the predicting table
+        # holds "a" only as a follower and "b" only as a friend.
+        ({"t": {"in_mentions": ["a", "b", "c"], "cn_followers": ["a"]}},
+         {"u0": {"cn_followers": ["a"], "cn_friends": ["b"], "in_mentions": ["c"]},
+          "u1": {"in_mentions": ["d"], "cn_followers": ["a", "c"]}}),
+    ])
+    def test_network_columns_follow_the_predicting_tables_families(
+            self, train_sets, predict_sets):
+        for flags in (("IN_AT",), ("CN_FL",), ("IN_AT", "CN_FL", "CN_FR")):
+            selector = FeatureSetSelector(frozenset(flags))
+            train_table = ProfileTable.from_sets(train_sets)
+            (feature_set,) = features_of(Dataset(
+                (LabeledInstance("0", "t", "A", "", StanceLabel.NONE),),
+                train_table, ("A",)), selector)
+            space = build_feature_space([feature_set], selector)
+            instances = tuple(LabeledInstance(str(i), author, "A", "", StanceLabel.NONE)
+                              for i, author in enumerate([*predict_sets, "nobody"]))
+            dataset = Dataset(instances, ProfileTable.from_sets(predict_sets), ("A",))
+            assert_rows_match(space, dataset, instances)
+
     def test_blocks_are_built_once_per_space(self):
         space = FeatureSpace({"txtc:ab": 0}, FeatureSetSelector.of("TXT"))
         assert space.blocks is space.blocks
@@ -213,6 +242,38 @@ class TestIndexRows:
 @given(st.one_of(TEXTS, st.text(alphabet=st.characters(max_codepoint=127), max_size=40)))
 def test_tokenize_matches_the_character_loop(text):
     assert tokenize(text) == reference_tokenize(text)
+
+
+class TrackedSet(set):
+    __hash__ = object.__hash__  # so a WeakSet can hold it
+
+
+class TestTrainTopicModels:
+    @pytest.mark.parametrize("min_df", [1, 2])
+    def test_holds_a_bounded_number_of_feature_sets(self, min_df):
+        train, _ = generate(SynthConfig(topics=("alpha", "beta"), users_per_topic=40, seed=2))
+        selector = FeatureSetSelector.parse("TXT+IN_AT")
+        alive: weakref.WeakSet = weakref.WeakSet()
+        most = calls = 0
+
+        def tracked(inst, profiles, sel):
+            nonlocal most, calls
+            feature_set = TrackedSet(extract_features(inst, profiles, sel))
+            alive.add(feature_set)
+            most, calls = max(most, len(alive)), calls + 1
+            return feature_set
+
+        expected = pipeline.train_topic_models(train, selector, "ternary", TrainConfig(),
+                                               min_df=min_df)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pipeline, "extract_features", tracked)
+            models = pipeline.train_topic_models(train, selector, "ternary", TrainConfig(),
+                                                 min_df=min_df)
+        assert calls == len(train.instances) > 100
+        assert most <= 2
+        for topic, model in models.items():
+            assert model.space == expected[topic].space
+            assert np.array_equal(model.weights, expected[topic].weights)
 
 
 class TestPredictDataset:
