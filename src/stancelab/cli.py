@@ -98,10 +98,17 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
     return TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
 
 
-def _load_profiles(path: str | None) -> ProfileTable:
-    """Every family of every profile of a --profiles file, or none without
-    one. Each command reads the file at most once."""
-    return load_network_profiles(path)[0] if path else ProfileTable.from_sets({})
+def _load_profiles(path: str | None, **filters) -> ProfileTable:
+    """The profiles of a --profiles file, every family of every profile
+    unless filters narrow them, or none without one. Each command reads the
+    file at most once, and says on stderr how many records repeat a user."""
+    if not path:
+        return ProfileTable.from_sets({})
+    profiles, duplicates = load_network_profiles(path, **filters)
+    if duplicates:
+        print(f"stancelab: --profiles {path}: {duplicates} records repeat an earlier "
+              "user_id; the last of each is used", file=sys.stderr)
+    return profiles
 
 
 def _join(
@@ -124,14 +131,12 @@ def _load_dataset_for(
     """Reads --tweets, then only what the selectors use of --profiles: their
     families, of the tweets' authors."""
     instances = load_semeval_tsv(tweets_path)
-    profiles = ProfileTable.from_sets({})
-    if profiles_path:
-        profiles, _ = load_network_profiles(
-            profiles_path,
-            fields={NETWORK_FLAG_SOURCES[flag][1]
-                    for s in selectors for flag in s.flags - {"TXT"}},
-            authors={inst.author_id for inst in instances},
-        )
+    profiles = _load_profiles(
+        profiles_path,
+        fields={NETWORK_FLAG_SOURCES[flag][1]
+                for s in selectors for flag in s.flags - {"TXT"}},
+        authors={inst.author_id for inst in instances},
+    )
     return _join(instances, profiles, require_profile)
 
 
@@ -162,7 +167,7 @@ def _load_models(bundles_dir: str) -> dict[str, LinearModel]:
         if not entry.is_dir() or not (entry / "metadata.json").exists():
             continue
         model, meta = load_bundle(entry)
-        topic = meta.get("topic", "")
+        topic = meta["topic"]
         if topic in models:
             raise CorpusError(f"duplicate bundle for topic {topic!r} in {root}")
         models[topic] = model
@@ -197,7 +202,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     train = _load_dataset_for(
         [selector], args.tweets, args.profiles, args.require_profile
     )
-    models = train_topic_models(train, selector, args.mode, config, args.min_df)
+    models = train_topic_models(train, selector, args.mode, config)
     slugs = unique_slugs(train.topics)
     out = Path(args.out)
     for topic, model in models.items():
@@ -324,8 +329,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         print(f"stancelab: {len(shared)} (author, topic) pairs are in both "
               "--tweets and --test; network cells can memorize their authors",
               file=sys.stderr)
-    context = CellContext(train, test, config, args.min_df, Path(args.out),
-                          args.top_n, args.curve_max)
+    context = CellContext(train, test, config, Path(args.out), args.top_n,
+                          args.curve_max)
     results = run_experiment(context, selectors, modes, args.jobs)
     print(f"master: {context.out / 'master.csv'}")
     for result in results:
@@ -396,7 +401,7 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-iter", type=int, default=TrainConfig.max_iter,
                         help="epoch cap")
     parser.add_argument("--loss", choices=LOSSES, default=TrainConfig.loss)
-    parser.add_argument("--min-df", type=_int_at_least(1), default=1,
+    parser.add_argument("--min-df", type=_int_at_least(1), default=TrainConfig.min_df,
                         help="minimum training document frequency per feature")
 
 

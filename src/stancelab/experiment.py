@@ -28,7 +28,7 @@ from .analysis import (
 )
 from .corpus import Dataset, ProfileTable, StanceLabel, output_file, write_csv
 from .features import NETWORK_FLAG_SOURCES, FeatureSetSelector
-from .linsvm import MODE_FITS, LinearModel, TrainConfig, capped_fits, save_bundle
+from .linsvm import MODE_FITS, LinearModel, TrainConfig, save_bundle
 from .pipeline import run_cell
 from .scoring import (
     EvalReport, minority_recall_flags, render_report, write_confusion_csv,
@@ -50,7 +50,6 @@ class CellContext:
     train: Dataset
     test: Dataset
     config: TrainConfig
-    min_df: int
     out: Path
     top_n: int
     curve_max: int
@@ -92,7 +91,8 @@ def capped_fit_lines(models: Iterable[tuple[str, LinearModel]]) -> list[str]:
         f"topic {topic!r}: the {cls.value} fit stopped at --max-iter "
         f"({epochs} epochs) before reaching --tol"
         for topic, model in models
-        for cls, epochs in capped_fits(model)
+        for cls, epochs in zip(MODE_FITS[model.mode], model.epochs)
+        if epochs >= model.config.max_iter
     ]
 
 
@@ -144,9 +144,7 @@ def _run_experiment_cell(
     train, test, out = context.train, context.test, context.out
     selector, mode = cell
     try:
-        models, report, predictions = run_cell(
-            train, test, selector, mode, context.config, min_df=context.min_df
-        )
+        models, report, predictions = run_cell(train, test, selector, mode, context.config)
     except Exception as exc:  # cell failures are recorded, not fatal
         return CellResult(selector, mode, error=f"{type(exc).__name__}: {exc}")
     name = f"{selector}__{mode}"

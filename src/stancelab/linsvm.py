@@ -20,16 +20,18 @@ all of them meets it. Its iterates equal those of the plain loop in
 ``train_ovr`` is the one fit entry point: one-vs-rest over the canonical
 class order, or in binary mode a single Against-vs-Favor separator, fit
 without the None class, whose margin sign picks the class. A model holds
-one weight row, one bias and the solver epochs of each fit, and
-``capped_fits`` names the fits that stopped at the epoch cap instead of
-the tolerance. ``decision_values`` and ``predict`` score a batch of rows.
-Each of the three checks its batch once: every row strictly increasing,
-inside the space.
+one weight row, one bias and the solver epochs of each fit.
+``decision_values`` and ``predict`` score a batch of rows. Each of the
+three checks its batch once: every row strictly increasing, inside the
+space.
 
 A bundle is a directory holding ``metadata.json``, ``space.tsv`` and one
-``weights_<CLASS>.tsv`` per fit: a binary bundle has ``weights_FAVOR.tsv``
-only. Binary bundles written before that also hold ``weights_AGAINST.tsv``;
-they still load if that file is the exact negation of the Favor one.
+``weights_<CLASS>.tsv`` per fit of MODE_FITS[mode]: a binary bundle has
+``weights_FAVOR.tsv`` only. The metadata is one JSON object whose keys are
+``format`` (BUNDLE_FORMAT), ``mode``, ``selector``, ``topic``, ``config``
+(every TrainConfig field, ``min_df`` included, so a bundle records how it
+was built), ``dimension`` and ``epochs``. ``load_bundle`` refuses any other
+format, or none, with one message: retrain the bundle.
 """
 
 from __future__ import annotations
@@ -47,6 +49,9 @@ from .features import FeatureSetSelector, FeatureSpace
 from .features import read_feature_space, write_feature_space
 
 LOSSES = ("hinge", "squared_hinge")
+
+# The metadata format of the bundles save_bundle writes and load_bundle reads.
+BUNDLE_FORMAT = 2
 
 # Each mode and the classes its models hold, in order.
 MODE_CLASSES: dict[str, tuple[StanceLabel, ...]] = {
@@ -68,6 +73,8 @@ class TrainConfig:
     max_iter: int = 1000
     seed: int = 0
     loss: str = "hinge"
+    # Read by the feature space build, not by the solver.
+    min_df: int = 1
 
     def __post_init__(self) -> None:
         if not 0 < self.C < math.inf:
@@ -84,6 +91,10 @@ class TrainConfig:
             raise ValueError("seed must be >= 0")
         if self.loss not in LOSSES:
             raise ValueError(f"loss must be one of {LOSSES}")
+        if type(self.min_df) is not int:
+            raise ValueError(f"min_df must be an integer, not {self.min_df!r}")
+        if self.min_df < 1:
+            raise ValueError("min_df must be >= 1")
 
 
 def _check_rows(rows: Sequence[np.ndarray], dim: int) -> None:
@@ -234,16 +245,15 @@ def dual_coordinate_descent(
 class LinearModel:
     """One weight row and one bias per solver fit over a frozen feature
     space; rows, biases and epochs align with MODE_FITS[mode]. A bundle of
-    it holds metadata.json, space.tsv and one weights file per fit; an
-    older binary bundle, with a negated Against file as well, still loads."""
+    it holds metadata.json, space.tsv and one weights file per fit."""
 
     weights: np.ndarray  # shape (len(MODE_FITS[mode]), space.size)
     biases: np.ndarray  # shape (len(MODE_FITS[mode]),)
     mode: str  # "ternary" | "binary"
     space: FeatureSpace
     config: TrainConfig
-    # Solver epochs of each fit; empty for a model loaded from a bundle
-    # that does not record them.
+    # Solver epochs of each fit; empty for a model built by hand, not by
+    # train_ovr.
     epochs: tuple[int, ...] = ()
 
     @property
@@ -256,15 +266,6 @@ class LinearModel:
         if self.mode == "binary":
             return np.vstack([-w, w]), np.concatenate([-b, b])
         return w, b
-
-
-def capped_fits(model: LinearModel) -> list[tuple[StanceLabel, int]]:
-    """(class, epochs) of each fit that stopped at config.max_iter epochs."""
-    return [
-        (cls, epochs)
-        for cls, epochs in zip(MODE_FITS[model.mode], model.epochs)
-        if epochs >= model.config.max_iter
-    ]
 
 
 def train_ovr(
@@ -350,8 +351,7 @@ def save_bundle(model: LinearModel, path: str | Path, topic: str = "") -> None:
     """Write the feature space, one weights file per fit and, last, the
     metadata, so that a directory holding metadata.json is a whole bundle:
     metadata.json, space.tsv and weights_<CLASS>.tsv for each class of
-    MODE_FITS[mode]. A binary bundle holds weights_FAVOR.tsv only; the
-    weights_AGAINST.tsv of an older binary bundle there is removed.
+    MODE_FITS[mode]. A binary bundle holds weights_FAVOR.tsv only.
 
     A weight or bias that is not finite raises CorpusError naming its class
     before the directory is touched, since load_bundle refuses it. A feature
@@ -365,11 +365,8 @@ def save_bundle(model: LinearModel, path: str | Path, topic: str = "") -> None:
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     write_feature_space(path / _SPACE, model.space)  # first: it may refuse
-    # An earlier bundle's metadata must not vouch for these weights, nor an
-    # older binary bundle's Against file be checked against them.
+    # An earlier bundle's metadata must not vouch for these weights.
     (path / _METADATA).unlink(missing_ok=True)
-    if model.mode == "binary":
-        (path / _weights_file(StanceLabel.AGAINST)).unlink(missing_ok=True)
     for ci, cls in enumerate(MODE_FITS[model.mode]):
         row = model.weights[ci]
         nz = np.flatnonzero(row)
@@ -383,10 +380,10 @@ def save_bundle(model: LinearModel, path: str | Path, topic: str = "") -> None:
                 ))
             fh.write(f"bias\t{float(model.biases[ci])!r}\n")
     meta = {
+        "format": BUNDLE_FORMAT,
         "mode": model.mode,
         "selector": str(model.space.selector),
         "topic": topic,
-        "classes": [cls.value for cls in model.classes],
         "config": asdict(model.config),
         "dimension": model.space.size,
         "epochs": list(model.epochs),
@@ -442,45 +439,46 @@ def load_bundle(path: str | Path) -> tuple[LinearModel, dict]:
     """Load a bundle directory (metadata.json, space.tsv and one weights
     file per fit); returns the model and its metadata.
 
-    Metadata that is not JSON, lacks a key or holds a bad value (such as a
-    selector that is not a flag string, a topic that is not a string, an
-    unknown config field, a config value that TrainConfig refuses, a
-    dimension that is not an integer, a mode other than those of
-    MODE_CLASSES or classes other than that mode's, or epochs other than
-    one integer per fit of the mode),
-    a weight line other than an index in 0..dimension-1 (or "bias"), a
-    tab and a finite number, an index on two lines, and a weights file
-    whose last line is not its one bias line (as a write cut short leaves
-    it), raise CorpusError naming the file and, where there is one, the
-    line. An older binary bundle also holds weights_AGAINST.tsv; it loads
-    if that file is the exact negation of weights_FAVOR.tsv, and raises
-    CorpusError naming it otherwise.
+    Metadata whose format is not the JSON integer BUNDLE_FORMAT, or that
+    has none, raises CorpusError with one message that names metadata.json
+    and says to retrain the bundle. Metadata that is not JSON, lacks a key
+    or holds a bad value (such as a selector that is not a flag string, a
+    topic that is not a string, an unknown config field, a config value
+    that TrainConfig refuses, a dimension that is not an integer, a mode
+    that is not a key of MODE_CLASSES, or epochs other than a list of one
+    integer per fit of the mode or an empty one), a weight line other than
+    an index in 0..dimension-1 (or "bias"), a tab and a finite number, an
+    index on two lines, and a weights file whose last line is not its one
+    bias line (as a write cut short leaves it), raise CorpusError naming
+    the file and, where there is one, the line.
     """
     path = Path(path)
     meta_path = path / _METADATA
     try:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        fmt = meta.get("format") if isinstance(meta, dict) else None
+        # 2.0 == 2 and True == 1, so the type is compared as well.
+        if (type(fmt), fmt) != (int, BUNDLE_FORMAT):
+            raise CorpusError(f"{meta_path}: not a bundle of format {BUNDLE_FORMAT}; "
+                              "retrain it with this version of stancelab")
         if not isinstance(meta["selector"], str):
             raise TypeError("selector is not a string")
-        if not isinstance(meta.get("topic", ""), str):
+        if not isinstance(meta["topic"], str):
             raise TypeError("topic is not a string")
         selector = FeatureSetSelector.parse(meta["selector"])
-        classes = tuple(StanceLabel(value) for value in meta["classes"])
         config = TrainConfig(**meta["config"])
-        dimension, mode = meta["dimension"], meta["mode"]
+        dimension, mode, epochs = meta["dimension"], meta["mode"], meta["epochs"]
         if type(dimension) is not int:
             raise TypeError(f"dimension {dimension!r} is not an integer")
-        if MODE_CLASSES.get(mode) != classes:
-            raise ValueError(
-                f"classes {[c.value for c in classes]} do not fit mode {mode!r}"
-            )
-        # Bundles written before the solver epochs were recorded lack them.
-        epochs = meta.get("epochs", [])
+        if not isinstance(mode, str) or mode not in MODE_CLASSES:
+            raise ValueError(f"mode {mode!r} is not one of {list(MODE_CLASSES)}")
         if not isinstance(epochs, list) or epochs and (
             len(epochs) != len(MODE_FITS[mode])
             or not all(type(e) is int for e in epochs)
         ):
             raise ValueError(f"epochs {epochs!r} are not one integer per fit")
+    except CorpusError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise CorpusError(
             f"{meta_path}: bad metadata ({type(exc).__name__}: {exc})"
@@ -493,11 +491,6 @@ def load_bundle(path: str | Path) -> tuple[LinearModel, dict]:
             f"metadata says {dimension}"
         )
     fits = [_read_weights(path / _weights_file(cls), dim) for cls in MODE_FITS[mode]]
-    older = path / _weights_file(StanceLabel.AGAINST)
-    if mode == "binary" and older.exists():
-        against, bias = _read_weights(older, dim)
-        if not (np.array_equal(against, -fits[0][0]) and bias == -fits[0][1]):
-            raise CorpusError(f"{older}: not the negation of the Favor weights")
     model = LinearModel(
         weights=np.array([row for row, _ in fits]),
         biases=np.array([bias for _, bias in fits]),

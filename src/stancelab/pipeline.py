@@ -41,10 +41,10 @@ def train_topic_models(
     selector: FeatureSetSelector,
     mode: str,
     config: TrainConfig,
-    min_df: int = 1,
 ) -> dict[str, LinearModel]:
     """One model per topic, with a feature space built on that topic's
-    training instances only. An empty training set raises ValueError."""
+    training instances only, keeping the features of at least
+    config.min_df of them. An empty training set raises ValueError."""
     if not train.instances:
         raise ValueError("no training instances")
     models: dict[str, LinearModel] = {}
@@ -53,7 +53,7 @@ def train_topic_models(
         space = build_feature_space(
             (extract_features(inst, train.profiles, selector) for inst in instances),
             selector,
-            min_df=min_df,
+            min_df=config.min_df,
         )
         rows = [
             row for batch in _batches(instances) for row in index_rows(space, batch, train)
@@ -91,10 +91,9 @@ def run_cell(
     selector: FeatureSetSelector,
     mode: str,
     config: TrainConfig,
-    min_df: int = 1,
 ) -> tuple[dict[str, LinearModel], EvalReport, list[StanceLabel]]:
     """Train one (selector, mode) cell and evaluate it on the test split."""
-    models = train_topic_models(train, selector, mode, config, min_df=min_df)
+    models = train_topic_models(train, selector, mode, config)
     predictions = predict_dataset(models, test)
     gold = [inst.label for inst in test.instances]
     topics = [inst.topic for inst in test.instances]

@@ -6,7 +6,6 @@ every column, and a sort of all of them, as ``analysis.top_features`` did;
 ``linsvm.save_bundle`` did. The program's versions must give the same
 rankings, float bits included, and the same bytes. A binary model's
 Against weights are its Favor row negated, as ``train_ovr`` once stored
-them, and ``add_against_file`` writes them as binary bundles once held
 them.
 """
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from stancelab.analysis import RankedFeatures
 from stancelab.corpus import StanceLabel
-from stancelab.linsvm import MODE_FITS, LinearModel, load_bundle
+from stancelab.linsvm import MODE_FITS, LinearModel
 
 
 def class_weights(model: LinearModel, cls: StanceLabel) -> dict[str, float]:
@@ -50,9 +49,3 @@ def write_weights(path: Path, row: np.ndarray, bias: float) -> None:
             fh.write(f"{int(idx)}\t{float(row[idx])!r}\n")
         fh.write(f"bias\t{float(bias)!r}\n")
 
-
-def add_against_file(bundle: Path) -> None:
-    """Add the weights_AGAINST.tsv a binary bundle held before a model kept
-    one row per fit: the Favor row and bias negated."""
-    model, _ = load_bundle(bundle)
-    write_weights(bundle / "weights_AGAINST.tsv", -model.weights[0], -model.biases[0])

@@ -28,8 +28,6 @@ from stancelab.pipeline import run_cell
 from stancelab.scoring import write_predictions, write_report_csv
 from stancelab.synth import SynthConfig
 
-from output_reference import add_against_file
-
 SELECTORS = "TXT,IN_AT,IN_DM,PN_AT,PN_DM,CN_FR,CN_FL,TXT+IN_AT+IN_DM"
 
 
@@ -243,8 +241,8 @@ class TestExperiment:
         profiles, _ = load_network_profiles(corpus / "profiles.jsonl")
         train, test = (join(load_semeval_tsv(corpus / name), profiles)[0]
                        for name in ("train.tsv", "test.tsv"))
-        context = CellContext(train, test, TrainConfig(), min_df=1,
-                              out=tmp_path / "engine", top_n=20, curve_max=200)
+        context = CellContext(train, test, TrainConfig(), out=tmp_path / "engine",
+                              top_n=20, curve_max=200)
         results = run_experiment(
             context, [FeatureSetSelector.parse(s) for s in selectors.split(",")],
             ["ternary", "binary"])
@@ -375,6 +373,28 @@ class TestProfilesReadOnce:
                      "--out", str(tmp_path / "out")]) == EXIT_OK
         assert sorted(calls) == ["join", "load_semeval_tsv"]
         assert (tmp_path / "out" / "significance.txt").exists()
+
+    @pytest.mark.parametrize("repeats", [0, 1])
+    def test_repeated_user_ids_are_counted_on_stderr(self, corpus, scored, tmp_path,
+                                                     repeats, capsys):
+        # The loader keeps the last record of each user_id.
+        lines = (corpus / "profiles.jsonl").read_text().splitlines(keepends=True)
+        profiles = tmp_path / "profiles.jsonl"
+        profiles.write_text("".join(lines + lines[:repeats]))
+        line = (f"stancelab: --profiles {profiles}: 1 records repeat an earlier "
+                "user_id; the last of each is used")
+        capsys.readouterr()
+        assert main(["predict", "--bundles", str(scored / "bundles"),
+                     "--tweets", str(corpus / "test.tsv"), "--profiles", str(profiles),
+                     "--out", str(tmp_path / "predictions.tsv")]) == EXIT_OK
+        assert capsys.readouterr().err.splitlines() == [line] * repeats
+        assert main(["experiment", "--tweets", str(corpus / "train.tsv"),
+                     "--test", str(corpus / "test.tsv"), "--profiles", str(profiles),
+                     "--selectors", "IN_AT", "--modes", "binary",
+                     "--out", str(tmp_path / "out")]) == EXIT_OK
+        err = capsys.readouterr().err
+        assert err.splitlines().count(line) == repeats
+        assert repeats or "repeat an earlier user_id" not in err
 
 
 class TestFilteredRead:
@@ -919,7 +939,7 @@ class TestParserContract:
         prior = cli._parse_prior(defaults["synth"]["--prior"])
         assert prior == SynthConfig.stance_prior
         train = {"--C": "C", "--tol": "tol", "--max-iter": "max_iter", "--seed": "seed",
-                 "--loss": "loss"}
+                 "--loss": "loss", "--min-df": "min_df"}
         for command in ("train", "experiment"):
             for flag, name in train.items():
                 assert defaults[command][flag] == getattr(TrainConfig, name), flag
@@ -935,6 +955,13 @@ class TestDataErrors:
                      "--selector", "TXT", "--mode", "binary",
                      "--out", str(tmp_path / "bundles")]) == EXIT_OK
         return sorted((tmp_path / "bundles").iterdir())[0]
+
+    @pytest.fixture()
+    def ternary_bundle(self, corpus, tmp_path):
+        assert main(["train", "--tweets", str(corpus / "train.tsv"),
+                     "--selector", "TXT", "--mode", "ternary",
+                     "--out", str(tmp_path / "ternary")]) == EXIT_OK
+        return sorted((tmp_path / "ternary").iterdir())[0]
 
     def predict_error(self, bundle, tweets, capsys):
         capsys.readouterr()
@@ -973,11 +1000,24 @@ class TestDataErrors:
         assert "metadata.json" in err and "C must be positive and finite" in err
 
     def test_missing_metadata_key(self, bundle, corpus, capsys):
-        meta = json.loads((bundle / "metadata.json").read_text())
-        del meta["classes"]
-        (bundle / "metadata.json").write_text(json.dumps(meta))
+        original = (bundle / "metadata.json").read_text()
+        for key in ("dimension", "epochs", "topic"):
+            meta = json.loads(original)
+            del meta[key]
+            (bundle / "metadata.json").write_text(json.dumps(meta))
+            err = self.predict_error(bundle, corpus / "test.tsv", capsys)
+            assert "metadata.json" in err and f"KeyError: '{key}'" in err
+
+    def test_bundle_of_another_format(self, bundle, corpus, capsys):
+        # The metadata as bundles held it before they recorded a format.
+        meta_path = bundle / "metadata.json"
+        meta = json.loads(meta_path.read_text())
+        del meta["format"], meta["config"]["min_df"]
+        meta["classes"] = ["AGAINST", "FAVOR"]
+        meta_path.write_text(json.dumps(meta))
         err = self.predict_error(bundle, corpus / "test.tsv", capsys)
-        assert "metadata.json" in err
+        assert err == (f"stancelab: {meta_path}: not a bundle of format 2; "
+                       "retrain it with this version of stancelab\n")
 
     def test_selector_not_a_string(self, bundle, corpus, capsys):
         meta = json.loads((bundle / "metadata.json").read_text())
@@ -993,18 +1033,14 @@ class TestDataErrors:
         err = self.predict_error(bundle, corpus / "test.tsv", capsys)
         assert "metadata.json" in err and "topic" in err
 
-    @pytest.mark.parametrize("mode,classes", [
-        ("foo", ["AGAINST", "FAVOR"]),
-        ("ternary", ["AGAINST", "FAVOR"]),
-        ("binary", ["FAVOR", "AGAINST"]),
-        (["binary"], ["AGAINST", "FAVOR"]),
-    ])
-    def test_mode_and_classes_must_agree(self, bundle, corpus, mode, classes, capsys):
+    @pytest.mark.parametrize("mode", ["foo", "Binary", ["binary"], 1],
+                             ids=["unknown", "capitalized", "list", "integer"])
+    def test_unknown_mode_is_refused(self, bundle, corpus, mode, capsys):
         meta = json.loads((bundle / "metadata.json").read_text())
-        meta["mode"], meta["classes"] = mode, classes
+        meta["mode"] = mode
         (bundle / "metadata.json").write_text(json.dumps(meta))
         err = self.predict_error(bundle, corpus / "test.tsv", capsys)
-        assert "metadata.json" in err and "mode" in err
+        assert "metadata.json" in err and f"mode {mode!r} is not one of" in err
 
     @pytest.mark.parametrize("epochs", [[1.5], [1, 1], "1", None])
     def test_epochs_not_one_integer_per_fit(self, bundle, corpus, epochs, capsys):
@@ -1022,51 +1058,6 @@ class TestDataErrors:
         (bundle / "metadata.json").write_text(json.dumps(meta))
         err = self.predict_error(bundle, corpus / "test.tsv", capsys)
         assert "metadata.json" in err and field in err
-
-    def test_older_binary_bundles_predict_alike(self, bundle, corpus, capsys):
-        # Binary bundles once held weights_AGAINST.tsv too.
-        bundles = bundle.parent
-        out = bundles.parent / "predictions.tsv"
-        args = ["predict", "--bundles", str(bundles), "--tweets",
-                str(corpus / "test.tsv"), "--out", str(out)]
-        assert main(args) == EXIT_OK
-        expected = out.read_bytes()
-        for each in bundles.iterdir():
-            assert not (each / "weights_AGAINST.tsv").exists()
-            add_against_file(each)
-        assert main(args) == EXIT_OK
-        assert out.read_bytes() == expected
-
-    def test_older_binary_bundle_whose_files_disagree(self, bundle, corpus, capsys):
-        add_against_file(bundle)
-        against = bundle / "weights_AGAINST.tsv"
-        lines = against.read_text().splitlines()
-        index, weight = lines[0].split("\t")
-        lines[0] = f"{index}\t{float(weight) * 2!r}"
-        against.write_text("\n".join(lines) + "\n")
-        err = self.predict_error(bundle, corpus / "test.tsv", capsys)
-        assert f"{against}: not the negation" in err
-
-    def test_bundle_without_epochs_loads_and_predicts(self, bundle, corpus,
-                                                      capsys):
-        # Bundles written before the solver epochs were recorded.
-        bundles = bundle.parent
-
-        def predictions():
-            out = bundles.parent / "predictions.tsv"
-            assert main(["predict", "--bundles", str(bundles), "--tweets",
-                         str(corpus / "test.tsv"), "--out", str(out)]) == EXIT_OK
-            return out.read_bytes()
-
-        expected = predictions()
-        for each in bundles.iterdir():
-            meta = json.loads((each / "metadata.json").read_text())
-            assert meta["epochs"] == list(load_bundle(each)[0].epochs)
-            assert len(meta["epochs"]) == 1
-            del meta["epochs"]
-            (each / "metadata.json").write_text(json.dumps(meta))
-            assert load_bundle(each)[0].epochs == ()
-        assert predictions() == expected
 
     @pytest.mark.parametrize("kind", [str, float, bool])
     def test_dimension_not_an_integer(self, bundle, corpus, kind, capsys):
@@ -1179,14 +1170,14 @@ class TestDataErrors:
         ("weights_AGAINST.tsv", "bias\tinf"),
         ("weights_AGAINST.tsv", "1\t-inf"),
     ])
-    def test_weight_not_finite(self, bundle, corpus, weights_file, line, capsys):
-        # An older binary bundle's Against file goes through the same parser.
-        add_against_file(bundle)
-        weights = bundle / weights_file
+    def test_weight_not_finite(self, ternary_bundle, corpus, weights_file, line,
+                               capsys):
+        # Every weights file goes through the same parser.
+        weights = ternary_bundle / weights_file
         lines = weights.read_text().count("\n")
         with weights.open("a") as fh:
             fh.write(line + "\n")
-        err = self.predict_error(bundle, corpus / "test.tsv", capsys)
+        err = self.predict_error(ternary_bundle, corpus / "test.tsv", capsys)
         assert f"{weights_file}: line {lines + 1}:" in err and "finite" in err
 
     @pytest.mark.parametrize("case", ["missing", "repeated", "not-last"])
@@ -1205,16 +1196,14 @@ class TestDataErrors:
         err = self.predict_error(bundle, corpus / "test.tsv", capsys)
         assert "weights_FAVOR.tsv" in err and expected in err
 
-    def test_repeated_weight_index(self, bundle, corpus, capsys):
-        # The Favor file, and an older binary bundle's Against file.
-        add_against_file(bundle)
+    def test_repeated_weight_index(self, ternary_bundle, corpus, capsys):
         for name in ("weights_FAVOR.tsv", "weights_AGAINST.tsv"):
-            weights = bundle / name
+            weights = ternary_bundle / name
             original = weights.read_text()
             lines = original.splitlines()
             index = lines[0].split("\t")[0]
             weights.write_text("\n".join([lines[0], f"{index}\t0.25", *lines[1:]]) + "\n")
-            err = self.predict_error(bundle, corpus / "test.tsv", capsys)
+            err = self.predict_error(ternary_bundle, corpus / "test.tsv", capsys)
             assert f"{name}: line 2: index {index} appears twice" in err
             weights.write_text(original)
 
@@ -1365,3 +1354,22 @@ class TestEpochCap:
             for topic in topics for cls in classes
         ]
         assert captured.err.splitlines() == expected
+
+
+class TestBundleFormat:
+    """A bundle records its format and every training setting."""
+
+    def test_train_records_min_df_and_predict_loads_it(self, corpus, tmp_path):
+        profiles = ["--profiles", str(corpus / "profiles.jsonl")]
+        assert main(["train", "--tweets", str(corpus / "train.tsv"), *profiles,
+                     "--selector", "TXT+IN_AT", "--mode", "ternary", "--min-df", "2",
+                     "--out", str(tmp_path / "bundles")]) == EXIT_OK
+        bundles = sorted((tmp_path / "bundles").iterdir())
+        assert len(bundles) == len(load_split(corpus, "train.tsv").topics)
+        for bundle in bundles:
+            meta = json.loads((bundle / "metadata.json").read_text())
+            assert meta["format"] == 2 and meta["config"]["min_df"] == 2
+            assert load_bundle(bundle)[0].config == TrainConfig(min_df=2)
+        assert main(["predict", "--bundles", str(tmp_path / "bundles"),
+                     "--tweets", str(corpus / "test.tsv"), *profiles,
+                     "--out", str(tmp_path / "predictions.tsv")]) == EXIT_OK

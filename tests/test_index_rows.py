@@ -263,12 +263,11 @@ class TestTrainTopicModels:
             most, calls = max(most, len(alive)), calls + 1
             return feature_set
 
-        expected = pipeline.train_topic_models(train, selector, "ternary", TrainConfig(),
-                                               min_df=min_df)
+        config = TrainConfig(min_df=min_df)
+        expected = pipeline.train_topic_models(train, selector, "ternary", config)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(pipeline, "extract_features", tracked)
-            models = pipeline.train_topic_models(train, selector, "ternary", TrainConfig(),
-                                                 min_df=min_df)
+            models = pipeline.train_topic_models(train, selector, "ternary", config)
         assert calls == len(train.instances) > 100
         assert most <= 2
         for topic, model in models.items():

@@ -1,4 +1,6 @@
 import inspect
+import json
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -25,6 +27,7 @@ from stancelab.features import (
     index_rows,
 )
 from stancelab.linsvm import (
+    BUNDLE_FORMAT,
     LinearModel,
     MODE_CLASSES,
     MODE_FITS,
@@ -39,7 +42,7 @@ from stancelab.linsvm import (
 )
 
 from dcd_reference import reference_dcd
-from output_reference import add_against_file, class_weights
+from output_reference import class_weights
 from qp_oracle import dual_objective, gram_matrix, random_problem, solve_svm_dual
 
 TIGHT = TrainConfig(C=1.0, tol=1e-10, max_iter=20000)
@@ -162,11 +165,14 @@ class TestTrainBinary:
         with pytest.raises(ValueError):
             TrainConfig(loss="logistic")
         for field, value in [("max_iter", 2.5), ("max_iter", True), ("seed", "x"),
-                             ("seed", 1.5), ("seed", False)]:
+                             ("seed", 1.5), ("seed", False), ("min_df", 1.5),
+                             ("min_df", True)]:
             with pytest.raises(ValueError, match=f"{field} must be an integer"):
                 TrainConfig(**{field: value})
         with pytest.raises(ValueError, match="seed must be >= 0"):
             TrainConfig(seed=-1)
+        with pytest.raises(ValueError, match="min_df must be >= 1"):
+            TrainConfig(min_df=0)
 
 
 @st.composite
@@ -560,7 +566,7 @@ class TestClassWeights:
 
 
 class TestBundle:
-    def _trained_model(self, mode="ternary"):
+    def _trained_model(self, mode="ternary", config=TrainConfig(seed=9)):
         rng = np.random.default_rng(23)
         labels = [
             StanceLabel.AGAINST, StanceLabel.FAVOR, StanceLabel.NONE,
@@ -568,9 +574,7 @@ class TestBundle:
         ]
         dim = 6
         rows = [np.flatnonzero(rng.random(dim) < 0.5) for _ in labels]
-        return train_ovr(
-            rows, labels, mode, TrainConfig(seed=9), toy_space(dim)
-        ), dim
+        return train_ovr(rows, labels, mode, config, toy_space(dim)), dim
 
     @pytest.mark.parametrize("mode", ["ternary", "binary"])
     def test_round_trip_is_bitwise(self, tmp_path, mode):
@@ -578,6 +582,7 @@ class TestBundle:
         save_bundle(model, tmp_path / "bundle", topic="alpha")
         loaded, meta = load_bundle(tmp_path / "bundle")
         assert meta["topic"] == "alpha"
+        assert meta["format"] == BUNDLE_FORMAT and "classes" not in meta
         assert loaded.classes == model.classes
         assert np.array_equal(loaded.weights, model.weights)
         assert np.array_equal(loaded.biases, model.biases)
@@ -591,43 +596,29 @@ class TestBundle:
         assert predict(model, rows) == predict(loaded, rows)
 
     def test_bundle_config_round_trips(self, tmp_path):
+        for mode in MODE_CLASSES:
+            model, _ = self._trained_model(mode, TrainConfig(seed=9, min_df=2))
+            save_bundle(model, tmp_path / mode)
+            loaded, meta = load_bundle(tmp_path / mode)
+            assert loaded.config == model.config
+            assert meta["config"]["min_df"] == 2
+
+    # 2.0 == 2 and True == 1 in Python, so a value check alone passes both.
+    @pytest.mark.parametrize("fmt", ["missing", 1, 3, 2.0, "2", True],
+                             ids=["missing", "1", "3", "float", "string", "true"])
+    def test_any_other_format_is_refused(self, tmp_path, fmt):
         model, _ = self._trained_model()
         save_bundle(model, tmp_path / "b")
-        loaded, _ = load_bundle(tmp_path / "b")
-        assert loaded.config == model.config
-
-    def _older_binary_bundle(self, path):
-        """A binary bundle as written when it also held the Against row."""
-        model, dim = self._trained_model("binary")
-        save_bundle(model, path)
-        add_against_file(path)
-        return model, dim
-
-    def test_older_binary_bundle_loads_and_scores_alike(self, tmp_path):
-        model, dim = self._older_binary_bundle(tmp_path / "b")
-        loaded, _ = load_bundle(tmp_path / "b")
-        assert np.array_equal(loaded.weights, model.weights)
-        assert np.array_equal(loaded.biases, model.biases)
-        rng = np.random.default_rng(4)
-        rows = [np.flatnonzero(rng.random(dim) < 0.5) for _ in range(100)]
-        assert np.array_equal(decision_values(loaded, rows), decision_values(model, rows))
-
-    def test_older_binary_bundle_with_another_bias_is_refused(self, tmp_path):
-        # test_cli.py edits a weight of the Against file.
-        model, _ = self._older_binary_bundle(tmp_path / "b")
-        against = tmp_path / "b" / "weights_AGAINST.tsv"
-        lines = against.read_text().splitlines()
-        lines[-1] = f"bias\t{-model.biases[0] + 0.5!r}"
-        against.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CorpusError, match="weights_AGAINST.tsv"):
+        meta_path = tmp_path / "b" / "metadata.json"
+        meta = json.loads(meta_path.read_text())
+        if fmt == "missing":
+            del meta["format"]
+        else:
+            meta["format"] = fmt
+        meta_path.write_text(json.dumps(meta))
+        message = f"{meta_path}: not a bundle of format {BUNDLE_FORMAT}; retrain it"
+        with pytest.raises(CorpusError, match=re.escape(message)):
             load_bundle(tmp_path / "b")
-
-    def test_save_over_older_binary_bundle_removes_its_against_file(self, tmp_path):
-        model, _ = self._older_binary_bundle(tmp_path / "b")
-        retrained = replace(model, weights=model.weights + 1.0)
-        save_bundle(retrained, tmp_path / "b")
-        assert not (tmp_path / "b" / "weights_AGAINST.tsv").exists()
-        assert np.array_equal(load_bundle(tmp_path / "b")[0].weights, retrained.weights)
 
     @pytest.mark.parametrize("mode,cls", [("binary", "FAVOR"), ("ternary", "NONE")])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
