@@ -5,7 +5,8 @@ The CLI parses flags, loads the inputs they name, calls the library and
 prints; the experiment grid itself runs in stancelab.experiment. Every
 command is reproducible from its flags plus --seed. Exit codes: 0 success;
 1 usage error, before any output is written; 2 data error, an unreadable or
-malformed input reported in one line; 3 experiment-cell failure. Any other
+malformed input reported in one line (a malformed line of an input file as
+``stancelab: PATH: line N: problem``); 3 experiment-cell failure. Any other
 exception is a program bug and prints its traceback.
 """
 

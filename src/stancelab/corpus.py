@@ -28,6 +28,11 @@ families to read and ``authors`` the users to keep. Every line is still
 parsed and type-checked, duplicates are counted over all records, and a
 line that trips the control-character screen (a backslash, a DEL or a
 non-ASCII character) is checked in full, whoever its author.
+
+``input_lines`` is the one reader of every line-format input of the package
+(tweets, profiles, a bundle's space and weights files, predictions and label
+lines): a reader raises ValueError("problem") for a bad line, and
+input_lines reports it as CorpusError("PATH: line N: problem").
 """
 
 from __future__ import annotations
@@ -344,36 +349,26 @@ def load_semeval_tsv(path: str | Path) -> list[LabeledInstance]:
     must have 4 or 5 tab-separated fields in that order. When the author
     column is absent the tweet id doubles as the author id.
     """
-    path = Path(path)
     instances: list[LabeledInstance] = []
     seen_ids: set[str] = set()
-    with input_file(path) as fh:
-        header = fh.readline().rstrip("\n")
+    with input_lines(path) as lines:
+        header = next(lines, "")
         if header not in (TWEETS_HEADER, TWEETS_HEADER + "\tAuthorID"):
-            raise CorpusError(f"{path}: expected the header {TWEETS_HEADER!r}, "
-                              f"optionally with AuthorID, at line 1, got {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
+            raise ValueError(f"expected the header {TWEETS_HEADER!r}, "
+                             f"optionally with AuthorID, got {header!r}")
+        for line in lines:
             if not line:
                 continue
             fields = line.split("\t")
             if len(fields) not in (4, 5):
-                raise CorpusError(
-                    f"{path}: expected 4 or 5 tab-separated fields, "
-                    f"got {len(fields)} at line {lineno}"
-                )
+                raise ValueError(f"expected 4 or 5 tab-separated fields, got {len(fields)}")
             tweet_id, topic, text = fields[0].strip(), fields[1].strip(), fields[2]
             if not topic:
-                raise CorpusError(f"{path}: empty topic at line {lineno}")
+                raise ValueError("empty topic")
             if tweet_id in seen_ids:
-                raise CorpusError(
-                    f"{path}: duplicate tweet id {tweet_id!r} at line {lineno}"
-                )
+                raise ValueError(f"duplicate tweet id {tweet_id!r}")
             seen_ids.add(tweet_id)
-            try:
-                label = StanceLabel.parse(fields[3])
-            except CorpusError as exc:
-                raise CorpusError(f"{path}: {exc} at line {lineno}") from None
+            label = StanceLabel.parse(fields[3])
             author_id = fields[4].strip() if len(fields) == 5 else tweet_id
             instances.append(
                 LabeledInstance(
@@ -387,16 +382,12 @@ def load_semeval_tsv(path: str | Path) -> list[LabeledInstance]:
     return instances
 
 
-def _reject_unwritable_chars(
-    sets: Mapping[str, list[str]], path: Path, lineno: int
-) -> None:
+def _reject_unwritable_chars(sets: Mapping[str, list[str]]) -> None:
     for name, kind in NETWORK_FIELDS.items():
         bad = [v for v in map(NORMALIZERS[kind], sets[name]) if _UNWRITABLE_CHAR.search(v)]
         if bad:
-            raise CorpusError(
-                f"{path}: field {name!r} at line {lineno} holds "
-                f"a control character or lone surrogate in {min(bad)!r}"
-            )
+            raise ValueError(f"field {name!r} holds a control character "
+                             f"or lone surrogate in {min(bad)!r}")
 
 
 def _plain(line: str, record: dict) -> bool:
@@ -433,7 +424,6 @@ def load_network_profiles(
     checked in full, whoever its author. So the filters change neither
     which files load, nor any error message, nor the duplicate count.
     """
-    path = Path(path)
     wanted = NETWORK_FIELDS.keys() if fields is None else set(fields)
     unknown = wanted - NETWORK_FIELDS.keys()
     if unknown:
@@ -441,34 +431,27 @@ def load_network_profiles(
     builder = _TableBuilder(name for name in NETWORK_FIELDS if name in wanted)
     skipped: set[str] = set()
     duplicates = 0
-    with input_file(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with input_lines(path) as lines:
+        for line in lines:
             line = line.strip()
             if not line:
                 continue
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise CorpusError(
-                    f"{path}: unparseable record at line {lineno}: {exc.msg}"
-                ) from None
+                raise ValueError(f"unparseable record: {exc.msg}") from None
+            except RecursionError as exc:  # nested deeper than the interpreter allows
+                raise ValueError(f"unparseable record: {exc}") from None
             if not isinstance(record, dict):
-                raise CorpusError(
-                    f"{path}: record at line {lineno} is not an object"
-                )
+                raise ValueError("record is not an object")
             user_id = record.get("user_id")
             if not isinstance(user_id, str) or not user_id:
-                raise CorpusError(
-                    f"{path}: missing user_id at line {lineno}"
-                )
+                raise ValueError("missing user_id")
             sets: dict[str, list[str]] = {}
             for name in NETWORK_FIELDS:
                 values = record.get(name, [])
                 if not isinstance(values, list) or not all(map(str.__instancecheck__, values)):
-                    raise CorpusError(
-                        f"{path}: field {name!r} at line {lineno} "
-                        "is not an array of strings"
-                    )
+                    raise ValueError(f"field {name!r} is not an array of strings")
                 sets[name] = values
             # json.loads refuses raw U+0000..U+001F in strings, so a control
             # character arrives escaped, as a raw DEL or as raw non-ASCII,
@@ -477,10 +460,8 @@ def load_network_profiles(
             screened = "\\" in line or "\x7f" in line or not line.isascii()
             if screened:
                 if not utf8_encodable(user_id):
-                    raise CorpusError(
-                        f"{path}: field 'user_id' at line {lineno} holds a lone surrogate"
-                    )
-                _reject_unwritable_chars(sets, path, lineno)
+                    raise ValueError("field 'user_id' holds a lone surrogate")
+                _reject_unwritable_chars(sets)
             if user_id in builder.record_of or user_id in skipped:
                 duplicates += 1
             if authors is None or user_id in authors:
@@ -516,14 +497,24 @@ def join(
 
 
 @contextmanager
-def input_file(path: str | Path) -> Iterator[TextIO]:
-    """Opens path for UTF-8 text with universal newlines, the reading twin
-    of output_file: bytes that are not UTF-8 raise CorpusError naming path
-    and the first line that holds them."""
+def input_lines(path: str | Path) -> Iterator[Iterator[str]]:
+    """Gives the lines of path, read as UTF-8 text with universal newlines,
+    without their line breaks: the reading twin of output_file. It keeps the
+    number of the last line read, 1 before any, and a ValueError raised in
+    the block (CorpusError is one) comes out as CorpusError("PATH: line N:
+    MESSAGE"). Bytes that are not UTF-8 raise CorpusError naming path and
+    the first line that holds them."""
     path = Path(path)
+    lineno = 1
+
+    def lines(fh: TextIO) -> Iterator[str]:
+        nonlocal lineno
+        for lineno, line in enumerate(fh, start=1):
+            yield line.rstrip("\n")
+
     try:
         with path.open(encoding="utf-8") as fh:
-            yield fh
+            yield lines(fh)
     except UnicodeDecodeError:
         # The text reader decodes ahead of the line it yields, so the line
         # is found again from the bytes, split as universal newlines split.
@@ -533,6 +524,8 @@ def input_file(path: str | Path) -> Iterator[TextIO]:
             except UnicodeDecodeError:
                 raise CorpusError(f"{path}: line {lineno} is not UTF-8") from None
         raise
+    except ValueError as exc:
+        raise CorpusError(f"{path}: line {lineno}: {exc}") from None
 
 
 @contextmanager

@@ -51,7 +51,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import CorpusError, Dataset, LabeledInstance, ProfileTable
-from .corpus import input_file, output_file, utf8_encodable
+from .corpus import input_lines, output_file, utf8_encodable
 
 # Flag name -> (namespace prefix, profile field); TXT is handled separately.
 NETWORK_FLAG_SOURCES: dict[str, tuple[str, str]] = {
@@ -455,12 +455,11 @@ def read_feature_space(path: str | Path, selector: FeatureSetSelector) -> Featur
     Non-blank lines hold the indices 0, 1, 2, ... in order. A line other
     than a feature name, a tab and an integer index, a duplicate name, and
     an index other than the next one (a duplicate, a gap or a reordering)
-    raise CorpusError naming the file and the line.
+    raise CorpusError naming the file and the line (see input_lines).
     """
     index_of: dict[str, int] = {}
-    with input_file(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
+    with input_lines(path) as lines:
+        for line in lines:
             if not line:
                 continue
             name, _, field = line.rpartition("\t")
@@ -469,13 +468,10 @@ def read_feature_space(path: str | Path, selector: FeatureSetSelector) -> Featur
             except ValueError:
                 idx = None
             if idx is None:
-                problem = "expected a feature, a tab and an index"
-            elif name in index_of:
-                problem = f"duplicate feature {name!r}"
-            elif idx != len(index_of):
-                problem = f"index {idx} where {len(index_of)} was expected"
-            else:
-                index_of[name] = idx
-                continue
-            raise CorpusError(f"{path}: line {line_no}: {problem}")
+                raise ValueError("expected a feature, a tab and an index")
+            if name in index_of:
+                raise ValueError(f"duplicate feature {name!r}")
+            if idx != len(index_of):
+                raise ValueError(f"index {idx} where {len(index_of)} was expected")
+            index_of[name] = idx
     return FeatureSpace(index_of=index_of, selector=selector)

@@ -44,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import CANONICAL_LABELS, CorpusError, StanceLabel, input_file, output_file
+from .corpus import CANONICAL_LABELS, CorpusError, StanceLabel, input_lines, output_file
 from .features import FeatureSetSelector, FeatureSpace
 from .features import read_feature_space, write_feature_space
 
@@ -397,8 +397,8 @@ def _read_weights(weights_path: Path, dim: int) -> tuple[np.ndarray, float]:
     row = np.zeros(dim, dtype=np.float64)
     seen: set[int] = set()
     bias = None
-    with input_file(weights_path) as fh:
-        for line_no, line in enumerate(fh, start=1):
+    with input_lines(weights_path) as lines:
+        for line in lines:
             line = line.strip()
             if not line:
                 continue
@@ -409,22 +409,14 @@ def _read_weights(weights_path: Path, dim: int) -> tuple[np.ndarray, float]:
             except ValueError:
                 idx = -1
             if idx is not None and not 0 <= idx < dim:
-                raise CorpusError(
-                    f"{weights_path}: line {line_no}: expected an index "
-                    f"in 0..{dim - 1} or 'bias', a tab and a weight"
-                )
+                raise ValueError(f"expected an index in 0..{dim - 1} or 'bias', "
+                                 "a tab and a weight")
             if not math.isfinite(number):
-                raise CorpusError(
-                    f"{weights_path}: line {line_no}: weight {value} "
-                    "is not finite"
-                )
+                raise ValueError(f"weight {value} is not finite")
             if bias is not None:
-                raise CorpusError(f"{weights_path}: line {line_no}: follows "
-                                  "the bias line, which must be the last")
+                raise ValueError("follows the bias line, which must be the last")
             if idx in seen:
-                raise CorpusError(
-                    f"{weights_path}: line {line_no}: index {idx} appears twice"
-                )
+                raise ValueError(f"index {idx} appears twice")
             if idx is None:
                 bias = number
             else:
@@ -479,7 +471,7 @@ def load_bundle(path: str | Path) -> tuple[LinearModel, dict]:
             raise ValueError(f"epochs {epochs!r} are not one integer per fit")
     except CorpusError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise CorpusError(
             f"{meta_path}: bad metadata ({type(exc).__name__}: {exc})"
         ) from None

@@ -18,8 +18,8 @@ from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
-from .corpus import CANONICAL_LABELS, CorpusError, LabeledInstance, StanceLabel
-from .corpus import input_file, output_file, write_csv
+from .corpus import CANONICAL_LABELS, LabeledInstance, StanceLabel
+from .corpus import input_lines, output_file, write_csv
 
 _LABEL_INDEX = {label: i for i, label in enumerate(CANONICAL_LABELS)}
 
@@ -264,37 +264,25 @@ def read_predictions(
     be the header write_predictions writes, so that a file without it does
     not lose its first row. An ID may appear only once, as in the tweets
     file the predictions were made for."""
-    path = Path(path)
     ids: list[str] = []
     topics: list[str] = []
     gold: list[StanceLabel] = []
     pred: list[StanceLabel] = []
     seen: set[str] = set()
-    with input_file(path) as fh:
-        header = fh.readline().rstrip("\n")
+    with input_lines(path) as lines:
+        header = next(lines, "")
         if header != PREDICTIONS_HEADER:
-            raise CorpusError(
-                f"{path}: expected the header {PREDICTIONS_HEADER!r} at line 1, "
-                f"got {header!r}"
-            )
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
+            raise ValueError(f"expected the header {PREDICTIONS_HEADER!r}, got {header!r}")
+        for line in lines:
             if not line:
                 continue
             fields = line.split("\t")
             if len(fields) != 4:
-                raise CorpusError(
-                    f"{path}: expected 4 fields at line {lineno}"
-                )
-            try:
-                g = StanceLabel.parse(fields[2])
-                p = StanceLabel.parse(fields[3])
-            except CorpusError as exc:
-                raise CorpusError(f"{path}: {exc} at line {lineno}") from None
+                raise ValueError("expected 4 fields")
+            g = StanceLabel.parse(fields[2])
+            p = StanceLabel.parse(fields[3])
             if fields[0] in seen:
-                raise CorpusError(
-                    f"{path}: duplicate ID {fields[0]!r} at line {lineno}"
-                )
+                raise ValueError(f"duplicate ID {fields[0]!r}")
             seen.add(fields[0])
             ids.append(fields[0])
             topics.append(fields[1])
@@ -308,23 +296,17 @@ def read_label_lines(path: str | Path) -> list[StanceLabel]:
     holds the label of the n-th gold instance. Blank lines may only end the
     file: a blank line before a label would shift every later label."""
     labels: list[StanceLabel] = []
-    path = Path(path)
-    blank = 0  # the first blank line since the last label
-    with input_file(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
+    blank = False  # whether a blank line has been read
+    with input_lines(path) as lines:
+        for line in lines:
             text = line.strip()
             if not text:
-                blank = blank or lineno
+                blank = True
                 continue
             if blank:
-                raise CorpusError(
-                    f"{path}: blank line at line {blank}, before the label at "
-                    f"line {lineno}; each line holds the next instance's label"
-                )
-            try:
-                labels.append(StanceLabel.parse(text))
-            except CorpusError as exc:
-                raise CorpusError(f"{path}: {exc} at line {lineno}") from None
+                raise ValueError("blank line before this label; "
+                                 "each line holds the next instance's label")
+            labels.append(StanceLabel.parse(text))
     return labels
 
 

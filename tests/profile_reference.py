@@ -56,30 +56,32 @@ def load_profile_sets(
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusError(
-                    f"{path}: unparseable record at line {lineno}: {exc.msg}"
+                    f"{path}: line {lineno}: unparseable record: {exc.msg}"
                 ) from None
+            except RecursionError as exc:
+                raise CorpusError(f"{path}: line {lineno}: unparseable record: {exc}") from None
             if not isinstance(record, dict):
-                raise CorpusError(f"{path}: record at line {lineno} is not an object")
+                raise CorpusError(f"{path}: line {lineno}: record is not an object")
             user_id = record.get("user_id")
             if not isinstance(user_id, str) or not user_id:
-                raise CorpusError(f"{path}: missing user_id at line {lineno}")
+                raise CorpusError(f"{path}: line {lineno}: missing user_id")
             sets = {}
             for name in NETWORK_FIELDS:
                 values = record.get(name, [])
                 if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
                     raise CorpusError(
-                        f"{path}: field {name!r} at line {lineno} is not an array of strings"
+                        f"{path}: line {lineno}: field {name!r} is not an array of strings"
                     )
                 sets[name] = values
             if not utf8_encodable(user_id):
                 raise CorpusError(
-                    f"{path}: field 'user_id' at line {lineno} holds a lone surrogate"
+                    f"{path}: line {lineno}: field 'user_id' holds a lone surrogate"
                 )
             for name, kind in NETWORK_FIELDS.items():
                 bad = [v for v in _normalized(sets[name], kind) if _UNWRITABLE_CHAR.search(v)]
                 if bad:
                     raise CorpusError(
-                        f"{path}: field {name!r} at line {lineno} holds "
+                        f"{path}: line {lineno}: field {name!r} holds "
                         f"a control character or lone surrogate in {min(bad)!r}"
                     )
             if user_id in profiles or user_id in skipped:

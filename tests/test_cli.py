@@ -1145,7 +1145,7 @@ class TestDataErrors:
         assert code == EXIT_DATA
         line = len(instances) + 2
         assert capsys.readouterr().err == (
-            f"stancelab: {b}: expected 4 fields at line {line}\n"
+            f"stancelab: {b}: line {line}: expected 4 fields\n"
         )
 
     def test_tweets_error_names_the_path(self, corpus, tmp_path, capsys):
@@ -1160,8 +1160,8 @@ class TestDataErrors:
         assert code == EXIT_DATA
         line = len(load_semeval_tsv(a)) + 2
         assert capsys.readouterr().err == (
-            f"stancelab: {b}: expected 4 or 5 tab-separated fields, "
-            f"got 2 at line {line}\n"
+            f"stancelab: {b}: line {line}: expected 4 or 5 tab-separated fields, "
+            "got 2\n"
         )
         assert not (tmp_path / "out").exists()
 
@@ -1267,6 +1267,41 @@ class TestDataErrors:
             f"{(tweets[row].tweet_id, tweets[row].topic)}\n")
         assert not out.exists()
 
+    def run_script(self, *args):
+        """Runs stancelab as a program, so that stderr is what a user sees."""
+        src = Path(stancelab.__file__).resolve().parents[1]
+        return subprocess.run(
+            [sys.executable, "-m", "stancelab", *map(str, args)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120,
+        )
+
+    def test_deeply_nested_profile_record(self, corpus, tmp_path):
+        # json.loads raises RecursionError on it, which is not a ValueError.
+        profiles = tmp_path / "profiles.jsonl"
+        first = (corpus / "profiles.jsonl").read_text().splitlines()[0]
+        profiles.write_text(first + "\n" + "[" * 100_000 + "\n")
+        done = self.run_script("train", "--tweets", corpus / "train.tsv",
+                               "--profiles", profiles, "--selector", "IN_AT",
+                               "--mode", "binary", "--out", tmp_path / "bundles")
+        err = done.stderr
+        assert done.returncode == EXIT_DATA, err
+        assert err.startswith(f"stancelab: {profiles}: line 2: unparseable record: ")
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+        assert not (tmp_path / "bundles").exists()
+
+    def test_deeply_nested_metadata(self, bundle, corpus, tmp_path):
+        (bundle / "metadata.json").write_text("[" * 100_000)
+        done = self.run_script("predict", "--bundles", bundle,
+                               "--tweets", corpus / "test.tsv",
+                               "--out", tmp_path / "predictions.tsv")
+        err = done.stderr
+        assert done.returncode == EXIT_DATA, err
+        assert err.startswith(f"stancelab: {bundle / 'metadata.json'}: bad metadata "
+                              "(RecursionError: ")
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+        assert not (tmp_path / "predictions.tsv").exists()
+
     def test_program_bug_is_not_a_data_error(self, tmp_path, monkeypatch):
         def broken(config, out):
             raise KeyError("bug")
@@ -1307,7 +1342,7 @@ class TestProfileControlCharacters:
         ])
         assert code == EXIT_DATA
         err = capsys.readouterr().err
-        assert "profiles.jsonl: field 'in_mentions' at line 1" in err
+        assert "profiles.jsonl: line 1: field 'in_mentions'" in err
         assert not (tmp_path / "bundles").exists()
 
 

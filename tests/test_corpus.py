@@ -94,9 +94,9 @@ class TestLoadTweets:
     def test_tweets_header_required(self, tmp_path, header):
         path = write(tmp_path, "t.tsv",
                      header + "1\tA\thi\tNONE\tu1\n2\tA\tyo\tFAVOR\tu2\n")
-        with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: expected the "
-                           r"header 'ID\\tTarget\\tTweet\\tStance', optionally with "
-                           "AuthorID, at line 1, got"):
+        with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: line 1: expected "
+                           r"the header 'ID\\tTarget\\tTweet\\tStance', optionally with "
+                           "AuthorID, got"):
             load_semeval_tsv(path)
 
     def test_unknown_stance_names_value_and_line(self, tmp_path):
@@ -104,7 +104,7 @@ class TestLoadTweets:
             tmp_path, "t.tsv",
             "ID\tTarget\tTweet\tStance\n1\tA\thi\tMAYBE\n",
         )
-        with pytest.raises(CorpusError, match="'MAYBE' at line 2"):
+        with pytest.raises(CorpusError, match="line 2: unknown stance 'MAYBE'"):
             load_semeval_tsv(path)
 
     def test_wrong_field_count_names_line(self, tmp_path):
@@ -359,7 +359,7 @@ class TestLoadProfiles:
         path = write(tmp_path, "p.jsonl",
                      '{"user_id": "u1"}\n{"user_id": "\\ud800", "in_mentions": ["a"]}\n')
         with pytest.raises(CorpusError, match=re.escape(
-                f"{path}: field 'user_id' at line 2 holds a lone surrogate")):
+                f"{path}: line 2: field 'user_id' holds a lone surrogate")):
             load_network_profiles(path, authors=authors)
 
     def test_bad_field_type(self, tmp_path):
@@ -382,7 +382,7 @@ class TestLoadProfiles:
             f'{{"user_id": "u2", "cn_friends": ["ok", "{member}"]}}\n',
         )
         with pytest.raises(
-            CorpusError, match=r"p\.jsonl: field 'cn_friends' at line 2"
+            CorpusError, match=r"p\.jsonl: line 2: field 'cn_friends'"
         ):
             load_network_profiles(path)
 
@@ -408,7 +408,7 @@ class TestLoadProfiles:
                 for member in members
                 for ch in normalize_account(member)
             ):
-                with pytest.raises(CorpusError, match="'in_mentions' at line 1"):
+                with pytest.raises(CorpusError, match="line 1: field 'in_mentions'"):
                     load_network_profiles(path)
             else:
                 profiles, _ = load_network_profiles(path)
@@ -714,6 +714,35 @@ def test_input_that_is_not_utf8_names_file_and_line(tmp_path, reader):
     path.write_bytes("".join(lines).encode() + b"3\t\xff\n" + "".join(lines).encode())
     with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: line 4 is not UTF-8$"):
         load(path)
+
+
+# Each reader with a file whose line N is malformed, counting blank lines,
+# and N; a header that is missing or wrong, also in an empty file, is line 1.
+MALFORMED = {
+    "tweets": (load_semeval_tsv, "ID\tTarget\tTweet\tStance\n1\tA\thi\tNONE\n\n2\tA\n", 4),
+    "tweets-header": (load_semeval_tsv, "ID\tTweet\n1\thi\n", 1),
+    "tweets-empty": (load_semeval_tsv, "", 1),
+    "profiles": (load_network_profiles, '{"user_id": "u1"}\n\n{"user_id": 1}\n', 3),
+    "predictions": (read_predictions,
+                    "ID\tTarget\tGold\tPred\n1\tA\tNONE\tNONE\n\n2\tA\tMAYBE\tNONE\n", 4),
+    "predictions-header": (read_predictions, "1\tA\tNONE\tNONE\n", 1),
+    "predictions-empty": (read_predictions, "", 1),
+    "labels": (read_label_lines, "FAVOR\n\nNONE\n", 3),
+    "labels-stance": (read_label_lines, "FAVOR\nMAYBE\n", 2),
+    "space": (READERS["space"][0], "inat:a\t0\n\ninat:b\t2\n", 3),
+    "weights": (READERS["weights"][0], "0\t0.5\n\n9\t1\n", 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_line_names_file_and_line(tmp_path, case):
+    load, text, lineno = MALFORMED[case]
+    path = tmp_path / "input"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: line {lineno}: "):
+        load(path)
+    with pytest.raises(FileNotFoundError):  # an OSError, not a line of the file
+        load(tmp_path / "missing")
 
 
 class TestJoin:

@@ -352,7 +352,7 @@ class TestPredictionFiles:
                         "2\tt\tNONE\tNONE\n1\tt\tFAVOR\tAGAINST\n",
                         encoding="utf-8")
         with pytest.raises(CorpusError,
-                           match=f"^{re.escape(str(path))}: duplicate ID '1' at line 4$"):
+                           match=f"^{re.escape(str(path))}: line 4: duplicate ID '1'$"):
             read_predictions(path)
 
     @pytest.mark.parametrize("header", ["", "1\tt\tNONE\tFAVOR\n",
@@ -362,8 +362,8 @@ class TestPredictionFiles:
         # Without the header check a file without one loses its first row.
         path = tmp_path / "preds.tsv"
         path.write_text(header + "2\tt\tFAVOR\tFAVOR\n", encoding="utf-8")
-        with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: expected the "
-                           r"header 'ID\\tTarget\\tGold\\tPred' at line 1"):
+        with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: line 1: expected "
+                           r"the header 'ID\\tTarget\\tGold\\tPred', got"):
             read_predictions(path)
 
     def test_label_lines(self, tmp_path):
@@ -376,6 +376,7 @@ class TestPredictionFiles:
         # Skipping it would score every later label against the wrong tweet.
         path = tmp_path / "labels.txt"
         path.write_text("FAVOR\nagainst\n\n\nNONE\n", encoding="utf-8")
-        with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: blank line at "
-                           "line 3, before the label at line 5"):
+        with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: line 5: blank "
+                           "line before this label; each line holds the next "
+                           "instance's label$"):
             read_label_lines(path)
