@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import operator
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -80,18 +82,20 @@ def top_features(
     """Top n features by signed weight toward the class, ties by name.
 
     One stable argsort of the negated weights over the columns in name
-    order; spaces from build_feature_space index their names in that order
-    already. The weights must be finite (load_bundle checks them).
+    order. The space's names are read in place; only a space whose names
+    are out of order (a hand-edited space.tsv) is sorted first, since
+    build_feature_space gives its columns in name order. The weights must
+    be finite (load_bundle checks them).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if cls not in model.classes:
         raise ValueError(f"class {cls.value} not in model classes")
-    names = list(model.space.index_of)
-    cols = list(model.space.index_of.values())
-    if any(a > b for a, b in zip(names, names[1:])):
-        names, cols = map(list, zip(*sorted(zip(names, cols))))
-    weights = model.class_rows()[0][model.classes.index(cls)][cols]
+    names: Sequence[str] = model.space.names
+    weights = model.class_rows()[0][model.classes.index(cls)]
+    if any(map(operator.gt, names, islice(names, 1, None))):
+        cols = sorted(range(len(names)), key=names.__getitem__)
+        names, weights = [names[i] for i in cols], weights[cols]
     top = np.argsort(-weights, kind="stable")[:n]
     entries = zip([names[i] for i in top.tolist()], weights[top].tolist())
     return RankedFeatures(label=cls, topic=topic, entries=tuple(entries))

@@ -2,10 +2,11 @@
 
 Features are namespaced strings: tweet text contributes word n-grams
 ("txtw:") and character n-grams ("txtc:"), and each network family
-contributes its profile set under its own prefix. A FeatureSpace maps the
-namespaced strings seen in training data to dense column indices; a row
-is a sorted int64 array of column indices with presence/absence semantics
-only, the one row type from here through ``linsvm`` training and scoring.
+contributes its profile set under its own prefix. A FeatureSpace is the
+tuple of the namespaced strings seen in training data, in column order,
+so a name's column is its position; a row is a sorted int64 array of
+column indices with presence/absence semantics only, the one row type from
+here through ``linsvm`` training and scoring.
 
 ``extract_features`` builds the string set of one instance; training reads
 those sets into ``build_feature_space`` one at a time to find the
@@ -13,9 +14,11 @@ vocabulary, so it holds one instance's strings at once. ``index_rows`` maps
 a batch of instances straight to column indices, for training rows and for
 prediction alike, without building namespaced strings:
 
-* Family blocks. Every prefix is five characters long, so a space splits
-  into one dict per family keyed by the name without its prefix. The split
-  and the n-gram tables below are built once per space and cached on it.
+* Family blocks. Every prefix is five characters long, so one pass over a
+  space's names splits them by family. Network families keep a dict keyed
+  by the name without its prefix; the text families keep only the n-gram
+  tables below, built without a second copy of their names. The blocks
+  are built once per space and cached on it.
 * Network families map member ids to columns with one ``col_of_id`` array
   per (space, family): the column of each id of the profile table's
   vocabulary, -1 for a name the block does not hold. Only the ids the
@@ -42,11 +45,13 @@ prediction alike, without building namespaced strings:
 from __future__ import annotations
 
 import unicodedata
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import count, repeat
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -187,19 +192,20 @@ def extract_features(
 
 @dataclass(frozen=True)
 class FeatureSpace:
-    """Frozen bijection from namespaced feature string to column index."""
+    """The distinct namespaced feature strings of a space in column order:
+    a name's column is its position in ``names``."""
 
-    index_of: Mapping[str, int]
+    names: tuple[str, ...]
     selector: FeatureSetSelector
 
     @property
     def size(self) -> int:
-        return len(self.index_of)
+        return len(self.names)
 
     @cached_property
     def blocks(self) -> "FamilyBlocks":
         """The space split into family blocks, built on first use."""
-        return FamilyBlocks(self.index_of)
+        return FamilyBlocks(self.names)
 
 
 def _distinct_sorted(values: np.ndarray) -> np.ndarray:
@@ -285,42 +291,65 @@ def _codes(text: str) -> np.ndarray:
 
 
 class FamilyBlocks:
-    """A space's columns split by family.
+    """A space's columns split by family, in one pass over its names, which
+    need not be sorted.
 
     ``family[prefix]`` maps a name without its five-character prefix to
-    its column, for every prefix but the text ones. ``words`` is the
-    n-gram table of the "txtw:" block over tokens, ranked by
-    ``word_rank``; ``chars`` that of the "txtc:" block over characters,
-    ranked by their position in ``char_codes``. Only n-grams of the orders
-    extraction emits enter the tables.
+    its column, for every prefix but the text ones. The text blocks keep
+    no names: ``words`` is the n-gram table of the "txtw:" block over
+    tokens, ranked by ``word_rank``; ``chars`` that of the "txtc:" block
+    over characters, ranked by their position in ``char_codes``. Only
+    n-grams of the orders extraction emits enter the tables.
     """
 
-    def __init__(self, index_of: Mapping[str, int]) -> None:
+    def __init__(self, names: Sequence[str]) -> None:
         family: dict[str, dict[str, int]] = {}
-        for name, idx in index_of.items():
-            family.setdefault(name[:5], {})[name[5:]] = idx
-        words = family.pop("txtw:", {})
-        chars = family.pop("txtc:", {})
+        word_cols, char_cols = array("q"), array("q")
+        for col, name in enumerate(names):
+            prefix = name[:5]
+            if prefix == "txtw:":
+                word_cols.append(col)
+            elif prefix == "txtc:":
+                char_cols.append(col)
+            else:
+                family.setdefault(prefix, {})[name[5:]] = col
         self.family = family
         self._col_of_id: dict[str, tuple[ProfileTable, np.ndarray]] = {}
 
-        tokens = [g.split(" ") for g in words]
-        flat = list(chain.from_iterable(tokens))
-        self.word_rank = {token: r for r, token in enumerate(sorted(set(flat)))}
+        # Word n-grams, 1024 at a time so that no token string outlives its
+        # chunk: each distinct token's id in order of first sight, and each
+        # n-gram's token ids and count of blanks.
+        token_id: defaultdict[str, int] = defaultdict()
+        token_id.default_factory = token_id.__len__
+        ids, blanks = array("q"), array("q")
+        for first in range(0, len(word_cols), 1024):
+            grams = [names[col][5:] for col in word_cols[first : first + 1024]]
+            blanks.extend(map(str.count, grams, repeat(" ")))
+            ids.extend(map(token_id.__getitem__, " ".join(grams).split(" ")))
+        vocabulary = sorted(token_id)
+        self.word_rank = dict(zip(vocabulary, range(len(vocabulary))))
+        rank_of_id = np.fromiter(map(self.word_rank.__getitem__, token_id),
+                                 np.int64, len(token_id))
         self.words = NgramTable(
-            np.fromiter(map(self.word_rank.__getitem__, flat), np.int64, len(flat)),
-            np.fromiter(map(len, tokens), np.int64, len(tokens)),
-            np.fromiter(words.values(), np.int64, len(words)),
-            len(self.word_rank),
+            rank_of_id[np.frombuffer(ids, np.int64)],
+            np.frombuffer(blanks, np.int64) + 1,
+            np.frombuffer(word_cols, np.int64),
+            len(vocabulary),
             WORD_NGRAM_ORDERS,
         )
 
+        # Char n-grams: the prefixed names joined, less each one's prefix.
+        chars = list(map(names.__getitem__, char_cols))
+        lengths = np.fromiter(map(len, chars), np.int64, len(chars))
         codes = _codes("".join(chars))
+        keep = np.ones(codes.size, dtype=bool)
+        keep[(np.cumsum(lengths) - lengths)[:, None] + np.arange(5)] = False
+        codes = codes[keep]
         self.char_codes = _distinct_sorted(codes)
         self.chars = NgramTable(
             np.searchsorted(self.char_codes, codes),
-            np.fromiter(map(len, chars), np.int64, len(chars)),
-            np.fromiter(chars.values(), np.int64, len(chars)),
+            lengths - 5,
+            np.frombuffer(char_cols, np.int64),
             self.char_codes.size,
             CHAR_NGRAM_ORDERS,
         )
@@ -380,8 +409,7 @@ def build_feature_space(
         raise ValueError("no training feature sets")
     if not vocabulary:
         raise ValueError("empty feature space")
-    index_of = {name: idx for idx, name in enumerate(sorted(vocabulary))}
-    return FeatureSpace(index_of=index_of, selector=selector)
+    return FeatureSpace(names=tuple(sorted(vocabulary)), selector=selector)
 
 
 def index_rows(
@@ -430,23 +458,27 @@ def index_rows(
     return np.split(keys - rows_of * stride, np.cumsum(counts)[:-1])
 
 
+def _space_line(idx: int, name: str) -> str:
+    if not name or "\n" in name or "\r" in name or not utf8_encodable(name):
+        raise CorpusError(
+            f"feature {name!r}: cannot write an empty name, a line break or a "
+            "character UTF-8 cannot encode; the space file could not read it back"
+        )
+    return f"{name}\t{idx}\n"
+
+
 def write_feature_space(path: str | Path, space: FeatureSpace) -> None:
-    """One "feature<TAB>index" line per column.
+    """One "feature<TAB>index" line per column, in column order.
 
     Refuses, with a CorpusError naming the feature and leaving the file as
-    it was, a name that read_feature_space would not read back: one
-    holding "\\n" or "\\r", or a character UTF-8 cannot encode.
+    it was, a name that read_feature_space would not read back: the empty
+    name, one holding "\\n" or "\\r", or a character UTF-8 cannot encode.
     """
-    lines = []
-    for name, idx in sorted(space.index_of.items(), key=lambda kv: kv[1]):
-        if "\n" in name or "\r" in name or not utf8_encodable(name):
-            raise CorpusError(
-                f"feature {name!r}: cannot write a line break or a character "
-                f"UTF-8 cannot encode; the space file could not read it back"
-            )
-        lines.append(f"{name}\t{idx}\n")
+    names = space.names
     with output_file(path) as fh:
-        fh.writelines(lines)
+        # 1024 lines per write, as the weights files are written.
+        for start in range(0, len(names), 1024):
+            fh.write("".join(map(_space_line, count(start), names[start : start + 1024])))
 
 
 def read_feature_space(path: str | Path, selector: FeatureSetSelector) -> FeatureSpace:
@@ -457,7 +489,8 @@ def read_feature_space(path: str | Path, selector: FeatureSetSelector) -> Featur
     an index other than the next one (a duplicate, a gap or a reordering)
     raise CorpusError naming the file and the line (see input_lines).
     """
-    index_of: dict[str, int] = {}
+    names: list[str] = []
+    seen: set[str] = set()
     with input_lines(path) as lines:
         for line in lines:
             if not line:
@@ -469,9 +502,10 @@ def read_feature_space(path: str | Path, selector: FeatureSetSelector) -> Featur
                 idx = None
             if idx is None:
                 raise ValueError("expected a feature, a tab and an index")
-            if name in index_of:
+            if name in seen:
                 raise ValueError(f"duplicate feature {name!r}")
-            if idx != len(index_of):
-                raise ValueError(f"index {idx} where {len(index_of)} was expected")
-            index_of[name] = idx
-    return FeatureSpace(index_of=index_of, selector=selector)
+            if idx != len(names):
+                raise ValueError(f"index {idx} where {len(names)} was expected")
+            seen.add(name)
+            names.append(name)
+    return FeatureSpace(names=tuple(names), selector=selector)

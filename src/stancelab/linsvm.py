@@ -97,25 +97,29 @@ class TrainConfig:
             raise ValueError("min_df must be >= 1")
 
 
+_ROW_CHECK_CHUNK = 256
+
+
 def _check_rows(rows: Sequence[np.ndarray], dim: int) -> None:
     """Raise ValueError unless every row is strictly increasing in 0..dim-1.
 
-    One pass over the whole batch: a step between neighbours of the
+    The rows are checked _ROW_CHECK_CHUNK at a time, so the batch is never
+    concatenated whole. Within a chunk a step between neighbours of the
     concatenated rows must rise unless it lands on a row start. Empty rows
     may sit anywhere.
     """
-    if not rows:
-        return
-    flat = np.concatenate(rows)
-    if not flat.size:
-        return
-    if flat.min() < 0 or flat.max() >= dim:
-        raise ValueError(f"row index out of range: the space has {dim} columns")
-    row_start = np.zeros(flat.size, dtype=bool)
-    starts = np.cumsum(np.fromiter(map(len, rows[:-1]), np.int64, len(rows) - 1))
-    row_start[starts[starts < flat.size]] = True
-    if not np.all((flat[1:] > flat[:-1]) | row_start[1:]):
-        raise ValueError("row indices must be strictly increasing")
+    for first in range(0, len(rows), _ROW_CHECK_CHUNK):
+        chunk = rows[first : first + _ROW_CHECK_CHUNK]
+        flat = np.concatenate(chunk)
+        if not flat.size:
+            continue
+        if flat.min() < 0 or flat.max() >= dim:
+            raise ValueError(f"row index out of range: the space has {dim} columns")
+        row_start = np.zeros(flat.size, dtype=bool)
+        starts = np.cumsum(np.fromiter(map(len, chunk[:-1]), np.int64, len(chunk) - 1))
+        row_start[starts[starts < flat.size]] = True
+        if not np.all((flat[1:] > flat[:-1]) | row_start[1:]):
+            raise ValueError("row indices must be strictly increasing")
 
 
 def dual_coordinate_descent(

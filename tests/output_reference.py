@@ -28,7 +28,7 @@ def class_weights(model: LinearModel, cls: StanceLabel) -> dict[str, float]:
         row = -model.weights[0]
     else:
         row = model.weights[MODE_FITS[model.mode].index(cls)]
-    return {name: float(row[idx]) for name, idx in model.space.index_of.items()}
+    return {name: float(row[idx]) for idx, name in enumerate(model.space.names)}
 
 
 def top_features(

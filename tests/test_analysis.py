@@ -42,9 +42,7 @@ PROFILES = st.dictionaries(
 
 def model_from_weights(named_weights, mode="ternary"):
     names = sorted(named_weights)
-    space = FeatureSpace(
-        {name: i for i, name in enumerate(names)}, FeatureSetSelector.of("TXT")
-    )
+    space = FeatureSpace(tuple(names), FeatureSetSelector.of("TXT"))
     w = np.array([named_weights[name] for name in names], dtype=np.float64)
     if mode == "binary":
         weights = w[None, :]

@@ -664,11 +664,11 @@ class TestFilteredLoad:
         inst = LabeledInstance("t1", "u1", "A", "", StanceLabel.NONE)
         dataset, _ = join([inst], profiles)
         read, both = FeatureSetSelector.of("IN_AT"), FeatureSetSelector.of("IN_AT", "PN_AT")
-        space = FeatureSpace({"inat:a": 0, "pnat:b": 1}, both)
+        space = FeatureSpace(("inat:a", "pnat:b"), both)
         # The family that was read works as usual.
         assert profiles.member_names("in_mentions", "u1") == ["a"]
         assert extract_features(inst, profiles, read) == {"inat:a"}
-        assert [r.tolist() for r in index_rows(FeatureSpace({"inat:a": 0}, read),
+        assert [r.tolist() for r in index_rows(FeatureSpace(("inat:a",), read),
                                                [inst], dataset)] == [[0]]
         # An author the file does not hold has no members of it.
         assert profiles.members("in_mentions", "u2").size == 0

@@ -1,11 +1,15 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stancelab.corpus import CorpusError, LabeledInstance, ProfileTable, StanceLabel
 from stancelab.features import (
     FeatureSetSelector,
+    FeatureSpace,
     build_feature_space,
     char_ngrams,
     extract_features,
@@ -186,13 +190,13 @@ class TestFeatureSpace:
         space = build_feature_space(
             [{"a"}, {"a", "b"}], FeatureSetSelector.of("TXT"), min_df=1
         )
-        assert space.index_of == {"a": 0, "b": 1}
+        assert space.names == ("a", "b")
 
     def test_min_df_filters(self):
         space = build_feature_space(
             [{"a"}, {"a", "b"}], FeatureSetSelector.of("TXT"), min_df=2
         )
-        assert space.index_of == {"a": 0}
+        assert space.names == ("a",)
 
     def test_empty_space_is_an_error(self):
         with pytest.raises(ValueError, match="empty feature space"):
@@ -238,7 +242,8 @@ class TestFeatureSpace:
         if not set().union(*sets):
             return
         space = build_feature_space(sets, FeatureSetSelector.of("TXT"))
-        indices = sorted(space.index_of.values())
+        index_of = {name: idx for idx, name in enumerate(space.names)}
+        indices = sorted(index_of.values())
         assert indices == list(range(space.size))
 
     def test_serialization_round_trip(self, tmp_path):
@@ -246,7 +251,35 @@ class TestFeatureSpace:
         space = build_feature_space([{"b", "a", "c"}], sel)
         write_feature_space(tmp_path / "space.tsv", space)
         loaded = read_feature_space(tmp_path / "space.tsv", sel)
-        assert loaded.index_of == space.index_of
+        assert loaded.names == space.names
+
+    # Any text, with the characters a line reader might split or drop: tabs,
+    # NEL, the line and paragraph separators, CR, LF, lone surrogates.
+    @settings(max_examples=300, deadline=None)
+    @given(names=st.lists(st.one_of(
+        st.text(),
+        st.text(alphabet=st.sampled_from(
+            ["a", " ", "\t", "\x85", "\u2028", "\u2029", "\x0b", "\x1c", "\ufeff",
+             "\ud800", "\udfff", "\r", "\n"]), max_size=4),
+    ), unique=True, max_size=6))
+    @example(names=["", "txtw:a"])
+    @example(names=["a\t0", "a\t", "\t"])
+    def test_any_names_read_back_or_are_refused(self, names):
+        sel = FeatureSetSelector.of("TXT")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "space.tsv"
+            try:
+                write_feature_space(path, FeatureSpace(tuple(names), sel))
+            except CorpusError as exc:
+                assert "could not read it back" in str(exc)
+                assert not list(Path(tmp).iterdir())
+                return
+            assert read_feature_space(path, sel).names == tuple(names)
+
+    def test_the_empty_name_is_refused(self, tmp_path):
+        with pytest.raises(CorpusError, match="feature '': cannot write an empty name"):
+            write_feature_space(tmp_path / "space.tsv",
+                                FeatureSpace(("", "txtw:a"), FeatureSetSelector.of("TXT")))
 
 
 class TestReadFeatureSpace:

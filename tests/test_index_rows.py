@@ -74,7 +74,7 @@ def built_spaces(draw, dataset):
     try:
         space = build_feature_space(sets, selector, min_df=draw(st.integers(1, 3)))
     except ValueError:  # every feature fell below min_df
-        space = FeatureSpace({}, selector)
+        space = FeatureSpace((), selector)
     return space
 
 
@@ -99,7 +99,7 @@ def hand_spaces(draw, dataset):
         names = {n for n in names if not any(
             m != n and m.startswith(n) and n.startswith("txtc:") for m in names)}
     order = draw(st.permutations(sorted(names)))
-    return FeatureSpace({name: i for i, name in enumerate(order)}, draw(SELECTORS))
+    return FeatureSpace(tuple(order), draw(SELECTORS))
 
 
 def assert_rows_match(space, dataset, instances):
@@ -140,7 +140,7 @@ class TestIndexRows:
     def test_windows_do_not_cross_tweet_ends(self):
         # "ab" and "ba" are in the space; only the join of the two tweets
         # would hold "ba".
-        space = FeatureSpace({"txtc:ab": 0, "txtc:ba": 1}, FeatureSetSelector.of("TXT"))
+        space = FeatureSpace(("txtc:ab", "txtc:ba"), FeatureSetSelector.of("TXT"))
         dataset = Dataset(
             (LabeledInstance("1", "u", "A", "ab", StanceLabel.NONE),
              LabeledInstance("2", "u", "A", "ab", StanceLabel.NONE)), ProfileTable.from_sets({}), ("A",))
@@ -148,14 +148,14 @@ class TestIndexRows:
         assert [r.tolist() for r in rows] == [[0], [0]]
 
     def test_space_that_is_not_prefix_closed(self):
-        space = FeatureSpace({"txtc:abcde": 0, "txtc:x": 1, "txtc:abcdef": 2},
+        space = FeatureSpace(("txtc:abcde", "txtc:x", "txtc:abcdef"),
                              FeatureSetSelector.of("TXT"))
         dataset = Dataset(
             (LabeledInstance("1", "u", "A", "xABCDEF", StanceLabel.NONE),), ProfileTable.from_sets({}), ("A",))
         assert [r.tolist() for r in index_rows(space, dataset.instances, dataset)] == [[0]]
 
     def test_empty_batch_and_empty_space(self):
-        space = FeatureSpace({}, FeatureSetSelector.of("TXT"))
+        space = FeatureSpace((), FeatureSetSelector.of("TXT"))
         inst = LabeledInstance("1", "u", "A", "text", StanceLabel.NONE)
         dataset = Dataset((inst,), ProfileTable.from_sets({}), ("A",))
         assert index_rows(space, [], dataset) == []
@@ -182,8 +182,8 @@ class TestIndexRows:
             prefix + name for prefix, _ in NETWORK_FLAG_SOURCES.values()
             for name in ["a", "b", "ab", "x.example", "y.example", "zz"]])))
         flags = data.draw(st.sets(st.sampled_from(sorted(NETWORK_FLAG_SOURCES)), min_size=1))
-        space = FeatureSpace({name: i for i, name in enumerate(data.draw(
-            st.permutations(sorted(names))))}, FeatureSetSelector(frozenset(flags)))
+        space = FeatureSpace(tuple(data.draw(st.permutations(sorted(names)))),
+                             FeatureSetSelector(frozenset(flags)))
         instances = tuple(
             LabeledInstance(str(i), data.draw(AUTHORS), "A", "", StanceLabel.NONE)
             for i in range(data.draw(st.integers(1, 12))))
@@ -199,7 +199,7 @@ class TestIndexRows:
 
     def test_columns_follow_each_tables_ids(self):
         # One space with two tables that number the same names apart.
-        space = FeatureSpace({"inat:a": 0, "inat:b": 1}, FeatureSetSelector.of("IN_AT"))
+        space = FeatureSpace(("inat:a", "inat:b"), FeatureSetSelector.of("IN_AT"))
         inst = LabeledInstance("1", "u", "A", "", StanceLabel.NONE)
         for names, expected in ((["a", "b", "c"], [0, 1]), (["c", "b"], [1]), (["a"], [0])):
             table = ProfileTable.from_sets({"u": {"in_mentions": names}})
@@ -234,7 +234,7 @@ class TestIndexRows:
             assert_rows_match(space, dataset, instances)
 
     def test_blocks_are_built_once_per_space(self):
-        space = FeatureSpace({"txtc:ab": 0}, FeatureSetSelector.of("TXT"))
+        space = FeatureSpace(("txtc:ab",), FeatureSetSelector.of("TXT"))
         assert space.blocks is space.blocks
 
 

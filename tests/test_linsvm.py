@@ -4,12 +4,14 @@ import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
+from stancelab import linsvm
 from stancelab.corpus import (
     CorpusError,
     Dataset,
@@ -54,7 +56,7 @@ def row(indices):
 
 def toy_space(size, selector=None):
     selector = selector or FeatureSetSelector.of("TXT")
-    return FeatureSpace({f"txtw:f{i:03d}": i for i in range(size)}, selector)
+    return FeatureSpace(tuple(f"txtw:f{i:03d}" for i in range(size)), selector)
 
 
 def fit_binary(rows, y, dim, config):
@@ -510,6 +512,34 @@ class TestRowCheck:
             with pytest.raises(ValueError):
                 _check_rows(rows, dim)
 
+    @settings(max_examples=300, deadline=None)
+    @given(batch=row_batches(), chunk=st.integers(1, 3))
+    def test_chunks_accept_what_the_whole_batch_accepts(self, batch, chunk):
+        rows, dim = batch
+        with mock.patch.object(linsvm, "_ROW_CHECK_CHUNK", chunk):
+            if all(vector_rule(r, dim) for r in rows):
+                _check_rows(rows, dim)
+            else:
+                with pytest.raises(ValueError):
+                    _check_rows(rows, dim)
+
+    @pytest.mark.parametrize("count", [255, 256, 257, 512, 513])
+    def test_chunk_boundaries(self, count):
+        dim = 5
+        # Empty rows, and rows whose first index is below the last row's.
+        rows = [row([]) if i % 3 == 0 else row(sorted({i % dim, i * 7 % dim}))
+                for i in range(count)]
+        _check_rows(rows, dim)
+        _check_rows([row([])] * count, dim)
+        for at in (0, 254, 255, 256, 257, count - 1):
+            for bad, message in ((row([3, 1]), "strictly increasing"),
+                                 (row([2, 2]), "strictly increasing"),
+                                 (row([0, dim]), "out of range"),
+                                 (row([-1]), "out of range")):
+                if at < count:
+                    with pytest.raises(ValueError, match=message):
+                        _check_rows(rows[:at] + [bad] + rows[at + 1:], dim)
+
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), dim=st.integers(1, 6),
            mode=st.sampled_from(sorted(MODE_CLASSES)))
@@ -536,9 +566,7 @@ class TestRowCheck:
 
 class TestClassWeights:
     def test_inverse_map(self):
-        space = FeatureSpace(
-            {"txtw:a": 0, "txtw:b": 1}, FeatureSetSelector.of("TXT")
-        )
+        space = FeatureSpace(("txtw:a", "txtw:b"), FeatureSetSelector.of("TXT"))
         model = LinearModel(
             weights=np.array([[0.5, -0.9], [0.0, 0.0], [0.0, 0.0]]),
             biases=np.zeros(3),
@@ -696,7 +724,7 @@ class TestBundleRoundTrip:
         model, dataset = bundle
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "bundle"
-            readable = all(map(_round_trips, model.space.index_of))
+            readable = all(map(_round_trips, model.space.names))
             event("written" if readable else "refused")
             if not readable:
                 with pytest.raises(CorpusError, match="could not read it back"):
@@ -705,7 +733,7 @@ class TestBundleRoundTrip:
                 return
             save_bundle(model, path, topic="A")
             loaded, _ = load_bundle(path)
-        assert loaded.space.index_of == model.space.index_of
+        assert loaded.space.names == model.space.names
         assert loaded.classes == model.classes and loaded.mode == model.mode
         assert np.array_equal(loaded.weights, model.weights)
         assert np.array_equal(loaded.biases, model.biases)

@@ -29,12 +29,12 @@ WEIGHTS = st.one_of(
 NAMES = st.text(alphabet="ab:é\t ", min_size=1, max_size=4).map("txtw:".__add__)
 
 
-def make_model(index_of, weights, biases, mode):
+def make_model(names, weights, biases, mode):
     return LinearModel(
         weights=np.array(weights, dtype=np.float64),
         biases=np.array(biases, dtype=np.float64),
         mode=mode,
-        space=FeatureSpace(index_of, FeatureSetSelector.of("TXT")),
+        space=FeatureSpace(tuple(names), FeatureSetSelector.of("TXT")),
         config=TrainConfig(),
     )
 
@@ -42,17 +42,16 @@ def make_model(index_of, weights, biases, mode):
 @st.composite
 def models(draw):
     """Models over spaces in name order, as build_feature_space makes them,
-    and over spaces whose columns and insertion order are shuffled."""
+    and over spaces whose columns are shuffled."""
     names = sorted(draw(st.sets(NAMES, min_size=1, max_size=12)))
     dim = len(names)
-    shuffled = draw(st.booleans())
-    cols = draw(st.permutations(range(dim))) if shuffled else range(dim)
-    inserted = draw(st.permutations(range(dim))) if shuffled else range(dim)
+    if draw(st.booleans()):
+        names = draw(st.permutations(names))
     mode = draw(st.sampled_from(sorted(MODE_CLASSES)))
     k = len(MODE_FITS[mode])
     row = st.lists(WEIGHTS, min_size=dim, max_size=dim)
     return make_model(
-        {names[i]: cols[i] for i in inserted},
+        names,
         draw(st.lists(row, min_size=k, max_size=k)),
         draw(st.lists(WEIGHTS, min_size=k, max_size=k)),
         mode,
@@ -66,7 +65,7 @@ def bits(entries):
 # Names out of column order, a three-way tie and both zeros: the Favor
 # row, whose negation the Against ranking reads.
 TIES = make_model(
-    {"txtw:c": 0, "txtw:a": 1, "txtw:d": 2, "txtw:b": 3, "txtw:e": 4},
+    ("txtw:c", "txtw:a", "txtw:d", "txtw:b", "txtw:e"),
     [[-0.5, -0.5, 0.0, -0.5, -0.0]],
     [0.0],
     "binary",
@@ -78,7 +77,7 @@ _rng = np.random.default_rng(5)
 _big = _rng.standard_normal((3, 2500)) * (_rng.random((3, 2500)) < 0.7)
 _big[_rng.random(_big.shape) < 0.05] = -0.0
 LARGE = make_model(
-    {f"txtw:f{i:04d}": i for i in range(2500)}, _big, [0.25, -0.0, 1e-300],
+    [f"txtw:f{i:04d}" for i in range(2500)], _big, [0.25, -0.0, 1e-300],
     "ternary",
 )
 

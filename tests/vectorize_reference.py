@@ -18,7 +18,7 @@ from stancelab.features import URL_SENTINEL, FeatureSpace
 
 def vectorize(feature_set: Iterable[str], space: FeatureSpace) -> np.ndarray:
     """Sorted int64 columns of a feature set; unseen features are dropped."""
-    index_of = space.index_of
+    index_of = {name: idx for idx, name in enumerate(space.names)}
     hits = [index_of[f] for f in feature_set if f in index_of]
     hits.sort()
     return np.asarray(hits, dtype=np.int64)
