@@ -83,9 +83,9 @@ def top_features(
 
     One stable argsort of the negated weights over the columns in name
     order. The space's names are read in place; only a space whose names
-    are out of order (a hand-edited space.tsv) is sorted first, since
-    build_feature_space gives its columns in name order. The weights must
-    be finite (load_bundle checks them).
+    are out of order (one built by hand, or a bundle's weights.tsv edited by
+    hand) is sorted first, since build_feature_space gives its columns in
+    name order. The weights must be finite (load_bundle checks them).
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -30,9 +30,9 @@ line that trips the control-character screen (a backslash, a DEL or a
 non-ASCII character) is checked in full, whoever its author.
 
 ``input_lines`` is the one reader of every line-format input of the package
-(tweets, profiles, a bundle's space and weights files, predictions and label
-lines): a reader raises ValueError("problem") for a bad line, and
-input_lines reports it as CorpusError("PATH: line N: problem").
+(tweets, profiles, a bundle's weights file, predictions and label lines): a
+reader raises ValueError("problem") for a bad line, and input_lines reports
+it as CorpusError("PATH: line N: problem").
 """
 
 from __future__ import annotations
@@ -319,10 +319,7 @@ class _TableBuilder:
             keys = rows << 32 | dense[np.array(ids, dtype=np.int64)]
             if n < self.records:
                 keys = keys[rows >= 0]
-            keys = np.sort(keys)
-            first = np.ones(keys.size, dtype=bool)
-            np.not_equal(keys[1:], keys[:-1], out=first[1:])
-            keys = keys[first]
+            keys = distinct_sorted(keys)
             indptr = np.zeros(n + 1, dtype=np.int64)
             np.cumsum(np.bincount(keys >> 32, minlength=n), out=indptr[1:])
             families[family] = (indptr, (keys & 0xFFFFFFFF).astype(np.int32))
@@ -555,6 +552,15 @@ def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> N
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def distinct_sorted(values: np.ndarray) -> np.ndarray:
+    """The distinct values in order: one sort, then each value unequal to
+    its predecessor."""
+    values = np.sort(values)
+    keep = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 def utf8_encodable(text: str) -> bool:

@@ -49,14 +49,12 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count, repeat
-from pathlib import Path
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import CorpusError, Dataset, LabeledInstance, ProfileTable
-from .corpus import input_lines, output_file, utf8_encodable
+from .corpus import Dataset, LabeledInstance, ProfileTable, distinct_sorted
 
 # Flag name -> (namespace prefix, profile field); TXT is handled separately.
 NETWORK_FLAG_SOURCES: dict[str, tuple[str, str]] = {
@@ -208,13 +206,6 @@ class FeatureSpace:
         return FamilyBlocks(self.names)
 
 
-def _distinct_sorted(values: np.ndarray) -> np.ndarray:
-    values = np.sort(values)
-    keep = np.ones(values.size, dtype=bool)
-    np.not_equal(values[1:], values[:-1], out=keep[1:])
-    return values[keep]
-
-
 class NgramTable:
     """Kernel tables for the n-grams of one family block.
 
@@ -244,7 +235,7 @@ class NgramTable:
             longer = lengths[grams] >= k
             grams, state = grams[longer], state[longer]
             key = state * width + ranks[starts[grams] + (k - 1)]
-            keys = _distinct_sorted(key)
+            keys = distinct_sorted(key)
             state = np.searchsorted(keys, key)
             emits = np.full(keys.size, -1, dtype=np.int64)
             ends = lengths[grams] == k
@@ -345,7 +336,7 @@ class FamilyBlocks:
         keep = np.ones(codes.size, dtype=bool)
         keep[(np.cumsum(lengths) - lengths)[:, None] + np.arange(5)] = False
         codes = codes[keep]
-        self.char_codes = _distinct_sorted(codes)
+        self.char_codes = distinct_sorted(codes)
         self.chars = NgramTable(
             np.searchsorted(self.char_codes, codes),
             lengths - 5,
@@ -452,60 +443,7 @@ def index_rows(
     if selector.uses_text and blocks.char_codes.size:
         parts.append(blocks.char_hits([inst.text.lower() for inst in instances]))
     stride = max(space.size, 1)
-    keys = _distinct_sorted(np.concatenate([owner * stride + col for owner, col in parts]))
+    keys = distinct_sorted(np.concatenate([owner * stride + col for owner, col in parts]))
     rows_of = keys // stride
     counts = np.bincount(rows_of, minlength=len(instances))
     return np.split(keys - rows_of * stride, np.cumsum(counts)[:-1])
-
-
-def _space_line(idx: int, name: str) -> str:
-    if not name or "\n" in name or "\r" in name or not utf8_encodable(name):
-        raise CorpusError(
-            f"feature {name!r}: cannot write an empty name, a line break or a "
-            "character UTF-8 cannot encode; the space file could not read it back"
-        )
-    return f"{name}\t{idx}\n"
-
-
-def write_feature_space(path: str | Path, space: FeatureSpace) -> None:
-    """One "feature<TAB>index" line per column, in column order.
-
-    Refuses, with a CorpusError naming the feature and leaving the file as
-    it was, a name that read_feature_space would not read back: the empty
-    name, one holding "\\n" or "\\r", or a character UTF-8 cannot encode.
-    """
-    names = space.names
-    with output_file(path) as fh:
-        # 1024 lines per write, as the weights files are written.
-        for start in range(0, len(names), 1024):
-            fh.write("".join(map(_space_line, count(start), names[start : start + 1024])))
-
-
-def read_feature_space(path: str | Path, selector: FeatureSetSelector) -> FeatureSpace:
-    """Read a space written by write_feature_space.
-
-    Non-blank lines hold the indices 0, 1, 2, ... in order. A line other
-    than a feature name, a tab and an integer index, a duplicate name, and
-    an index other than the next one (a duplicate, a gap or a reordering)
-    raise CorpusError naming the file and the line (see input_lines).
-    """
-    names: list[str] = []
-    seen: set[str] = set()
-    with input_lines(path) as lines:
-        for line in lines:
-            if not line:
-                continue
-            name, _, field = line.rpartition("\t")
-            try:
-                idx = int(field) if name else None
-            except ValueError:
-                idx = None
-            if idx is None:
-                raise ValueError("expected a feature, a tab and an index")
-            if name in seen:
-                raise ValueError(f"duplicate feature {name!r}")
-            if idx != len(names):
-                raise ValueError(f"index {idx} where {len(names)} was expected")
-            seen.add(name)
-            names.append(name)
-    return FeatureSpace(names=tuple(names), selector=selector)

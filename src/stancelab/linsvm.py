@@ -25,19 +25,23 @@ one weight row, one bias and the solver epochs of each fit.
 three checks its batch once: every row strictly increasing, inside the
 space.
 
-A bundle is a directory holding ``metadata.json``, ``space.tsv`` and one
-``weights_<CLASS>.tsv`` per fit of MODE_FITS[mode]: a binary bundle has
-``weights_FAVOR.tsv`` only. The metadata is one JSON object whose keys are
-``format`` (BUNDLE_FORMAT), ``mode``, ``selector``, ``topic``, ``config``
-(every TrainConfig field, ``min_df`` included, so a bundle records how it
-was built), ``dimension`` and ``epochs``. ``load_bundle`` refuses any other
-format, or none, with one message: retrain the bundle.
+A bundle is a directory holding ``metadata.json`` and ``weights.tsv``.
+``weights.tsv`` holds one line per column, in column order: the feature
+name and then, after a tab each, its weight in every fit of
+MODE_FITS[mode] (a binary bundle's one Favor fit), written with ``repr``.
+The metadata is one JSON object whose keys are ``format`` (BUNDLE_FORMAT),
+``mode``, ``selector``, ``topic``, ``config`` (every TrainConfig field,
+``min_df`` included, so a bundle records how it was built), ``dimension``
+(the line count of ``weights.tsv``), ``epochs`` and ``biases`` (one per
+fit). ``load_bundle`` refuses any other format, or none, with one message:
+retrain the bundle.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
@@ -45,13 +49,13 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import CANONICAL_LABELS, CorpusError, StanceLabel, input_lines, output_file
+from .corpus import utf8_encodable
 from .features import FeatureSetSelector, FeatureSpace
-from .features import read_feature_space, write_feature_space
 
 LOSSES = ("hinge", "squared_hinge")
 
 # The metadata format of the bundles save_bundle writes and load_bundle reads.
-BUNDLE_FORMAT = 2
+BUNDLE_FORMAT = 3
 
 # Each mode and the classes its models hold, in order.
 MODE_CLASSES: dict[str, tuple[StanceLabel, ...]] = {
@@ -249,7 +253,7 @@ def dual_coordinate_descent(
 class LinearModel:
     """One weight row and one bias per solver fit over a frozen feature
     space; rows, biases and epochs align with MODE_FITS[mode]. A bundle of
-    it holds metadata.json, space.tsv and one weights file per fit."""
+    it holds metadata.json and weights.tsv."""
 
     weights: np.ndarray  # shape (len(MODE_FITS[mode]), space.size)
     biases: np.ndarray  # shape (len(MODE_FITS[mode]),)
@@ -344,23 +348,27 @@ def predict(model: LinearModel, rows: Sequence[np.ndarray]) -> list[StanceLabel]
 # Model bundle: a directory that round-trips predictions bitwise.
 
 _METADATA = "metadata.json"
-_SPACE = "space.tsv"
+_WEIGHTS = "weights.tsv"
 
 
-def _weights_file(cls: StanceLabel) -> str:
-    return f"weights_{cls.value}.tsv"
+def _weights_line(name: str, weights: list[float]) -> str:
+    if "\n" in name or "\r" in name or not utf8_encodable(name):
+        raise CorpusError(
+            f"feature {name!r}: cannot write a line break or a character UTF-8 "
+            "cannot encode; load_bundle could not read it back"
+        )
+    return "\t".join([name, *map(repr, weights)]) + "\n"
 
 
 def save_bundle(model: LinearModel, path: str | Path, topic: str = "") -> None:
-    """Write the feature space, one weights file per fit and, last, the
-    metadata, so that a directory holding metadata.json is a whole bundle:
-    metadata.json, space.tsv and weights_<CLASS>.tsv for each class of
-    MODE_FITS[mode]. A binary bundle holds weights_FAVOR.tsv only.
+    """Write weights.tsv and then, last, metadata.json, so that a directory
+    holding metadata.json is a whole bundle (see the module docstring).
 
     A weight or bias that is not finite raises CorpusError naming its class
     before the directory is touched, since load_bundle refuses it. A feature
-    name the space file cannot hold raises CorpusError before any file in
-    the directory changes (see write_feature_space).
+    name that weights.tsv cannot hold, one with "\\n" or "\\r" or a
+    character UTF-8 cannot encode, raises CorpusError naming the feature
+    before any file in the directory changes.
     """
     for cls, row, bias in zip(MODE_FITS[model.mode], model.weights, model.biases):
         if not (np.isfinite(row).all() and math.isfinite(bias)):
@@ -368,21 +376,16 @@ def save_bundle(model: LinearModel, path: str | Path, topic: str = "") -> None:
                               "not finite; load_bundle could not read it back")
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    write_feature_space(path / _SPACE, model.space)  # first: it may refuse
-    # An earlier bundle's metadata must not vouch for these weights.
-    (path / _METADATA).unlink(missing_ok=True)
-    for ci, cls in enumerate(MODE_FITS[model.mode]):
-        row = model.weights[ci]
-        nz = np.flatnonzero(row)
-        with output_file(path / _weights_file(cls)) as fh:
-            # 1024 weights per write: one string for the whole file raised
-            # the experiment's peak memory by about 0.4 MB.
-            for start in range(0, nz.size, 1024):
-                idx = nz[start : start + 1024]
-                fh.write("".join(
-                    f"{i}\t{w!r}\n" for i, w in zip(idx.tolist(), row[idx].tolist())
-                ))
-            fh.write(f"bias\t{float(model.biases[ci])!r}\n")
+    names, weights = model.space.names, model.weights
+    with output_file(path / _WEIGHTS) as fh:
+        # 1024 lines per write: building the whole file first peaked at 5.1
+        # MB, not 0.4 MB, on a ternary bundle of 13,700 columns.
+        for start in range(0, len(names), 1024):
+            chunk = slice(start, start + 1024)
+            fh.write("".join(map(_weights_line, names[chunk], weights[:, chunk].T.tolist())))
+        # Once no name can be refused: an earlier bundle's metadata must not
+        # vouch for these weights.
+        (path / _METADATA).unlink(missing_ok=True)
     meta = {
         "format": BUNDLE_FORMAT,
         "mode": model.mode,
@@ -391,49 +394,37 @@ def save_bundle(model: LinearModel, path: str | Path, topic: str = "") -> None:
         "config": asdict(model.config),
         "dimension": model.space.size,
         "epochs": list(model.epochs),
+        "biases": model.biases.tolist(),
     }
     with output_file(path / _METADATA) as fh:
         fh.write(json.dumps(meta, indent=2) + "\n")
 
 
-def _read_weights(weights_path: Path, dim: int) -> tuple[np.ndarray, float]:
-    """One weights file's row over dim columns, and its bias."""
-    row = np.zeros(dim, dtype=np.float64)
-    seen: set[int] = set()
-    bias = None
+def _read_weights(weights_path: Path, fits: int) -> tuple[list[str], np.ndarray]:
+    """The feature names of a weights file of fits weights per line, and its
+    weights, shape (fits, lines)."""
+    names: list[str] = []
+    seen: set[str] = set()
+    weights = array("d")
     with input_lines(weights_path) as lines:
         for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            key, _, value = line.partition("\t")
-            try:
-                number = float(value)
-                idx = None if key == "bias" else int(key)
-            except ValueError:
-                idx = -1
-            if idx is not None and not 0 <= idx < dim:
-                raise ValueError(f"expected an index in 0..{dim - 1} or 'bias', "
-                                 "a tab and a weight")
-            if not math.isfinite(number):
-                raise ValueError(f"weight {value} is not finite")
-            if bias is not None:
-                raise ValueError("follows the bias line, which must be the last")
-            if idx in seen:
-                raise ValueError(f"index {idx} appears twice")
-            if idx is None:
-                bias = number
-            else:
-                seen.add(idx)
-                row[idx] = number
-    if bias is None:
-        raise CorpusError(f"{weights_path}: no bias line; the file may be cut short")
-    return row, bias
+            # From the right, so that a name may hold tabs.
+            name, *values = line.rsplit("\t", fits)
+            numbers = list(map(float, values))
+            if len(numbers) != fits or not all(map(math.isfinite, numbers)):
+                raise ValueError(f"expected a feature and {fits} finite weights, "
+                                 "each after a tab")
+            if name in seen:
+                raise ValueError(f"feature {name!r} appears twice")
+            seen.add(name)
+            names.append(name)
+            weights.extend(numbers)
+    return names, np.frombuffer(weights).reshape(len(names), fits).T.copy()
 
 
 def load_bundle(path: str | Path) -> tuple[LinearModel, dict]:
-    """Load a bundle directory (metadata.json, space.tsv and one weights
-    file per fit); returns the model and its metadata.
+    """Load a bundle directory (metadata.json and weights.tsv); returns the
+    model and its metadata.
 
     Metadata whose format is not the JSON integer BUNDLE_FORMAT, or that
     has none, raises CorpusError with one message that names metadata.json
@@ -441,12 +432,13 @@ def load_bundle(path: str | Path) -> tuple[LinearModel, dict]:
     or holds a bad value (such as a selector that is not a flag string, a
     topic that is not a string, an unknown config field, a config value
     that TrainConfig refuses, a dimension that is not an integer, a mode
-    that is not a key of MODE_CLASSES, or epochs other than a list of one
-    integer per fit of the mode or an empty one), a weight line other than
-    an index in 0..dimension-1 (or "bias"), a tab and a finite number, an
-    index on two lines, and a weights file whose last line is not its one
-    bias line (as a write cut short leaves it), raise CorpusError naming
-    the file and, where there is one, the line.
+    that is not a key of MODE_CLASSES, epochs other than a list of one
+    integer per fit of the mode or an empty one, or biases other than a
+    list of one finite float per fit), a weights line other than a feature,
+    then a tab and a finite number per fit, a feature on two lines, and a
+    weights file of more or fewer lines than the dimension (as a write cut
+    short leaves it), raise CorpusError naming the file and, where there is
+    one, the line.
     """
     path = Path(path)
     meta_path = path / _METADATA
@@ -464,34 +456,36 @@ def load_bundle(path: str | Path) -> tuple[LinearModel, dict]:
         selector = FeatureSetSelector.parse(meta["selector"])
         config = TrainConfig(**meta["config"])
         dimension, mode, epochs = meta["dimension"], meta["mode"], meta["epochs"]
+        biases = meta["biases"]
         if type(dimension) is not int:
             raise TypeError(f"dimension {dimension!r} is not an integer")
         if not isinstance(mode, str) or mode not in MODE_CLASSES:
             raise ValueError(f"mode {mode!r} is not one of {list(MODE_CLASSES)}")
+        fits = len(MODE_FITS[mode])
         if not isinstance(epochs, list) or epochs and (
-            len(epochs) != len(MODE_FITS[mode])
-            or not all(type(e) is int for e in epochs)
+            len(epochs) != fits or not all(type(e) is int for e in epochs)
         ):
             raise ValueError(f"epochs {epochs!r} are not one integer per fit")
+        if not isinstance(biases, list) or len(biases) != fits or not all(
+            type(b) is float and math.isfinite(b) for b in biases
+        ):
+            raise ValueError(f"biases {biases!r} are not one finite float per fit")
     except CorpusError:
         raise
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise CorpusError(
             f"{meta_path}: bad metadata ({type(exc).__name__}: {exc})"
         ) from None
-    space = read_feature_space(path / _SPACE, selector)
-    dim = space.size
-    if dim != dimension:
-        raise ValueError(
-            f"bundle {path}: space has {dim} features, "
-            f"metadata says {dimension}"
-        )
-    fits = [_read_weights(path / _weights_file(cls), dim) for cls in MODE_FITS[mode]]
+    weights_path = path / _WEIGHTS
+    names, weights = _read_weights(weights_path, fits)
+    if len(names) != dimension:
+        raise CorpusError(f"{weights_path}: {len(names)} lines where {_METADATA} gives "
+                          f"dimension {dimension}; the file may be cut short")
     model = LinearModel(
-        weights=np.array([row for row, _ in fits]),
-        biases=np.array([bias for _, bias in fits]),
+        weights=weights,
+        biases=np.array(biases),
         mode=mode,
-        space=space,
+        space=FeatureSpace(names=tuple(names), selector=selector),
         config=config,
         epochs=tuple(epochs),
     )

@@ -18,8 +18,8 @@ from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
-from .corpus import CANONICAL_LABELS, LabeledInstance, StanceLabel
-from .corpus import input_lines, output_file, write_csv
+from .corpus import CANONICAL_LABELS, CorpusError, LabeledInstance, StanceLabel
+from .corpus import input_lines, output_file, utf8_encodable, write_csv
 
 _LABEL_INDEX = {label: i for i, label in enumerate(CANONICAL_LABELS)}
 
@@ -245,16 +245,28 @@ def write_predictions(
     instances: Iterable[LabeledInstance],
     predictions: Sequence[StanceLabel],
 ) -> None:
-    """TSV with columns ID, Target, Gold, Pred."""
+    """TSV with columns ID, Target, Gold, Pred.
+
+    Refuses, with a CorpusError naming the tweet id and leaving the file as
+    it was, a row that read_predictions could not read back: a tab, "\\n" or
+    "\\r" in the ID or Target, or a character UTF-8 cannot encode. Each row
+    is checked as it is written.
+    """
     instances = list(instances)
     if len(instances) != len(predictions):
         raise ValueError("instances and predictions differ in length")
     with output_file(path) as fh:
         fh.write(PREDICTIONS_HEADER + "\n")
         for inst, pred in zip(instances, predictions):
-            fh.write(
-                f"{inst.tweet_id}\t{inst.topic}\t{inst.label.value}\t{pred.value}\n"
-            )
+            key = f"{inst.tweet_id}\t{inst.topic}"
+            if (key.count("\t") != 1 or "\n" in key or "\r" in key
+                    or not utf8_encodable(key)):
+                raise CorpusError(
+                    f"tweet {inst.tweet_id!r}: cannot write a tab or line break in the ID "
+                    "or Target, or a character UTF-8 cannot encode; the predictions "
+                    "file could not read it back"
+                )
+            fh.write(f"{key}\t{inst.label.value}\t{pred.value}\n")
 
 
 def read_predictions(

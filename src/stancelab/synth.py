@@ -141,12 +141,10 @@ def generate(config: SynthConfig) -> tuple[Dataset, Dataset]:
     train_instances: list[LabeledInstance] = []
     test_instances: list[LabeledInstance] = []
     profiles: dict[str, dict[str, list[str]]] = {}
-    topics_seen: list[str] = []
     prior = np.asarray(config.stance_prior, dtype=np.float64)
     prior = prior / prior.sum()
     for topic in config.topics:
         slug = topic_slug(topic)
-        topics_seen.append(topic)
         pool_sizes = {
             "fav": config.community_pool_size,
             "agn": config.community_pool_size,
@@ -194,7 +192,7 @@ def generate(config: SynthConfig) -> tuple[Dataset, Dataset]:
                         label=stance,
                     )
                 )
-    topics = tuple(topics_seen)
+    topics = tuple(config.topics)
     table = ProfileTable.from_sets(profiles)
     train = Dataset(tuple(train_instances), table, topics)
     test = Dataset(tuple(test_instances), table, topics)

@@ -21,8 +21,8 @@ from stancelab.features import (
     WORD_NGRAM_ORDERS,
     NgramTable,
     _codes,
-    _distinct_sorted,
 )
+from stancelab.corpus import distinct_sorted
 
 
 class ReferenceBlocks:
@@ -46,7 +46,7 @@ class ReferenceBlocks:
         )
 
         codes = _codes("".join(chars))
-        self.char_codes = _distinct_sorted(codes)
+        self.char_codes = distinct_sorted(codes)
         self.chars = NgramTable(
             np.searchsorted(self.char_codes, codes),
             np.fromiter(map(len, chars), np.int64, len(chars)),

@@ -2,9 +2,10 @@
 
 ``top_features`` ranks through ``class_weights``, a name -> weight map of
 every column, and a sort of all of them, as ``analysis.top_features`` did;
-``write_weights`` writes one bundle weights file element by element, as
-``linsvm.save_bundle`` did. The program's versions must give the same
-rankings, float bits included, and the same bytes. A binary model's
+``write_weights`` writes a bundle's weights.tsv element by element: a line
+per column, its name and then each fit's weight, each after a tab. The
+program's versions must give the same rankings, float bits included, and
+the same bytes. A binary model's
 Against weights are its Favor row negated, as ``train_ovr`` once stored
 them.
 """
@@ -12,8 +13,6 @@ them.
 from __future__ import annotations
 
 from pathlib import Path
-
-import numpy as np
 
 from stancelab.analysis import RankedFeatures
 from stancelab.corpus import StanceLabel
@@ -42,10 +41,13 @@ def top_features(
     return RankedFeatures(label=cls, topic=topic, entries=tuple(ordered[:n]))
 
 
-def write_weights(path: Path, row: np.ndarray, bias: float) -> None:
-    """One weights file: a line per non-zero weight, then the bias."""
+def write_weights(path: Path, model: LinearModel) -> None:
+    """A bundle's weights.tsv: a line per column, its name, then each fit's
+    weight after a tab."""
     with path.open("w", encoding="utf-8") as fh:
-        for idx in np.nonzero(row)[0]:
-            fh.write(f"{int(idx)}\t{float(row[idx])!r}\n")
-        fh.write(f"bias\t{float(bias)!r}\n")
+        for col, name in enumerate(model.space.names):
+            fh.write(name)
+            for row in model.weights:
+                fh.write(f"\t{float(row[col])!r}")
+            fh.write("\n")
 

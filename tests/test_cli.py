@@ -155,7 +155,10 @@ class TestExperiment:
         out = tmp_path / "out"
         assert experiment(corpus, out, 1, "--modes", "binary",
                           selectors="IN_AT,TXT") == EXIT_OK
-        assert not list((out / "bundles").rglob("weights_AGAINST.tsv"))
+        # A binary bundle holds one weight per feature: its Favor fit's.
+        weights = list((out / "bundles").rglob("weights.tsv"))
+        assert weights and all(line.count("\t") == 1 for path in weights
+                               for line in path.read_text(encoding="utf-8").splitlines())
         assert main(["analyze", "--bundles", str(out / "bundles" / "IN_AT__binary"),
                      "--out", str(tmp_path / "a")]) == EXIT_OK
         ranked = (out / "analysis" / "top_features__IN_AT__binary.csv").read_bytes()
@@ -979,16 +982,19 @@ class TestDataErrors:
         err = self.predict_error(bundle, corpus / "test.tsv", capsys)
         assert "metadata.json" in err and "gamma" in err
 
-    @pytest.mark.parametrize("index", ["-1", "dimension"])
-    def test_weight_index_out_of_range(self, bundle, corpus, index, capsys):
-        if index == "dimension":
-            index = str(json.loads((bundle / "metadata.json").read_text())["dimension"])
-        weights = bundle / "weights_FAVOR.tsv"
-        lines = weights.read_text().count("\n")
-        with weights.open("a") as fh:
-            fh.write(f"{index}\t9.5\n")
+    @pytest.mark.parametrize("case", ["cut", "extra"])
+    def test_weights_lines_number_the_dimension(self, bundle, corpus, case, capsys):
+        # save_bundle writes a line per column, so a file of fewer lines was
+        # cut short at a line boundary, and one of more was added to.
+        weights = bundle / "weights.tsv"
+        lines = weights.read_text(encoding="utf-8").splitlines(keepends=True)
+        dimension = json.loads((bundle / "metadata.json").read_text())["dimension"]
+        assert len(lines) == dimension
+        lines = lines[:-1] if case == "cut" else [*lines, "extra:x\t9.5\n"]
+        weights.write_text("".join(lines), encoding="utf-8")
         err = self.predict_error(bundle, corpus / "test.tsv", capsys)
-        assert f"weights_FAVOR.tsv: line {lines + 1}:" in err
+        assert (f"weights.tsv: {len(lines)} lines where metadata.json gives dimension "
+                f"{dimension}; the file may be cut short") in err
 
     @pytest.mark.parametrize("C", [math.nan, math.inf])
     def test_non_finite_config_value(self, bundle, corpus, C, capsys):
@@ -1001,7 +1007,7 @@ class TestDataErrors:
 
     def test_missing_metadata_key(self, bundle, corpus, capsys):
         original = (bundle / "metadata.json").read_text()
-        for key in ("dimension", "epochs", "topic"):
+        for key in ("dimension", "epochs", "topic", "biases"):
             meta = json.loads(original)
             del meta[key]
             (bundle / "metadata.json").write_text(json.dumps(meta))
@@ -1016,8 +1022,33 @@ class TestDataErrors:
         meta["classes"] = ["AGAINST", "FAVOR"]
         meta_path.write_text(json.dumps(meta))
         err = self.predict_error(bundle, corpus / "test.tsv", capsys)
-        assert err == (f"stancelab: {meta_path}: not a bundle of format 2; "
+        assert err == (f"stancelab: {meta_path}: not a bundle of format 3; "
                        "retrain it with this version of stancelab\n")
+
+    def test_bundle_of_format_2(self, bundle, corpus, capsys):
+        # Format 2 kept the weights in other files and no biases in the
+        # metadata; the refusal comes before any weights are read.
+        meta_path = bundle / "metadata.json"
+        meta = json.loads(meta_path.read_text())
+        del meta["biases"]
+        meta["format"] = 2
+        meta_path.write_text(json.dumps(meta))
+        (bundle / "weights.tsv").unlink()
+        err = self.predict_error(bundle, corpus / "test.tsv", capsys)
+        assert err == (f"stancelab: {meta_path}: not a bundle of format 3; "
+                       "retrain it with this version of stancelab\n")
+
+    @pytest.mark.parametrize("biases", [[1], ["0.5"], [None], [math.nan], [math.inf],
+                                        [0.5, 0.5], [], 0.5],
+                             ids=["integer", "string", "null", "nan", "inf",
+                                  "two", "none", "not-a-list"])
+    def test_biases_are_one_finite_float_per_fit(self, bundle, corpus, biases, capsys):
+        meta = json.loads((bundle / "metadata.json").read_text())
+        meta["biases"] = biases
+        (bundle / "metadata.json").write_text(json.dumps(meta))
+        err = self.predict_error(bundle, corpus / "test.tsv", capsys)
+        assert "metadata.json: bad metadata" in err
+        assert "are not one finite float per fit" in err
 
     def test_selector_not_a_string(self, bundle, corpus, capsys):
         meta = json.loads((bundle / "metadata.json").read_text())
@@ -1068,12 +1099,13 @@ class TestDataErrors:
         assert "metadata.json" in err and "dimension" in err
 
     def test_malformed_feature_space_line(self, bundle, corpus, capsys):
-        space = bundle / "space.tsv"
-        lines = space.read_text().count("\n")
-        with space.open("a") as fh:
+        # The space's names are the first column of weights.tsv.
+        weights = bundle / "weights.tsv"
+        lines = weights.read_text().count("\n")
+        with weights.open("a") as fh:
             fh.write("no tab line\n")
         err = self.predict_error(bundle, corpus / "test.tsv", capsys)
-        assert f"space.tsv: line {lines + 1}:" in err and bundle.name in err
+        assert f"weights.tsv: line {lines + 1}:" in err and bundle.name in err
 
     def test_tweets_path_is_a_directory(self, bundle, corpus, capsys):
         self.predict_error(bundle, corpus, capsys)
@@ -1165,47 +1197,30 @@ class TestDataErrors:
         )
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("weights_file, line", [
-        ("weights_FAVOR.tsv", "0\tnan"),
-        ("weights_AGAINST.tsv", "bias\tinf"),
-        ("weights_AGAINST.tsv", "1\t-inf"),
-    ])
-    def test_weight_not_finite(self, ternary_bundle, corpus, weights_file, line,
-                               capsys):
-        # Every weights file goes through the same parser.
-        weights = ternary_bundle / weights_file
-        lines = weights.read_text().count("\n")
-        with weights.open("a") as fh:
-            fh.write(line + "\n")
+    @pytest.mark.parametrize("line, message", [
+        ("txtw:zz\t0.5\t0.5", "expected a feature and 3 finite weights"),
+        ("txtw:zz\tnan\t0.5\t0.5", "expected a feature and 3 finite weights"),
+        ("txtw:zz\t0.5\tinf\t0.5", "expected a feature and 3 finite weights"),
+        ("txtw:zz\t0.5\t0.5\t-inf", "expected a feature and 3 finite weights"),
+        ("txtw:zz\t0.5\tone\t0.5", "could not convert string to float: 'one'"),
+    ], ids=["two-weights", "nan", "inf", "minus-inf", "not-a-number"])
+    def test_weights_line_holds_a_finite_weight_per_fit(self, ternary_bundle, corpus,
+                                                        line, message, capsys):
+        weights = ternary_bundle / "weights.tsv"
+        lines = weights.read_text(encoding="utf-8").splitlines()
+        lines[1] = line
+        weights.write_text("\n".join(lines) + "\n", encoding="utf-8")
         err = self.predict_error(ternary_bundle, corpus / "test.tsv", capsys)
-        assert f"{weights_file}: line {lines + 1}:" in err and "finite" in err
+        assert f"weights.tsv: line 2: {message}" in err
 
-    @pytest.mark.parametrize("case", ["missing", "repeated", "not-last"])
-    def test_bias_line_is_the_one_last_line(self, bundle, corpus, case, capsys):
-        # save_bundle writes the bias line last, so a file without one was
-        # cut short.
-        weights = bundle / "weights_FAVOR.tsv"
-        lines = weights.read_text().splitlines()
-        assert lines[-1].startswith("bias\t")
-        lines, expected = {
-            "missing": (lines[:-1], "no bias line"),
-            "repeated": (lines + ["bias\t0.5"], f"line {len(lines) + 1}:"),
-            "not-last": (lines[-1:] + lines[:-1], "line 2:"),
-        }[case]
-        weights.write_text("\n".join(lines) + "\n")
-        err = self.predict_error(bundle, corpus / "test.tsv", capsys)
-        assert "weights_FAVOR.tsv" in err and expected in err
-
-    def test_repeated_weight_index(self, ternary_bundle, corpus, capsys):
-        for name in ("weights_FAVOR.tsv", "weights_AGAINST.tsv"):
-            weights = ternary_bundle / name
-            original = weights.read_text()
-            lines = original.splitlines()
-            index = lines[0].split("\t")[0]
-            weights.write_text("\n".join([lines[0], f"{index}\t0.25", *lines[1:]]) + "\n")
-            err = self.predict_error(ternary_bundle, corpus / "test.tsv", capsys)
-            assert f"{name}: line 2: index {index} appears twice" in err
-            weights.write_text(original)
+    def test_repeated_feature(self, ternary_bundle, corpus, capsys):
+        weights = ternary_bundle / "weights.tsv"
+        lines = weights.read_text(encoding="utf-8").splitlines()
+        name = lines[0].rsplit("\t", 3)[0]
+        lines[2] = lines[0]
+        weights.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        err = self.predict_error(ternary_bundle, corpus / "test.tsv", capsys)
+        assert f"weights.tsv: line 3: feature {name!r} appears twice" in err
 
     @pytest.mark.parametrize("case", ["header-only", "no-profiles"])
     def test_empty_training_set(self, corpus, tmp_path, case, capsys):
@@ -1327,8 +1342,8 @@ def test_importing_the_cli_loads_no_executor():
 class TestProfileControlCharacters:
     def test_handle_with_newline_rejected_before_training(self, corpus, tmp_path,
                                                           capsys):
-        # Such a handle used to give a bundle whose space.tsv predict could
-        # not read back.
+        # Such a handle used to give a bundle whose feature names predict
+        # could not read back.
         profiles = tmp_path / "profiles.jsonl"
         lines = (corpus / "profiles.jsonl").read_text().splitlines()
         record = json.loads(lines[0])
@@ -1403,7 +1418,7 @@ class TestBundleFormat:
         assert len(bundles) == len(load_split(corpus, "train.tsv").topics)
         for bundle in bundles:
             meta = json.loads((bundle / "metadata.json").read_text())
-            assert meta["format"] == 2 and meta["config"]["min_df"] == 2
+            assert meta["format"] == 3 and meta["config"]["min_df"] == 2
             assert load_bundle(bundle)[0].config == TrainConfig(min_df=2)
         assert main(["predict", "--bundles", str(tmp_path / "bundles"),
                      "--tweets", str(corpus / "test.tsv"), *profiles,

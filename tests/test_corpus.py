@@ -29,7 +29,6 @@ from stancelab.features import (
     FeatureSpace,
     extract_features,
     index_rows,
-    read_feature_space,
 )
 from stancelab.linsvm import _read_weights
 from stancelab.scoring import read_label_lines, read_predictions
@@ -701,9 +700,8 @@ READERS = {
                     ["ID\tTarget\tGold\tPred\n", "1\tA\tNONE\tNONE\r\n",
                      "2\tA\tFAVOR\tNONE\r"]),
     "labels": (read_label_lines, ["FAVOR\n", "NONE\r\n", "AGAINST\r"]),
-    "space": (lambda path: read_feature_space(path, FeatureSetSelector.of("IN_AT")),
-              ["inat:a\t0\n", "inat:b\t1\r\n", "inat:c\t2\r"]),
-    "weights": (lambda path: _read_weights(path, 4), ["0\t0.5\n", "1\t0.25\r\n", "2\t1\r"]),
+    "weights": (lambda path: _read_weights(path, 1),
+                ["inat:a\t0.5\n", "inat:b\t0.25\r\n", "inat:c\t1\r"]),
 }
 
 
@@ -729,8 +727,7 @@ MALFORMED = {
     "predictions-empty": (read_predictions, "", 1),
     "labels": (read_label_lines, "FAVOR\n\nNONE\n", 3),
     "labels-stance": (read_label_lines, "FAVOR\nMAYBE\n", 2),
-    "space": (READERS["space"][0], "inat:a\t0\n\ninat:b\t2\n", 3),
-    "weights": (READERS["weights"][0], "0\t0.5\n\n9\t1\n", 3),
+    "weights": (READERS["weights"][0], "inat:a\t0.5\ninat:b\t1\ninat:a\t1\n", 3),
 }
 
 

@@ -13,14 +13,22 @@ from stancelab.features import (
     build_feature_space,
     char_ngrams,
     extract_features,
-    read_feature_space,
     tokenize,
     word_ngrams,
-    write_feature_space,
 )
+from stancelab.linsvm import LinearModel, TrainConfig, load_bundle, save_bundle
 from vectorize_reference import vectorize
 
 TOKENS = st.lists(st.sampled_from(["a", "bb", "ccc", "@x", "#y"]), max_size=8)
+
+
+def saved_and_loaded(space, path):
+    """The space of a ternary bundle over it, saved to path and loaded."""
+    weights = np.arange(3.0 * space.size).reshape(3, space.size)
+    save_bundle(LinearModel(weights, np.zeros(3), "ternary", space, TrainConfig()), path)
+    loaded = load_bundle(path)[0]
+    assert np.array_equal(loaded.weights, weights)
+    return loaded.space
 
 
 def instance(text):
@@ -247,11 +255,10 @@ class TestFeatureSpace:
         assert indices == list(range(space.size))
 
     def test_serialization_round_trip(self, tmp_path):
+        # A space is saved as the name column of a bundle's weights.tsv.
         sel = FeatureSetSelector.of("TXT")
         space = build_feature_space([{"b", "a", "c"}], sel)
-        write_feature_space(tmp_path / "space.tsv", space)
-        loaded = read_feature_space(tmp_path / "space.tsv", sel)
-        assert loaded.names == space.names
+        assert saved_and_loaded(space, tmp_path / "bundle") == space
 
     # Any text, with the characters a line reader might split or drop: tabs,
     # NEL, the line and paragraph separators, CR, LF, lone surrogates.
@@ -265,46 +272,16 @@ class TestFeatureSpace:
     @example(names=["", "txtw:a"])
     @example(names=["a\t0", "a\t", "\t"])
     def test_any_names_read_back_or_are_refused(self, names):
-        sel = FeatureSetSelector.of("TXT")
+        space = FeatureSpace(tuple(names), FeatureSetSelector.of("TXT"))
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "space.tsv"
+            path = Path(tmp) / "bundle"
             try:
-                write_feature_space(path, FeatureSpace(tuple(names), sel))
+                loaded = saved_and_loaded(space, path)
             except CorpusError as exc:
                 assert "could not read it back" in str(exc)
-                assert not list(Path(tmp).iterdir())
+                assert not list(path.iterdir())
                 return
-            assert read_feature_space(path, sel).names == tuple(names)
-
-    def test_the_empty_name_is_refused(self, tmp_path):
-        with pytest.raises(CorpusError, match="feature '': cannot write an empty name"):
-            write_feature_space(tmp_path / "space.tsv",
-                                FeatureSpace(("", "txtw:a"), FeatureSetSelector.of("TXT")))
-
-
-class TestReadFeatureSpace:
-    """A damaged space.tsv names the file and the line at fault."""
-
-    @pytest.mark.parametrize(
-        "text,line,message",
-        [
-            ("txtw:a\t0\nno tab line\n", 2, "expected a feature"),
-            ("txtw:a\t0\ntxtw:b\tone\n", 2, "expected a feature"),
-            ("txtw:a\t0\n\t1\n", 2, "expected a feature"),
-            ("txtw:a\t0\ntxtw:b\t1\ntxtw:a\t2\n", 3, "duplicate feature 'txtw:a'"),
-            ("txtw:a\t0\ntxtw:b\t0\n", 2, "index 0 where 1 was expected"),
-            ("txtw:a\t0\ntxtw:b\t2\n", 2, "index 2 where 1 was expected"),
-            ("txtw:a\t-1\ntxtw:b\t0\n", 1, "index -1 where 0 was expected"),
-            ("txtw:a\t1\ntxtw:b\t0\n", 1, "index 1 where 0 was expected"),
-        ],
-    )
-    def test_error_names_file_and_line(self, tmp_path, text, line, message):
-        path = tmp_path / "space.tsv"
-        path.write_text(text, encoding="utf-8")
-        with pytest.raises(CorpusError) as info:
-            read_feature_space(path, FeatureSetSelector.of("TXT"))
-        assert str(info.value).startswith(f"{path}: line {line}: ")
-        assert message in str(info.value)
+            assert loaded.names == tuple(names)
 
 
 class TestVectorize:

@@ -35,6 +35,7 @@ from stancelab.linsvm import (
     MODE_FITS,
     TrainConfig,
     _check_rows,
+    _read_weights,
     decision_values,
     dual_coordinate_descent,
     load_bundle,
@@ -609,6 +610,8 @@ class TestBundle:
         model, dim = self._trained_model(mode)
         save_bundle(model, tmp_path / "bundle", topic="alpha")
         loaded, meta = load_bundle(tmp_path / "bundle")
+        assert sorted(p.name for p in (tmp_path / "bundle").iterdir()) == [
+            "metadata.json", "weights.tsv"]
         assert meta["topic"] == "alpha"
         assert meta["format"] == BUNDLE_FORMAT and "classes" not in meta
         assert loaded.classes == model.classes
@@ -632,8 +635,8 @@ class TestBundle:
             assert meta["config"]["min_df"] == 2
 
     # 2.0 == 2 and True == 1 in Python, so a value check alone passes both.
-    @pytest.mark.parametrize("fmt", ["missing", 1, 3, 2.0, "2", True],
-                             ids=["missing", "1", "3", "float", "string", "true"])
+    @pytest.mark.parametrize("fmt", ["missing", 1, 2, 4, 3.0, "3", True],
+                             ids=["missing", "1", "2", "4", "float", "string", "true"])
     def test_any_other_format_is_refused(self, tmp_path, fmt):
         model, _ = self._trained_model()
         save_bundle(model, tmp_path / "b")
@@ -647,6 +650,16 @@ class TestBundle:
         message = f"{meta_path}: not a bundle of format {BUNDLE_FORMAT}; retrain it"
         with pytest.raises(CorpusError, match=re.escape(message)):
             load_bundle(tmp_path / "b")
+
+    def test_a_refused_name_leaves_the_old_bundle(self, tmp_path):
+        model, _ = self._trained_model()
+        save_bundle(model, tmp_path / "b", topic="alpha")
+        before = {p.name: p.read_bytes() for p in (tmp_path / "b").iterdir()}
+        names = model.space.names[:-1] + ("txtw:a\nb",)
+        refused = replace(model, space=replace(model.space, names=names))
+        with pytest.raises(CorpusError, match="'txtw:a\\\\nb': cannot write a line break"):
+            save_bundle(refused, tmp_path / "b", topic="alpha")
+        assert {p.name: p.read_bytes() for p in (tmp_path / "b").iterdir()} == before
 
     @pytest.mark.parametrize("mode,cls", [("binary", "FAVOR"), ("ternary", "NONE")])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -663,6 +676,38 @@ class TestBundle:
         with pytest.raises(CorpusError, match=f"class {cls}: .* not finite"):
             save_bundle(replace(model, weights=weights, biases=biases), tmp_path / "b")
         assert not (tmp_path / "b").exists()
+
+
+class TestReadWeights:
+    """A damaged weights.tsv names the file and the line at fault."""
+
+    @pytest.mark.parametrize(
+        "text,line,message",
+        [
+            ("txtw:a\t0.5\t1\nno tab line\n", 2, "expected a feature and 2 finite weights"),
+            ("txtw:a\t0.5\t1\ntxtw:b\t1\n", 2, "expected a feature and 2 finite weights"),
+            ("txtw:a\t0.5\t1\n\n", 2, "expected a feature and 2 finite weights"),
+            ("txtw:a\t0.5\t1\ntxtw:b\t1\tnan\n", 2, "finite weights"),
+            ("txtw:a\t0.5\t1\ntxtw:b\tone\t1\n", 2, "could not convert"),
+            ("txtw:a\t0\t0\ntxtw:b\t1\t1\ntxtw:a\t2\t2\n", 3,
+             "feature 'txtw:a' appears twice"),
+        ],
+        ids=["no-tab", "one-weight", "blank", "nan", "not-a-number", "repeated"],
+    )
+    def test_error_names_file_and_line(self, tmp_path, text, line, message):
+        path = tmp_path / "weights.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(CorpusError) as info:
+            _read_weights(path, 2)
+        assert str(info.value).startswith(f"{path}: line {line}: ")
+        assert message in str(info.value)
+
+    def test_names_may_hold_tabs(self, tmp_path):
+        path = tmp_path / "weights.tsv"
+        path.write_text("a\t\t1\t2\n\t3\t-0.0\n\tb\t5e-324\t6\n", encoding="utf-8")
+        names, weights = _read_weights(path, 2)
+        assert names == ["a\t", "", "\tb"]
+        assert weights.tobytes() == np.array([[1, 3, 5e-324], [2, -0.0, 6]]).tobytes()
 
 
 # Text and set members as they reach the extractor from memory: any

@@ -20,7 +20,7 @@ from stancelab.analysis import (
 from stancelab.corpus import (
     output_file, write_csv, write_network_profiles, write_semeval_tsv,
 )
-from stancelab.features import FeatureSetSelector, write_feature_space
+from stancelab.features import FeatureSetSelector
 from stancelab.linsvm import TrainConfig, load_bundle, save_bundle
 from stancelab.pipeline import train_topic_models
 from stancelab.scoring import (
@@ -117,7 +117,6 @@ WRITERS = {
     "write_predictions": lambda m, p: write_predictions(p, m["test"].instances, m["pred"]),
     "write_semeval_tsv": lambda m, p: write_semeval_tsv(p, m["train"].instances),
     "write_network_profiles": lambda m, p: write_network_profiles(p, m["train"].profiles),
-    "write_feature_space": lambda m, p: write_feature_space(p, m["model"].space),
     "save_bundle": lambda m, p: save_bundle(m["model"], p, topic="alpha"),
     "write_corpus": lambda m, p: write_corpus(CONFIG, p),
     "write_report_csv": lambda m, p: write_report_csv(m["report"], p),
@@ -164,8 +163,11 @@ def test_a_cut_write_leaves_the_old_state(made, tmp_path, monkeypatch, name, sha
 
 
 @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
-def test_a_bundle_cut_inside_its_weights_has_no_metadata(made, tmp_path, monkeypatch,
-                                                         existing):
+def test_a_bundle_cut_inside_its_metadata_has_none(made, tmp_path, monkeypatch,
+                                                   existing):
+    # A cut inside weights.tsv, the first file written, leaves the directory
+    # as it was (test_a_cut_write_leaves_the_old_state); the old metadata
+    # goes before weights.tsv replaces the old weights.
     bundle = tmp_path / "bundle"
     whole = CutWrites(tmp_path)
     with monkeypatch.context() as patch:
@@ -173,13 +175,13 @@ def test_a_bundle_cut_inside_its_weights_has_no_metadata(made, tmp_path, monkeyp
         save_bundle(made["model"], tmp_path / "whole", topic="alpha")
     if existing:
         save_bundle(made["model"], bundle, topic="alpha")
-    # space.tsv is written first, then a weights file per class.
     cut = CutWrites(tmp_path, budget=whole.sizes[0] + whole.sizes[1] // 2)
     with monkeypatch.context() as patch:
         cut.install(patch)
         with pytest.raises(OSError, match="No space left"):
             save_bundle(made["model"], bundle, topic="alpha")
-    assert (bundle / "space.tsv").exists()
+    assert (bundle / "weights.tsv").read_bytes() == (
+        tmp_path / "whole" / "weights.tsv").read_bytes()
     assert not (bundle / "metadata.json").exists()
     assert leftovers(tmp_path) == []
     with pytest.raises(FileNotFoundError, match="metadata.json"):

@@ -1,6 +1,8 @@
 """The per-cell output writers against their oracles: rankings equal to the
-float bit, weights files equal to the byte."""
+float bit, a bundle's weights.tsv equal to the byte and its biases to the
+float bit."""
 
+import json
 import struct
 import tempfile
 from pathlib import Path
@@ -114,11 +116,10 @@ class TestWeightsFiles:
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             save_bundle(model, tmp / "bundle")
-            fits = MODE_FITS[model.mode]
-            assert sorted(p.name for p in (tmp / "bundle").glob("weights_*.tsv")) == (
-                sorted(f"weights_{cls.value}.tsv" for cls in fits))
-            for ci, cls in enumerate(fits):
-                expected = tmp / f"expected_{cls.value}.tsv"
-                reference.write_weights(expected, model.weights[ci], model.biases[ci])
-                written = tmp / "bundle" / f"weights_{cls.value}.tsv"
-                assert written.read_bytes() == expected.read_bytes()
+            assert sorted(p.name for p in (tmp / "bundle").iterdir()) == [
+                "metadata.json", "weights.tsv"]
+            reference.write_weights(tmp / "expected.tsv", model)
+            written = (tmp / "bundle" / "weights.tsv").read_bytes()
+            assert written == (tmp / "expected.tsv").read_bytes()
+            biases = json.loads((tmp / "bundle" / "metadata.json").read_text())["biases"]
+            assert bits(enumerate(biases)) == bits(enumerate(model.biases.tolist()))

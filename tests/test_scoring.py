@@ -1,13 +1,15 @@
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from stancelab.corpus import CANONICAL_LABELS, CorpusError, StanceLabel
+from stancelab.corpus import CANONICAL_LABELS, CorpusError, LabeledInstance, StanceLabel
 from stancelab.scoring import (
     confusion,
     kfold,
@@ -330,6 +332,21 @@ class TestMannWhitney:
         assert result.p_value == pytest.approx(float(expected), abs=1e-9)
 
 
+FIELDS = st.text(st.one_of(st.characters(), st.sampled_from("\t\r\n\x85\u2028\ud800")),
+                 max_size=4)
+
+
+def _reads_back(field: str) -> bool:
+    """Whether a predictions ID or Target would be read back as written."""
+    if any(c in field for c in "\t\r\n"):
+        return False
+    try:
+        field.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 class TestPredictionFiles:
     def test_round_trip(self, tmp_path):
         from stancelab.corpus import LabeledInstance
@@ -345,6 +362,39 @@ class TestPredictionFiles:
         assert topics == ["topic a", "topic b"]
         assert gold == [F, N]
         assert pred == [A, N]
+
+    # Any text, with the characters a line reader might split on: tabs, CR,
+    # LF, NEL, the line separator, and a lone surrogate.
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.tuples(FIELDS, FIELDS), max_size=4,
+                         unique_by=lambda row: row[0]))
+    @example(rows=[("1\t2", "t")])
+    def test_round_trips_or_refuses(self, rows):
+        readable = all(_reads_back(field) for row in rows for field in row)
+        event("written" if readable else "refused")
+        instances = [LabeledInstance(i, "u", t, "", F) for i, t in rows]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "preds.tsv"
+            if not readable:
+                with pytest.raises(CorpusError, match="could not read it back"):
+                    write_predictions(path, instances, [A] * len(rows))
+                assert not path.exists()
+                return
+            write_predictions(path, instances, [A] * len(rows))
+            assert read_predictions(path) == (
+                [i for i, _ in rows], [t for _, t in rows], [F] * len(rows), [A] * len(rows))
+
+    @pytest.mark.parametrize("tweet_id, topic", [
+        ("1\t2", "t"), ("1\n", "t"), ("1", "t\r"), ("1", "\udc80"),
+    ], ids=["tab-in-id", "lf-in-id", "cr-in-target", "surrogate-in-target"])
+    def test_unreadable_row_refused_naming_the_tweet(self, tmp_path, tweet_id, topic):
+        path = tmp_path / "preds.tsv"
+        path.write_text("old\n", encoding="utf-8")
+        instances = [LabeledInstance("0", "u", "t", "", F),
+                     LabeledInstance(tweet_id, "u", topic, "", F)]
+        with pytest.raises(CorpusError, match=re.escape(f"tweet {tweet_id!r}: cannot write")):
+            write_predictions(path, instances, [A, A])
+        assert path.read_text(encoding="utf-8") == "old\n"
 
     def test_repeated_id_rejected(self, tmp_path):
         path = tmp_path / "preds.tsv"
