@@ -51,6 +51,7 @@ import numpy as np
 from .corpus import CANONICAL_LABELS, CorpusError, StanceLabel, input_lines, output_file
 from .corpus import utf8_encodable
 from .features import FeatureSetSelector, FeatureSpace
+from .order import check_seed, seeded_order
 
 LOSSES = ("hinge", "squared_hinge")
 
@@ -91,8 +92,7 @@ class TrainConfig:
             raise ValueError("max_iter must be >= 1")
         if type(self.seed) is not int:
             raise ValueError(f"seed must be an integer, not {self.seed!r}")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        check_seed(self.seed)
         if self.loss not in LOSSES:
             raise ValueError(f"loss must be one of {LOSSES}")
         if type(self.min_df) is not int:
@@ -138,10 +138,9 @@ def dual_coordinate_descent(
     0..dim-1, and ``y[i]`` its +1/-1 label. The augmented weight vector is
     a float64 array of length dim+1 whose last slot is the bias; the dual
     coefficients are a float64 array of length n; epochs is an int.
-    Deterministic for a given config.seed (the per-epoch permutation
-    stream).
+    Deterministic for a given config.seed.
 
-    Shrinking: each epoch walks a permutation of the active coordinates
+    Shrinking: each epoch walks its active coordinates in seeded order
     and drops, until the next reset, one at alpha=0 whose gradient lies
     above the previous epoch's largest signed projected gradient, or one
     at alpha=U below its smallest. Those bounds are +-inf in the first
@@ -162,12 +161,14 @@ def dual_coordinate_descent(
     ``tests/dcd_reference.py``, so bundles, predictions and master.csv do
     not depend on how this loop is written. Per-coordinate state lives in
     Python floats, which round exactly as float64 numpy scalars do, so
-    only the floating-point operations, their order and the permutation
-    stream matter: each epoch draws ``rng.permutation(active)``, with the
-    active list in the order the previous epoch kept it. The margin must
-    stay one 1-D ``np.add.reduce`` over the row's weights (numpy's
-    pairwise sum) plus the bias: ``np.dot``, ``math.fsum``, a Python
-    ``sum`` and a 2-D ``W[:, idx].sum(axis=1)`` each round differently.
+    only the floating-point operations, their order and the visiting
+    order matter. Epoch e (counted from 1) visits its active coordinates
+    in ``order.seeded_order(config.seed, e, active)``, sorted by a 64-bit
+    key of (seed, epoch, coordinate), so the order in which the previous
+    epoch kept them does not matter. The margin must stay one 1-D
+    ``np.add.reduce`` over the row's weights (numpy's pairwise sum) plus
+    the bias: ``np.dot``, ``math.fsum``, a Python ``sum`` and a 2-D
+    ``W[:, idx].sum(axis=1)`` each round differently.
     """
     n = len(rows)
     if config.loss == "hinge":
@@ -181,7 +182,6 @@ def dual_coordinate_descent(
     alpha = [0.0] * n
     bias = 0.0
     reduce = np.add.reduce
-    rng = np.random.default_rng(config.seed)
     everything = list(range(n))
     active = everything
     # Shrinking bounds from the previous epoch's projected gradients.
@@ -193,7 +193,7 @@ def dual_coordinate_descent(
         # the violation is max(pg_max, -pg_min).
         pg_max = pg_min = 0.0
         kept = []
-        for i in rng.permutation(active).tolist():
+        for i in seeded_order(config.seed, epochs, active).tolist():
             kept.append(i)
             idx = rows[i]
             yi = labels[i]

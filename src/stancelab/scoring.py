@@ -20,6 +20,7 @@ import numpy as np
 
 from .corpus import CANONICAL_LABELS, CorpusError, LabeledInstance, StanceLabel
 from .corpus import input_lines, output_file, utf8_encodable, write_csv
+from .order import seeded_order
 
 _LABEL_INDEX = {label: i for i, label in enumerate(CANONICAL_LABELS)}
 
@@ -111,13 +112,15 @@ def minority_recall_flags(matrix: np.ndarray) -> list[StanceLabel]:
 
 
 def kfold(n: int, k: int, seed: int) -> tuple[int, ...]:
-    """Fold per instance: seeded shuffle, round-robin; sizes differ by <= 1."""
+    """Fold per instance: instances 0..n-1 in ``order.seeded_order(seed,
+    0, ...)`` are dealt round-robin, so fold sizes differ by <= 1. Epoch 0
+    is one that no solver fit uses; a seed must be in 0..2**64-1."""
     if k < 2:
         raise ValueError("k must be >= 2")
     if n < k:
         raise ValueError(f"cannot split {n} instances into {k} folds")
     folds = np.empty(n, dtype=np.int64)
-    folds[np.random.default_rng(seed).permutation(n)] = np.arange(n) % k
+    folds[seeded_order(seed, 0, range(n))] = np.arange(n) % k
     return tuple(folds.tolist())
 
 

@@ -5,11 +5,31 @@ section 3.3, as in LIBLINEAR's solve_l2r_l1l2_svc): every coordinate step
 reads and writes numpy scalars and calls the min/max builtins. The trainer
 must reproduce its weights, dual coefficients and epoch count bitwise for
 the same inputs, so any change to the trainer's floating-point operations,
-their order or its permutation stream shows up as a test failure. Shares
-no code with the trainer.
+their order or its visiting order shows up as a test failure. Shares no
+code with the trainer: the visiting order is computed here with Python
+ints, masked to 64 bits, from its definition in ``stancelab.order``.
 """
 
 import numpy as np
+
+MASK = 2**64 - 1
+GAMMA = 0x9E3779B97F4A7C15
+
+
+def splitmix64_finalizer(z):
+    """Steele, Lea & Flood's splitmix64 finalizer of one 64-bit word."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+    return z ^ (z >> 31)
+
+
+def epoch_order(seed, epoch, active):
+    """The coordinates of active sorted by their keys for (seed, epoch)."""
+    base = splitmix64_finalizer((splitmix64_finalizer(seed) + epoch) & MASK)
+    return sorted(
+        active,
+        key=lambda i: splitmix64_finalizer((base + (int(i) + 1) * GAMMA) & MASK),
+    )
 
 
 def reference_dcd(rows, y, dim, config):
@@ -22,7 +42,6 @@ def reference_dcd(rows, y, dim, config):
     qii = np.array([len(r) + 1 + diag for r in rows], dtype=np.float64)
     w = np.zeros(dim + 1, dtype=np.float64)
     alpha = np.zeros(n, dtype=np.float64)
-    rng = np.random.default_rng(config.seed)
     active = np.arange(n)
     pg_max_old, pg_min_old = np.inf, -np.inf
     epochs = 0
@@ -30,7 +49,7 @@ def reference_dcd(rows, y, dim, config):
         epochs += 1
         pg_max_new, pg_min_new = -np.inf, np.inf
         kept = []
-        for i in rng.permutation(active):
+        for i in epoch_order(config.seed, epochs, active):
             idx = rows[i]
             yi = y[i]
             g = yi * (w[idx].sum() + w[dim]) - 1.0 + diag * alpha[i]

@@ -621,6 +621,7 @@ class TestUsageErrors:
         ["--C", "inf"],
         ["--tol", "nan"],
         ["--tol", "inf"],
+        ["--seed", str(2**64)],
     ])
     def test_bad_experiment_flag(self, corpus, tmp_path, extra, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -640,8 +641,9 @@ class TestUsageErrors:
         (["--C", "inf"], "C must be positive and finite"),
         (["--tol", "nan"], "tol must be positive and finite"),
         (["--tol", "inf"], "tol must be positive and finite"),
+        (["--seed", str(2**64)], "seed must be < 2**64"),
     ], ids=["C", "tol", "max-iter", "selector", "seed", "C-nan", "C-inf",
-            "tol-nan", "tol-inf"])
+            "tol-nan", "tol-inf", "seed-2**64"])
     def test_bad_train_flag(self, tmp_path, extra, message, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--tweets", str(tmp_path / "missing.tsv"),
@@ -800,6 +802,23 @@ class TestUsageErrors:
         assert exc.value.code == EXIT_USAGE
         assert "network selectors require --profiles" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+def test_evaluate_seed_beyond_64_bits(corpus, tmp_path, capsys):
+    # The fold order takes a 64-bit seed. kfold refuses a larger one,
+    # which exits 2 with one line before any output is written.
+    test = load_split(corpus, "test.tsv")
+    predictions = tmp_path / "predictions.tsv"
+    write_predictions(predictions, test.instances,
+                      [inst.label for inst in test.instances])
+    argv = ["evaluate", "--predictions", str(predictions),
+            "--compare", str(predictions), "--pair-unit", "fold"]
+    assert main([*argv, "--seed", str(2**64 - 1),
+                 "--out", str(tmp_path / "largest")]) == EXIT_OK
+    code = main([*argv, "--seed", str(2**64), "--out", str(tmp_path / "out")])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err == "stancelab: seed must be < 2**64\n"
+    assert not (tmp_path / "out").exists()
 
 
 def _type_name(kind):
@@ -1337,6 +1356,39 @@ def test_importing_the_cli_loads_no_executor():
         capture_output=True, text=True, check=True, timeout=60,
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_only_synth_imports_numpy_random(corpus, tmp_path):
+    # Importing numpy.random costs about 5.5 MB of RSS. The solver's epochs
+    # and the evaluation folds follow the package's own seeded order, so no
+    # command but synth needs it. The corpus was written by this process.
+    src = Path(stancelab.__file__).resolve().parents[1]
+    code = """import sys
+from stancelab.cli import main
+c, out = sys.argv[1:]
+profiles = ["--profiles", f"{c}/profiles.jsonl"]
+for argv in (
+    ["train", "--tweets", f"{c}/train.tsv", *profiles, "--selector", "TXT+IN_AT",
+     "--mode", "ternary", "--out", f"{out}/b"],
+    ["predict", "--bundles", f"{out}/b", "--tweets", f"{c}/test.tsv", *profiles,
+     "--out", f"{out}/p.tsv"],
+    ["experiment", "--tweets", f"{c}/train.tsv", "--test", f"{c}/test.tsv",
+     *profiles, "--selectors", "IN_AT", "--modes", "ternary", "--jobs", "1",
+     "--out", f"{out}/e"],
+    ["evaluate", "--predictions", f"{out}/p.tsv", "--compare",
+     f"{out}/e/cells/IN_AT__ternary/predictions.tsv", "--pair-unit", "fold",
+     "--out", f"{out}/v"],
+):
+    assert main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.startswith("numpy.random")), file=sys.stderr)
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(corpus), str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert (tmp_path / "v" / "significance.txt").exists()
+    assert done.stderr.splitlines()[-1] == "[]"
 
 
 class TestProfileControlCharacters:

@@ -174,6 +174,8 @@ class TestTrainBinary:
                 TrainConfig(**{field: value})
         with pytest.raises(ValueError, match="seed must be >= 0"):
             TrainConfig(seed=-1)
+        with pytest.raises(ValueError, match=r"seed must be < 2\*\*64"):
+            TrainConfig(seed=2**64)
         with pytest.raises(ValueError, match="min_df must be >= 1"):
             TrainConfig(min_df=0)
 
@@ -327,6 +329,30 @@ class TestSolverIterates:
         y = rng.choice([-1.0, 1.0], size=len(rows))
         config = TrainConfig(C=2.0, tol=1e-12, max_iter=5, loss=loss)
         assert self.assert_same_iterates(rows, y, dim, config) == config.max_iter
+
+    def test_pinned_iterates_under_every_numpy(self):
+        # A hand-built problem, no numpy.random: no row holds more than 7
+        # entries, so every margin's np.add.reduce is a plain left-to-right
+        # loop in every numpy. The visiting order is the package's own, so
+        # these bits may not change with the installed numpy; CI runs this
+        # on an older numpy too.
+        rows = [row(r) for r in ([0, 1, 2], [1, 3], [2, 4, 5], [0, 5, 6, 7],
+                                 [3, 6], [1, 2, 7], [4], [0, 3, 5], [6, 7], [2, 5],
+                                 [], [1, 4, 6], [0, 1, 2, 3, 4, 5, 6])]
+        y = np.array([1.0, -1, 1, 1, -1, -1, 1, -1, 1, -1, 1, -1, 1])
+        config = TrainConfig(C=0.5, tol=1e-3, seed=21)
+        w, alpha, epochs = dual_coordinate_descent(rows, y, 8, config)
+        assert [v.hex() for v in w.tolist()] == [
+            "0x1.53599ff3df051p-1", "-0x1.359350a3ec0d7p-2", "0x1.f416686a37fcdp-3",
+            "-0x1.9ac9a851f606cp-1", "0x1.7d059a1a8dff2p-1", "-0x1.7d062f8c97decp-4",
+            "0x1.4d667fcf7c13ep-3", "0x1.4d667fcf7c13ep-3", "0x1.acac8de3b7ebcp-4",
+        ]
+        half = "0x1.0000000000000p-1"  # C: at the upper bound
+        assert [v.hex() for v in alpha.tolist()] == [
+            half, "0x1.359350a3ec0d6p-2", "0x1.f416686a37fcdp-3",
+            "0x1.4d667fcf7c13ep-3", *[half] * 9,
+        ]
+        assert epochs == 11
 
     def test_contract_read_by_the_bench_tracer(self):
         # bench/traced.py observes the solver by these parameter names and

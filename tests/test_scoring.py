@@ -172,13 +172,25 @@ class TestKfold:
     def test_deterministic(self):
         assert kfold(20, 4, seed=7) == kfold(20, 4, seed=7)
         # Frozen: a change here changes every fold-paired significance file.
-        assert kfold(10, 5, seed=1) == (3, 4, 0, 4, 1, 1, 3, 2, 0, 2)
+        # The order of dcd_reference.epoch_order(1, 0, range(10)) dealt
+        # round-robin gives the same folds.
+        assert kfold(10, 5, seed=1) == (4, 1, 0, 3, 4, 2, 2, 1, 0, 3)
 
     def test_n_less_than_k(self):
         with pytest.raises(ValueError):
             kfold(3, 5, seed=0)
         with pytest.raises(ValueError):
             kfold(10, 1, seed=0)
+
+    @pytest.mark.parametrize("seed,message", [
+        (-1, "seed must be >= 0"), (2**64, r"seed must be < 2\*\*64")])
+    def test_seed_out_of_range(self, seed, message):
+        with pytest.raises(ValueError, match=message):
+            kfold(10, 5, seed)
+
+    def test_largest_seed(self):
+        folds = kfold(10, 5, 2**64 - 1)
+        assert [folds.count(f) for f in range(5)] == [2, 2, 2, 2, 2]
 
     @given(n=st.integers(5, 60), k=st.integers(2, 5), seed=st.integers(0, 99))
     def test_partition_properties(self, n, k, seed):
