@@ -13,16 +13,20 @@ exception is a program bug and prints its traceback.
 from __future__ import annotations
 
 import argparse
+import os
+import stat
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import fields
+from itertools import tee
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .analysis import user_consistency, write_consistency_csv, write_rankings_csv
 from .corpus import (
     CorpusError, Dataset, LabeledInstance, ProfileTable, join,
-    load_network_profiles, load_semeval_tsv, output_file,
+    load_network_profiles, load_semeval_tsv, output_file, read_semeval_tsv,
 )
 from .experiment import (
     CellContext, capped_fit_lines, model_rankings, run_experiment, unique_slugs,
@@ -31,7 +35,8 @@ from .experiment import (
 from .features import NETWORK_FLAG_SOURCES, FeatureSetSelector
 from .linsvm import LOSSES, MODE_CLASSES, LinearModel, TrainConfig
 from .linsvm import load_bundle, save_bundle
-from .pipeline import predict_dataset, train_topic_models
+from .order import check_seed
+from .pipeline import check_topics, predict_dataset, predict_stream, train_topic_models
 from .scoring import (
     kfold, mann_whitney_u, paired_t_test, read_label_lines, read_predictions,
     score_semeval, write_predictions,
@@ -118,9 +123,18 @@ def _join(
     require_profile: bool,
 ) -> Dataset:
     dataset, dropped = join(instances, profiles, require_profile=require_profile)
+    _report_dropped(dropped)
+    return dataset
+
+
+def _report_dropped(dropped: int) -> None:
     if dropped:
         print(f"dropped {dropped} instances without profiles", file=sys.stderr)
-    return dataset
+
+
+def _families(selectors: Iterable[FeatureSetSelector]) -> set[str]:
+    """The profile families the selectors use."""
+    return {NETWORK_FLAG_SOURCES[flag][1] for s in selectors for flag in s.flags - {"TXT"}}
 
 
 def _load_dataset_for(
@@ -132,12 +146,8 @@ def _load_dataset_for(
     """Reads --tweets, then only what the selectors use of --profiles: their
     families, of the tweets' authors."""
     instances = load_semeval_tsv(tweets_path)
-    profiles = _load_profiles(
-        profiles_path,
-        fields={NETWORK_FLAG_SOURCES[flag][1]
-                for s in selectors for flag in s.flags - {"TXT"}},
-        authors={inst.author_id for inst in instances},
-    )
+    profiles = _load_profiles(profiles_path, fields=_families(selectors),
+                              authors={inst.author_id for inst in instances})
     return _join(instances, profiles, require_profile)
 
 
@@ -219,10 +229,35 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     models = _load_models(args.bundles)
     selectors = [model.space.selector for model in models.values()]
     _check_profiles_flag(args.parser, selectors, args.profiles)
-    dataset = _load_dataset_for(
-        selectors, args.tweets, args.profiles, args.require_profile
-    )
-    write_predictions(args.out, dataset.instances, predict_dataset(models, dataset))
+    tweets = args.tweets
+    if not stat.S_ISREG(os.stat(tweets).st_mode):
+        raise CorpusError(f"--tweets {tweets}: not a regular file; predict reads it twice")
+    # Pass 1 reads the authors and topics, so that a malformed line or a
+    # topic without a bundle exits before --profiles is read.
+    tweets_of: Counter[str] = Counter()
+    topics: dict[str, None] = {}
+    for inst in read_semeval_tsv(tweets):
+        tweets_of[inst.author_id] += 1
+        topics.setdefault(inst.topic)
+    check_topics(models, topics)
+    profiles = _load_profiles(args.profiles, fields=_families(selectors),
+                              authors=tweets_of)
+    if args.require_profile:
+        _report_dropped(sum(n for author, n in tweets_of.items() if author not in profiles))
+
+    def second_pass() -> Iterator[LabeledInstance]:
+        read = 0
+        for read, inst in enumerate(read_semeval_tsv(tweets), start=1):
+            yield inst
+        if read != tweets_of.total():
+            raise CorpusError(f"--tweets {tweets}: the file changed while predict read it")
+
+    # Pass 2 predicts one chunk at a time. write_predictions reads the two
+    # views of the rows in lockstep, so tee buffers only a few dozen rows.
+    left, right = tee(predict_stream(models, second_pass(), profiles,
+                                     args.require_profile))
+    write_predictions(args.out, (inst for inst, _ in left),
+                      (label for _, label in right))
     print(f"predictions: {args.out}")
     return EXIT_OK
 
@@ -393,6 +428,20 @@ def _int_at_least(low: int) -> Callable[[str], int]:
     return parse
 
 
+def _seed(text: str) -> int:
+    """An argparse type: a seed, an integer in 0..2**64-1 (order.check_seed)."""
+    value = int(text)
+    try:
+        check_seed(value)
+    except ValueError as exc:  # "seed must be ...", after "argument --seed: "
+        raise argparse.ArgumentTypeError(
+            f"{str(exc).removeprefix('seed ')}, got {value}") from None
+    return value
+
+
+_seed.__name__ = "int"  # as in _int_at_least
+
+
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--C", type=float, default=TrainConfig.C, help="SVM cost parameter")
     parser.add_argument("--tol", type=float, default=TrainConfig.tol,
@@ -430,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="e.g. TXT or IN_AT+IN_DM or TXT+IN_AT+IN_DM")
     p.add_argument("--mode", choices=MODE_CLASSES, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=_int_at_least(0), default=TrainConfig.seed)
+    p.add_argument("--seed", type=_seed, default=TrainConfig.seed)
     p.add_argument("--require-profile", action="store_true",
                    help="drop instances whose author has no profile")
     _add_train_flags(p)
@@ -438,7 +487,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="predict with saved bundles")
     p.add_argument("--bundles", required=True)
-    p.add_argument("--tweets", required=True)
+    p.add_argument("--tweets", required=True,
+                   help="tweets TSV to label; it is read twice, so it must be a "
+                   "regular file, not a pipe")
     p.add_argument("--profiles")
     p.add_argument("--out", required=True)
     p.add_argument("--require-profile", action="store_true")
@@ -459,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="second predictions TSV or bundles dir for significance tests")
     p.add_argument("--pair-unit", choices=("topic", "fold"), default="topic")
     p.add_argument("--folds", type=_int_at_least(2), default=5)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--require-profile", action="store_true",
                    help="score bundles on the --tweets whose author has a "
                    "profile, as predict --require-profile does")
@@ -472,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--selectors", required=True, help="comma-separated selector list")
     p.add_argument("--modes", default="ternary,binary")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=_int_at_least(0), default=TrainConfig.seed)
+    p.add_argument("--seed", type=_seed, default=TrainConfig.seed)
     p.add_argument("--jobs", type=_int_at_least(1), default=1,
                    help="worker processes for experiment cells, which start "
                    "together and take the costliest cells first; "

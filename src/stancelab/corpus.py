@@ -338,15 +338,15 @@ class Dataset:
     topics: tuple[str, ...]
 
 
-def load_semeval_tsv(path: str | Path) -> list[LabeledInstance]:
-    """Read a tweets TSV into instances.
+def read_semeval_tsv(path: str | Path) -> Iterator[LabeledInstance]:
+    """The instances of a tweets TSV, one at a time, as the file is read.
 
     Line 1 must be the header ID, Target, Tweet, Stance[, AuthorID], so
     that a file without it does not lose its first tweet. Each data line
-    must have 4 or 5 tab-separated fields in that order. When the author
-    column is absent the tweet id doubles as the author id.
+    must have 4 or 5 tab-separated fields in that order, and an ID may
+    appear only once. When the author column is absent the tweet id
+    doubles as the author id.
     """
-    instances: list[LabeledInstance] = []
     seen_ids: set[str] = set()
     with input_lines(path) as lines:
         header = next(lines, "")
@@ -367,16 +367,18 @@ def load_semeval_tsv(path: str | Path) -> list[LabeledInstance]:
             seen_ids.add(tweet_id)
             label = StanceLabel.parse(fields[3])
             author_id = fields[4].strip() if len(fields) == 5 else tweet_id
-            instances.append(
-                LabeledInstance(
-                    tweet_id=tweet_id,
-                    author_id=author_id or tweet_id,
-                    topic=topic,
-                    text=text,
-                    label=label,
-                )
+            yield LabeledInstance(
+                tweet_id=tweet_id,
+                author_id=author_id or tweet_id,
+                topic=topic,
+                text=text,
+                label=label,
             )
-    return instances
+
+
+def load_semeval_tsv(path: str | Path) -> list[LabeledInstance]:
+    """Every instance of a tweets TSV; see read_semeval_tsv."""
+    return list(read_semeval_tsv(path))
 
 
 def _reject_unwritable_chars(sets: Mapping[str, list[str]]) -> None:

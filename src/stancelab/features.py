@@ -445,5 +445,6 @@ def index_rows(
     stride = max(space.size, 1)
     keys = distinct_sorted(np.concatenate([owner * stride + col for owner, col in parts]))
     rows_of = keys // stride
-    counts = np.bincount(rows_of, minlength=len(instances))
-    return np.split(keys - rows_of * stride, np.cumsum(counts)[:-1])
+    cols = keys - rows_of * stride
+    ends = np.cumsum(np.bincount(rows_of, minlength=len(instances))).tolist()
+    return [cols[start:end] for start, end in zip([0, *ends], ends)]

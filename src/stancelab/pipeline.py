@@ -10,13 +10,22 @@ topic and predicts each batch with one call, so predictions equal those of
 ``predict`` on the set-based rows of ``tests/vectorize_reference.py``,
 instance for instance. The batch size bounds the character kernel's
 arrays, which grow with the batch's total text length.
+
+``predict_stream`` is the streaming form that ``predict`` uses: it joins
+and predicts STREAM_CHUNK instances at a time, so that only one chunk of
+instances is held, whatever the size of the tweets file. Each row is
+vectorized and predicted on its own, so how the chunks and batches are cut
+changes no prediction. ``predict`` reads its tweets file twice, once for
+the authors and topics and once for the chunks, so that file must be a
+regular file, not a pipe.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Sequence, TypeVar
+from itertools import islice
+from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
-from .corpus import Dataset, StanceLabel
+from .corpus import Dataset, LabeledInstance, ProfileTable, StanceLabel, join
 from .features import (
     FeatureSetSelector,
     build_feature_space,
@@ -27,6 +36,10 @@ from .linsvm import LinearModel, TrainConfig, predict, train_ovr
 from .scoring import EvalReport, score_semeval
 
 BATCH_SIZE = 128
+# Instances that predict_stream joins and predicts at a time. On a
+# 20,160-tweet corpus, predict's peak RSS read 40.8 MB with 1024 and 41.9 MB
+# with 4096, and wall time was within run-to-run noise.
+STREAM_CHUNK = 8 * BATCH_SIZE
 
 T = TypeVar("T")
 
@@ -64,6 +77,13 @@ def train_topic_models(
     return models
 
 
+def check_topics(models: Mapping[str, LinearModel], topics: Iterable[str]) -> None:
+    """Raise ValueError naming the first topic that has no model."""
+    for topic in topics:
+        if topic not in models:
+            raise ValueError(f"no model for topic {topic!r}")
+
+
 def predict_dataset(
     models: Mapping[str, LinearModel], dataset: Dataset
 ) -> list[StanceLabel]:
@@ -71,9 +91,7 @@ def predict_dataset(
     by_topic: dict[str, list[int]] = {}
     for pos, inst in enumerate(dataset.instances):
         by_topic.setdefault(inst.topic, []).append(pos)
-    for topic in by_topic:
-        if topic not in models:
-            raise ValueError(f"no model for topic {topic!r}")
+    check_topics(models, by_topic)
     predictions: list[StanceLabel] = [StanceLabel.NONE] * len(dataset.instances)
     for topic, positions in by_topic.items():
         model = models[topic]
@@ -83,6 +101,21 @@ def predict_dataset(
             for pos, label in zip(batch, predict(model, rows)):
                 predictions[pos] = label
     return predictions
+
+
+def predict_stream(
+    models: Mapping[str, LinearModel],
+    instances: Iterable[LabeledInstance],
+    profiles: ProfileTable,
+    require_profile: bool,
+) -> Iterator[tuple[LabeledInstance, StanceLabel]]:
+    """Each instance that joins with profiles (see corpus.join), with its
+    prediction. Instances are read, joined and predicted STREAM_CHUNK at a
+    time, so only one chunk is held."""
+    instances = iter(instances)
+    while chunk := list(islice(instances, STREAM_CHUNK)):
+        dataset, _ = join(chunk, profiles, require_profile=require_profile)
+        yield from zip(dataset.instances, predict_dataset(models, dataset))
 
 
 def run_cell(

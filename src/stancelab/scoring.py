@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, zip_longest
 from pathlib import Path
 from typing import Hashable, Iterable, Sequence
 
@@ -246,21 +246,22 @@ PREDICTIONS_HEADER = "ID\tTarget\tGold\tPred"
 def write_predictions(
     path: str | Path,
     instances: Iterable[LabeledInstance],
-    predictions: Sequence[StanceLabel],
+    predictions: Iterable[StanceLabel],
 ) -> None:
     """TSV with columns ID, Target, Gold, Pred.
 
-    Refuses, with a CorpusError naming the tweet id and leaving the file as
-    it was, a row that read_predictions could not read back: a tab, "\\n" or
-    "\\r" in the ID or Target, or a character UTF-8 cannot encode. Each row
-    is checked as it is written.
+    Reads instances and predictions in lockstep, one row at a time, so
+    either may be a stream. Refuses, with a CorpusError naming the tweet id
+    and leaving the file as it was, a row that read_predictions could not
+    read back: a tab, "\\n" or "\\r" in the ID or Target, or a character
+    UTF-8 cannot encode. Each row is checked as it is written; if one
+    iterable ends before the other, the file is left as it was too.
     """
-    instances = list(instances)
-    if len(instances) != len(predictions):
-        raise ValueError("instances and predictions differ in length")
     with output_file(path) as fh:
         fh.write(PREDICTIONS_HEADER + "\n")
-        for inst, pred in zip(instances, predictions):
+        for inst, pred in zip_longest(instances, predictions):
+            if inst is None or pred is None:
+                raise ValueError("instances and predictions differ in length")
             key = f"{inst.tweet_id}\t{inst.topic}"
             if (key.count("\t") != 1 or "\n" in key or "\r" in key
                     or not utf8_encodable(key)):

@@ -8,23 +8,27 @@ import math
 import os
 import pickle
 import random
+import signal
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import stancelab
-from stancelab import cli
+from stancelab import cli, pipeline
 from stancelab.analysis import top_features, topn_overlap_curve, write_rankings_csv
 from stancelab.cli import EXIT_CELL, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from stancelab.corpus import StanceLabel, join, load_network_profiles, load_semeval_tsv
+from stancelab.corpus import (
+    StanceLabel, join, load_network_profiles, load_semeval_tsv, write_semeval_tsv,
+)
 from stancelab.experiment import CellContext, run_experiment
 from stancelab.features import FeatureSetSelector
 from stancelab.linsvm import TrainConfig, load_bundle
-from stancelab.pipeline import run_cell
+from stancelab.pipeline import predict_dataset, run_cell
 from stancelab.scoring import write_predictions, write_report_csv
 from stancelab.synth import SynthConfig
 
@@ -312,7 +316,8 @@ class TestCellPool:
 
 class TestProfilesReadOnce:
     """Each command reads the --profiles file once, however many inputs it
-    joins with it, and each tweets file once."""
+    joins with it, and each tweets file once, but for predict, which reads
+    its --tweets twice (TestStreamedPredict)."""
 
     @pytest.fixture(scope="class")
     def scored(self, corpus, tmp_path_factory):
@@ -555,6 +560,188 @@ class TestRequireProfile:
                 == (tmp_path / "v" / "report.csv").read_bytes())
 
 
+class TestStreamedPredict:
+    """predict reads --tweets twice, first for the authors and topics, then
+    to join and predict pipeline.STREAM_CHUNK tweets at a time, and writes
+    what predicting the whole file at once writes."""
+
+    @pytest.fixture(scope="class")
+    def streamed(self, corpus, tmp_path_factory):
+        root = tmp_path_factory.mktemp("streamed")
+        assert main(["train", "--tweets", str(corpus / "train.tsv"),
+                     "--profiles", str(corpus / "profiles.jsonl"),
+                     "--selector", "TXT+IN_AT", "--mode", "ternary",
+                     "--out", str(root / "bundles")]) == EXIT_OK
+        # The topics take turns, so that one chunk spans them all.
+        by_topic = {}
+        for inst in load_semeval_tsv(corpus / "test.tsv"):
+            by_topic.setdefault(inst.topic, []).append(inst)
+        turns = [inst for rank in range(max(map(len, by_topic.values())))
+                 for rows in by_topic.values() for inst in rows[rank:rank + 1]]
+        write_semeval_tsv(root / "tweets.tsv", turns)
+        half = root / "half.jsonl"
+        lines = (corpus / "profiles.jsonl").read_text().splitlines(keepends=True)
+        half.write_text("".join(lines[::2]))
+        return root / "bundles", root / "tweets.tsv", half
+
+    @staticmethod
+    def predict(bundles, tweets, profiles, out, *extra):
+        return main(["predict", "--bundles", str(bundles), "--tweets", str(tweets),
+                     "--profiles", str(profiles), "--out", str(out), *extra])
+
+    @pytest.mark.parametrize("extra", [[], ["--require-profile"]])
+    def test_chunks_write_what_one_pass_writes(self, streamed, tmp_path, monkeypatch,
+                                               extra, capsys):
+        bundles, tweets, half = streamed
+        instances = load_semeval_tsv(tweets)
+        assert len({inst.topic for inst in instances[:7]}) == 3
+        dataset, dropped = join(instances, load_network_profiles(half)[0],
+                                require_profile=bool(extra))
+        assert dropped or not extra
+        expected = tmp_path / "expected.tsv"
+        write_predictions(expected, dataset.instances,
+                          predict_dataset(cli._load_models(str(bundles)), dataset))
+        sizes = []
+
+        def recording(models, dataset):
+            sizes.append(len(dataset.instances))
+            return predict_dataset(models, dataset)
+
+        monkeypatch.setattr(pipeline, "STREAM_CHUNK", 7)
+        monkeypatch.setattr(pipeline, "predict_dataset", recording)
+        capsys.readouterr()
+        out = tmp_path / "predictions.tsv"
+        assert self.predict(bundles, tweets, half, out, *extra) == EXIT_OK
+        assert out.read_bytes() == expected.read_bytes()
+        assert capsys.readouterr().err == (
+            f"dropped {dropped} instances without profiles\n" if extra else "")
+        assert len(sizes) == math.ceil(len(instances) / 7)
+        assert max(sizes) <= 7 and sum(sizes) == len(dataset.instances)
+
+    def test_malformed_line_past_the_first_chunk(self, streamed, tmp_path, monkeypatch,
+                                                 capsys):
+        # The first pass finds it, before --profiles is read.
+        bundles, tweets, half = streamed
+        lines = tweets.read_text(encoding="utf-8").splitlines(keepends=True)
+        bad = tmp_path / "tweets.tsv"
+        bad.write_text("".join(lines[:19] + ["short\tline\n"] + lines[19:]),
+                       encoding="utf-8")
+        reads = []
+        monkeypatch.setattr(cli, "load_network_profiles",
+                            lambda *args, **kwargs: reads.append(args))
+        monkeypatch.setattr(pipeline, "STREAM_CHUNK", 7)
+        capsys.readouterr()
+        assert self.predict(bundles, bad, half, tmp_path / "out.tsv") == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"stancelab: {bad}: line 20: expected 4 or 5 tab-separated fields, got 2\n")
+        assert not reads
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["tweets.tsv"]
+
+    def test_topic_without_a_bundle(self, streamed, tmp_path, monkeypatch, capsys):
+        # The first pass finds it too, before --profiles is read.
+        bundles, tweets, half = streamed
+        bundle = sorted(bundles.iterdir())[0]
+        _, meta = load_bundle(bundle)
+        missing = next(inst.topic for inst in load_semeval_tsv(tweets)
+                       if inst.topic != meta["topic"])
+        reads = []
+        monkeypatch.setattr(cli, "load_network_profiles",
+                            lambda *args, **kwargs: reads.append(args))
+        capsys.readouterr()
+        assert self.predict(bundle, tweets, half, tmp_path / "out.tsv") == EXIT_DATA
+        assert capsys.readouterr().err == f"stancelab: no model for topic {missing!r}\n"
+        assert not reads
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("change", ["grown", "cut", "malformed"])
+    def test_file_changed_between_the_passes(self, streamed, tmp_path, monkeypatch,
+                                             change, capsys):
+        # Rows of earlier chunks are written by the time the second pass
+        # fails; the predictions file is left as it was.
+        bundles, tweets, half = streamed
+        moving = tmp_path / "tweets.tsv"
+        moving.write_bytes(tweets.read_bytes())
+        lines = tweets.read_text(encoding="utf-8").splitlines(keepends=True)
+        topic = lines[1].split("\t")[1]
+        changed = {
+            "grown": lines + [f"extra\t{topic}\ttext\tNONE\textra\n"],
+            "cut": lines[:-1],
+            "malformed": lines + ["short\tline\n"],
+        }[change]
+
+        def changing(path, **kwargs):
+            moving.write_text("".join(changed), encoding="utf-8")
+            return load_network_profiles(path, **kwargs)
+
+        monkeypatch.setattr(cli, "load_network_profiles", changing)
+        monkeypatch.setattr(pipeline, "STREAM_CHUNK", 7)
+        out = tmp_path / "predictions.tsv"
+        out.write_text("old\n", encoding="utf-8")
+        capsys.readouterr()
+        assert self.predict(bundles, moving, half, out) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"stancelab: {moving}: line {len(changed)}: expected 4 or 5 tab-separated "
+            "fields, got 2\n" if change == "malformed"
+            else f"stancelab: --tweets {moving}: the file changed while predict read it\n")
+        assert out.read_text(encoding="utf-8") == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [out.name, moving.name]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_pipe_refused(self, streamed, tmp_path, capsys):
+        # A pipe would read empty the second time. Opening one without a
+        # writer blocks, so the alarm fails the test rather than hang it.
+        bundles, _, half = streamed
+        fifo = tmp_path / "tweets.fifo"
+        os.mkfifo(fifo)
+
+        def opened(signum, frame):
+            pytest.fail("predict opened the pipe")
+
+        previous = signal.signal(signal.SIGALRM, opened)
+        signal.alarm(20)
+        try:
+            code = self.predict(bundles, fifo, half, tmp_path / "out.tsv")
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"stancelab: --tweets {fifo}: not a regular file; predict reads it twice\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [fifo.name]
+
+    def test_memory_does_not_grow_with_the_tweets(self, tmp_path, monkeypatch, capsys):
+        # The same users with 1 and with 8 tweets each. Holding every
+        # instance cost 570 B of traced peak per added tweet; with chunks
+        # of 7 it measured 121-129 B, most of it the set of tweet IDs that
+        # the reader checks for repeats.
+        corpus = synth(tmp_path / "corpus", "--users-per-topic", "50",
+                       "--tweets-per-user", "8")
+        bundles = tmp_path / "bundles"
+        assert main(["train", "--tweets", str(corpus / "train.tsv"),
+                     "--profiles", str(corpus / "profiles.jsonl"),
+                     "--selector", "IN_AT", "--mode", "ternary",
+                     "--out", str(bundles)]) == EXIT_OK
+        instances = load_semeval_tsv(corpus / "train.tsv")
+        first = {}
+        for inst in instances:
+            first.setdefault(inst.author_id, inst)
+        write_semeval_tsv(tmp_path / "one.tsv", first.values())
+        monkeypatch.setattr(pipeline, "STREAM_CHUNK", 7)
+        peaks = {}
+        for name in ("warm-up", "one.tsv", "train.tsv"):
+            tweets = corpus / name if name == "train.tsv" else tmp_path / "one.tsv"
+            tracemalloc.start()
+            try:
+                assert self.predict(bundles, tweets, corpus / "profiles.jsonl",
+                                    tmp_path / "out.tsv") == EXIT_OK
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        added = len(instances) - len(first)
+        assert added >= 6 * len(first)
+        assert (peaks["train.tsv"] - peaks["one.tsv"]) / added < 200
+
+
 def test_experiment_notes_authors_in_both_splits(corpus, tmp_path, capsys):
     note = "pairs are in both --tweets and --test"
     argv = ["experiment", "--tweets", str(corpus / "train.tsv"),
@@ -641,7 +828,7 @@ class TestUsageErrors:
         (["--C", "inf"], "C must be positive and finite"),
         (["--tol", "nan"], "tol must be positive and finite"),
         (["--tol", "inf"], "tol must be positive and finite"),
-        (["--seed", str(2**64)], "seed must be < 2**64"),
+        (["--seed", str(2**64)], "--seed: must be < 2**64"),
     ], ids=["C", "tol", "max-iter", "selector", "seed", "C-nan", "C-inf",
             "tol-nan", "tol-inf", "seed-2**64"])
     def test_bad_train_flag(self, tmp_path, extra, message, capsys):
@@ -700,6 +887,26 @@ class TestUsageErrors:
                   "--seed", "-1", "--out", str(tmp_path / "out")])
         assert exc.value.code == EXIT_USAGE
         assert "--seed: must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_evaluate_seed_beyond_64_bits(self, corpus, tmp_path, capsys):
+        # The fold order takes a 64-bit seed: a larger one exits 1 from the
+        # parser, as in train and experiment.
+        test = load_split(corpus, "test.tsv")
+        predictions = tmp_path / "predictions.tsv"
+        write_predictions(predictions, test.instances,
+                          [inst.label for inst in test.instances])
+        argv = ["evaluate", "--predictions", str(predictions),
+                "--compare", str(predictions), "--pair-unit", "fold"]
+        assert main([*argv, "--seed", str(2**64 - 1),
+                     "--out", str(tmp_path / "largest")]) == EXIT_OK
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", str(2**64), "--out", str(tmp_path / "out")])
+        assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.endswith(f"--seed: must be < 2**64, got {2**64}\n")
+        assert not captured.out
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("other", ["bundles", "gold"])
@@ -802,23 +1009,6 @@ class TestUsageErrors:
         assert exc.value.code == EXIT_USAGE
         assert "network selectors require --profiles" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
-
-
-def test_evaluate_seed_beyond_64_bits(corpus, tmp_path, capsys):
-    # The fold order takes a 64-bit seed. kfold refuses a larger one,
-    # which exits 2 with one line before any output is written.
-    test = load_split(corpus, "test.tsv")
-    predictions = tmp_path / "predictions.tsv"
-    write_predictions(predictions, test.instances,
-                      [inst.label for inst in test.instances])
-    argv = ["evaluate", "--predictions", str(predictions),
-            "--compare", str(predictions), "--pair-unit", "fold"]
-    assert main([*argv, "--seed", str(2**64 - 1),
-                 "--out", str(tmp_path / "largest")]) == EXIT_OK
-    code = main([*argv, "--seed", str(2**64), "--out", str(tmp_path / "out")])
-    assert code == EXIT_DATA
-    assert capsys.readouterr().err == "stancelab: seed must be < 2**64\n"
-    assert not (tmp_path / "out").exists()
 
 
 def _type_name(kind):

@@ -21,6 +21,7 @@ from stancelab.corpus import (
     load_semeval_tsv,
     normalize_account,
     normalize_domain,
+    read_semeval_tsv,
     write_network_profiles,
     write_semeval_tsv,
 )
@@ -146,6 +147,19 @@ class TestLoadTweets:
         path = tmp_path / "out.tsv"
         write_semeval_tsv(path, instances)
         assert load_semeval_tsv(path) == instances
+
+    def test_reader_yields_each_instance_as_it_reads(self, tmp_path):
+        # The instances before a malformed line come out before its error,
+        # and each pass over the file checks the IDs afresh.
+        path = write(tmp_path, "t.tsv",
+                     "ID\tTarget\tTweet\tStance\n1\tA\thi\tNONE\n1\tA\tyo\tFAVOR\n")
+        first, second = read_semeval_tsv(path), read_semeval_tsv(path)
+        assert next(first) == next(second) == LabeledInstance(
+            "1", "1", "A", "hi", StanceLabel.NONE)
+        for tweets in (first, second):
+            with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: line 3: "
+                               "duplicate tweet id '1'$"):
+                next(tweets)
 
 
 FIELD_TEXT = st.text(

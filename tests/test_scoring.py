@@ -408,6 +408,24 @@ class TestPredictionFiles:
             write_predictions(path, instances, [A, A])
         assert path.read_text(encoding="utf-8") == "old\n"
 
+    @pytest.mark.parametrize("n_pred", [1, 3])
+    def test_length_mismatch_leaves_the_file(self, tmp_path, n_pred):
+        # Both sides are read one row at a time, so either may be a stream.
+        path = tmp_path / "preds.tsv"
+        path.write_text("old\n", encoding="utf-8")
+        instances = (LabeledInstance(str(i), "u", "t", "", F) for i in range(2))
+        with pytest.raises(ValueError, match="^instances and predictions differ in length$"):
+            write_predictions(path, instances, iter([A] * n_pred))
+        assert path.read_text(encoding="utf-8") == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["preds.tsv"]
+
+    def test_streams_are_written_as_lists(self, tmp_path):
+        instances = [LabeledInstance(str(i), "u", "t", "", F) for i in range(3)]
+        write_predictions(tmp_path / "lists.tsv", instances, [A, N, F])
+        write_predictions(tmp_path / "streams.tsv", iter(instances), iter([A, N, F]))
+        assert ((tmp_path / "lists.tsv").read_bytes()
+                == (tmp_path / "streams.tsv").read_bytes())
+
     def test_repeated_id_rejected(self, tmp_path):
         path = tmp_path / "preds.tsv"
         path.write_text("ID\tTarget\tGold\tPred\n1\tt\tFAVOR\tFAVOR\n"
