@@ -195,9 +195,11 @@ def write_overlap_csv(dist: OverlapDistribution, path: str | Path) -> None:
 
 
 def write_curves_csv(
-    curves: Mapping[str, Sequence[tuple[int, float]]], path: str | Path
+    curves: Mapping[str, Iterable[tuple[int, float]]], path: str | Path
 ) -> None:
-    """Rows (N, pair, jaccard), one block per named curve."""
+    """Rows (N, pair, jaccard), one block per named curve, in pair order.
+    Each curve's (N, value) pairs are read once, so they may be lazy, such
+    as enumerate(values, 1)."""
     write_csv(path, ["N", "pair", "jaccard"],
               ([n, pair, f"{value:.6f}"]
                for pair in sorted(curves) for n, value in curves[pair]))

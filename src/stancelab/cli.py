@@ -528,8 +528,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes for experiment cells, which start "
                    "together and take the costliest cells first; "
                    "output is identical to --jobs 1")
-    p.add_argument("--top-n", type=_int_at_least(1), default=20)
-    p.add_argument("--curve-max", type=_int_at_least(1), default=200)
+    p.add_argument("--top-n", type=_int_at_least(1), default=20,
+                   help="rows per class in each top_features CSV")
+    p.add_argument("--curve-max", type=_int_at_least(1), default=200,
+                   help="largest N of the top-N overlap curves, which are read "
+                   "from the single-flag cells of the compared families")
     p.add_argument("--require-profile", action="store_true")
     _add_train_flags(p)
     p.set_defaults(func=_cmd_experiment)
@@ -540,7 +543,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predictions")
     p.add_argument("--tweets")
     p.add_argument("--out", required=True)
-    p.add_argument("--top-n", type=_int_at_least(1), default=20)
+    p.add_argument("--top-n", type=_int_at_least(1), default=20,
+                   help="rows per class in top_features.csv")
     p.add_argument("--require-profile", action="store_true",
                    help="group --predictions over the --tweets whose author "
                    "has a profile, as predict --require-profile does")

@@ -10,6 +10,12 @@ tree under CellContext.out, where NAME is SELECTOR__MODE:
   families is the mean of the group's pairwise curves at each N;
 - ``master.csv``: one row per cell, with its status and scores. A failed
   cell writes nothing else.
+
+A cell sends back to the coordinator its report, its predictions, its
+capped-fit lines and only the rankings the curves read: a cell whose
+selector is one family of COMPARED_FAMILIES returns the CURVE_CLASSES
+rankings of each topic, max(--top-n, --curve-max) deep; every other cell
+returns none and ranks only --top-n deep, for its CSV.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 import os
 import pickle
 import tempfile
+from array import array
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 from pathlib import Path
@@ -41,6 +48,8 @@ from .synth import topic_slug
 # compared by the overlap of users' profile sets and by the top-N curves of
 # its single-family models; a group of three also gets its joint curve.
 COMPARED_FAMILIES = (("IN_AT", "PN_AT", "CN_FR"), ("IN_DM", "PN_DM"))
+# The classes whose rankings the top-N curves compare.
+CURVE_CLASSES = (StanceLabel.FAVOR, StanceLabel.AGAINST)
 
 
 @dataclass(frozen=True)
@@ -63,7 +72,9 @@ class CellResult:
     mode: str
     report: EvalReport | None = None
     predictions: list[StanceLabel] | None = None
-    # (topic, class) -> RankedFeatures of max(--top-n, --curve-max) entries.
+    # (topic, class) -> RankedFeatures of max(--top-n, --curve-max) entries
+    # for each of CURVE_CLASSES, if the selector is one family of
+    # COMPARED_FAMILIES; empty for every other cell.
     rankings: dict = field(default_factory=dict)
     capped_fits: list[str] = field(default_factory=list)
     error: str = ""
@@ -154,16 +165,20 @@ def _run_experiment_cell(
     slugs = unique_slugs(train.topics)
     for topic, model in models.items():
         save_bundle(model, out / "bundles" / name / slugs[topic], topic=topic)
+    # The curves read the rankings of the single-family cells they compare.
     # A ranking is a sorted prefix, so the one computed for the curves also
     # gives the --top-n CSV.
-    rankings = model_rankings(models.items(), max(context.top_n, context.curve_max))
+    compared = any(str(selector) in group for group in COMPARED_FAMILIES)
+    rankings = model_rankings(
+        models.items(), max(context.top_n, context.curve_max) if compared else context.top_n)
     write_rankings_csv(
         [replace(r, entries=r.entries[:context.top_n]) for r in rankings],
         out / "analysis" / f"top_features__{name}.csv",
     )
     return CellResult(
         selector, mode, report, predictions,
-        rankings={(r.topic, r.label): r for r in rankings},
+        rankings={(r.topic, r.label): r for r in rankings
+                  if compared and r.label in CURVE_CLASSES},
         capped_fits=capped_fit_lines(models.items()),
     )
 
@@ -177,7 +192,8 @@ def _run_cells(
 ) -> list[CellResult]:
     """Runs the cells in this process, or in `jobs` worker processes; the
     results come back in the order of `cells`, and every output is
-    identical to that of --jobs 1.
+    identical to that of --jobs 1. A result holds only what the
+    coordinator's analyses read (see CellResult.rankings).
 
     The workers get the path of a file that holds the pickled context, not
     the context itself: a spawned worker reads its start-up arguments only
@@ -245,12 +261,13 @@ def _experiment_curves(
     mode: str,
     topics: Sequence[str],
     n_max: int,
-) -> dict[str, list[tuple[int, float]]]:
+) -> dict[str, array]:
     """Top-N overlap curves across the single-family models of each group
-    of COMPARED_FAMILIES whose every family has a non-empty ranking."""
-    curves: dict[str, list[tuple[int, float]]] = {}
+    of COMPARED_FAMILIES whose every family has a non-empty ranking. Each
+    curve is the array of its values at N = 1..n_max."""
+    curves: dict[str, array] = {}
     for topic in topics:
-        for cls in (StanceLabel.FAVOR, StanceLabel.AGAINST):
+        for cls in CURVE_CLASSES:
             for group in COMPARED_FAMILIES:
                 ranked = [(f, results[f, mode].rankings.get((topic, cls)))
                           for f in group if (f, mode) in results]
@@ -259,12 +276,13 @@ def _experiment_curves(
                 pairwise = []
                 for (name_l, left), (name_r, right) in combinations(ranked, 2):
                     key = f"{name_l} vs {name_r} | {cls.value} | {topic}"
-                    curves[key] = topn_overlap_curve(left, right, n_max=n_max)
+                    curves[key] = array("d", (value for _, value in
+                                              topn_overlap_curve(left, right, n_max=n_max)))
                     pairwise.append(curves[key])
                 if len(group) == 3:
                     key = f"{'+'.join(group)} | {cls.value} | {topic}"
-                    curves[key] = [(n, (ab + ac + bc) / 3.0)
-                                   for (n, ab), (_, ac), (_, bc) in zip(*pairwise)]
+                    curves[key] = array("d", ((ab + ac + bc) / 3.0
+                                              for ab, ac, bc in zip(*pairwise)))
     return curves
 
 
@@ -292,7 +310,10 @@ def run_experiment(context: CellContext, selectors: Sequence[FeatureSetSelector]
     for mode in modes:
         curves = _experiment_curves(by_key, mode, train.topics, context.curve_max)
         if curves:
-            write_curves_csv(curves, analysis_dir / f"topn_curves__{mode}.csv")
+            write_curves_csv({pair: enumerate(values, 1) for pair, values in curves.items()},
+                             analysis_dir / f"topn_curves__{mode}.csv")
+        # Written, so not held while the next mode's curves are built.
+        del curves
 
     _write_master_csv(out / "master.csv", results, train.topics)
     return results

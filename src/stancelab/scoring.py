@@ -200,8 +200,10 @@ def _midranks(values: Sequence[float]) -> list[float]:
 def mann_whitney_u(a: Sequence[float], b: Sequence[float]) -> UTestResult:
     """Two-sided Mann-Whitney U test.
 
-    Exact enumeration over rank assignments when both samples have at most
-    8 values; otherwise a tie-corrected normal approximation.
+    When both samples have at most 8 values, the p-value is exact: the
+    share of all C(n1+n2, n1) assignments of the pooled midranks to `a`
+    whose |U - n1*n2/2| is at least the observed one. Otherwise a
+    tie-corrected normal approximation.
     """
     n1, n2 = len(a), len(b)
     if n1 == 0 or n2 == 0:
@@ -211,6 +213,9 @@ def mann_whitney_u(a: Sequence[float], b: Sequence[float]) -> UTestResult:
     mu = n1 * n2 / 2.0
     u1 = sum(ranks[:n1]) - n1 * (n1 + 1) / 2.0
     if max(n1, n2) <= 8:
+        # With ties this is not twice the one-sided p, which scipy's
+        # mannwhitneyu with PermutationMethod() gives: for a=[0.5, 0.7] and
+        # b=[0.5, 1, 1, 1, 1] this gives 3/21 and that 6/21.
         observed = abs(u1 - mu)
         hits = 0
         total = 0

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -237,21 +237,34 @@ class TestTopnOverlapCurve:
         assert curve[1] == (2, pytest.approx(1 / 3))
 
     def test_three_way_is_mean_of_pairwise(self):
-        # The experiment's joint curve of a group of three families.
-        rankings = {
-            "IN_AT": ranked("t", "inat:x", "inat:y"),
-            "PN_AT": ranked("t", "pnat:y", "pnat:z"),
-            "CN_FR": ranked("t", "cnfr:x", "cnfr:y"),
+        # The experiment's joint curve of a group of three families. On
+        # topic "u" a float sum in any other order than ab + ac + bc gives
+        # another value at some N.
+        features = {
+            "t": {"IN_AT": "xy", "PN_AT": "yz", "CN_FR": "xy"},
+            "u": {"IN_AT": "abdhi", "PN_AT": "cdhif", "CN_FR": "fecdi"},
         }
         results = {
-            (name, "binary"): CellResult(FeatureSetSelector.of(name), "binary",
-                                         rankings={("t", F): ranking})
-            for name, ranking in rankings.items()
+            (name, "binary"): CellResult(FeatureSetSelector.of(name), "binary", rankings={
+                (topic, F): ranked(topic, *(f"{name.lower()}:{c}" for c in by_name[name]))
+                for topic, by_name in features.items()
+            })
+            for name in ("IN_AT", "PN_AT", "CN_FR")
         }
-        curves = _experiment_curves(results, "binary", ["t"], n_max=2)
-        curve = curves[f"IN_AT+PN_AT+CN_FR | {F.value} | t"]
-        expected = (1 / 3 + 1.0 + 1 / 3) / 3
-        assert curve[1][1] == pytest.approx(expected)
+        curves = _experiment_curves(results, "binary", ["t", "u"], n_max=5)
+        for topic in ("t", "u"):
+            pairwise = []
+            for left, right in combinations(("IN_AT", "PN_AT", "CN_FR"), 2):
+                values = curves[f"{left} vs {right} | {F.value} | {topic}"]
+                assert values.typecode == "d"
+                assert list(values) == [v for _, v in topn_overlap_curve(
+                    results[left, "binary"].rankings[topic, F],
+                    results[right, "binary"].rankings[topic, F], n_max=5)]
+                pairwise.append(values)
+            curve = curves[f"IN_AT+PN_AT+CN_FR | {F.value} | {topic}"]
+            # Bit for bit: the mean is taken in the order ab, ac, bc.
+            assert list(curve) == [(ab + ac + bc) / 3.0 for ab, ac, bc in zip(*pairwise)]
+        assert curves[f"IN_AT+PN_AT+CN_FR | {F.value} | t"][1] == (1 / 3 + 1.0 + 1 / 3) / 3.0
 
     def test_empty_ranking_rejected(self):
         a = ranked("t", "inat:x")

@@ -261,6 +261,40 @@ class TestExperiment:
                  "ok" if r.report else f"failed: {r.error}") for r in results] == rows
         assert rows == sorted(rows) and len(rows) == 8
 
+    @pytest.mark.parametrize("curve_max", [8, 100_000])
+    def test_cells_return_only_the_rankings_the_curves_read(self, corpus, tmp_path,
+                                                            curve_max):
+        # The curves read the Favor and Against rankings of the single-family
+        # cells of COMPARED_FAMILIES; every other cell sends back none.
+        profiles, _ = load_network_profiles(corpus / "profiles.jsonl")
+        train, test = (join(load_semeval_tsv(corpus / name), profiles)[0]
+                       for name in ("train.tsv", "test.tsv"))
+        out = tmp_path / "out"
+        context = CellContext(train, test, TrainConfig(), out=out, top_n=3,
+                              curve_max=curve_max)
+        selectors = ["TXT", "CN_FL", "IN_AT+IN_DM", "IN_AT"]
+        results = run_experiment(context, [FeatureSetSelector.parse(s) for s in selectors],
+                                 ["ternary", "binary"], jobs=1)
+        assert all(r.report is not None for r in results)
+        returned = {(str(r.selector), r.mode): r.rankings for r in results}
+        for cell, rankings in returned.items():
+            if cell[0] != "IN_AT":
+                assert rankings == {}, cell
+        polarized = (StanceLabel.FAVOR, StanceLabel.AGAINST)
+        for mode in ("ternary", "binary"):
+            rankings = returned["IN_AT", mode]
+            assert set(rankings) == {(topic, cls) for topic in train.topics
+                                     for cls in polarized}
+            bundles = list((out / "bundles" / f"IN_AT__{mode}").iterdir())
+            assert len(bundles) == len(train.topics)
+            for bundle in bundles:
+                model, meta = load_bundle(bundle)
+                topic = meta["topic"]
+                for cls in polarized:
+                    ranking = rankings[topic, cls]
+                    assert ranking == top_features(model, cls, topic, curve_max)
+                    assert len(ranking.entries) == min(curve_max, model.space.size)
+
 
 class TestCellPool:
     """experiment --jobs N hands its workers the path of a pickled context

@@ -343,6 +343,30 @@ class TestMannWhitney:
         ).pvalue
         assert result.p_value == pytest.approx(float(expected), abs=1e-9)
 
+    @given(
+        a=st.lists(st.integers(0, 4).map(lambda v: v / 2.0), min_size=2, max_size=8),
+        b=st.lists(st.integers(0, 4).map(lambda v: v / 2.0), min_size=2, max_size=8),
+    )
+    @example(a=[0.5, 0.7], b=[0.5, 1.0, 1.0, 1.0, 1.0])
+    def test_exact_mode_with_ties_is_the_permutation_test_of_u_distance(self, a, b):
+        # The exact p is the share of all splits of the pooled sample whose
+        # |U - n1*n2/2| is at least the observed one. scipy's mannwhitneyu
+        # with PermutationMethod() doubles the one-sided p instead, which
+        # differs with ties (6/21 against 3/21 in the example).
+        mu = len(a) * len(b) / 2.0
+
+        def distance(x, y, axis):
+            u = stats.mannwhitneyu(x, y, axis=axis, method="asymptotic").statistic
+            return np.abs(u - mu)
+
+        expected = stats.permutation_test(
+            (a, b), distance, permutation_type="independent", vectorized=True,
+            n_resamples=np.inf, alternative="greater",
+        ).pvalue
+        result = mann_whitney_u(a, b)
+        assert result.method == "exact"
+        assert result.p_value == expected
+
 
 FIELDS = st.text(st.one_of(st.characters(), st.sampled_from("\t\r\n\x85\u2028\ud800")),
                  max_size=4)
